@@ -15,7 +15,9 @@
 //!   ([`experiments::table1`] … [`experiments::table7`],
 //!   [`experiments::intext_results`]), each returning a paper-vs-measured
 //!   report;
-//! * [`paper`] — the paper's published reference values.
+//! * [`paper`] — the paper's published reference values;
+//! * [`json`] — the workspace's one JSON parser (re-exported from
+//!   `osarch-trace`), which every reader in the serving stack uses.
 //!
 //! # Quickstart
 //!
@@ -54,6 +56,7 @@ pub use osarch_mach as mach;
 pub use osarch_mem as mem;
 pub use osarch_threads as threads;
 pub use osarch_trace as trace;
+pub use osarch_trace::json;
 pub use osarch_workloads as workloads;
 
 // …and the most common items at the crate root.

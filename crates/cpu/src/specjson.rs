@@ -9,13 +9,15 @@
 //! inherited from the base machine, which keeps a hostile document from
 //! describing an unboundedly expensive simulation.
 //!
-//! The codec is deliberately dependency-free and *canonical*:
+//! Documents are read with the workspace's one JSON parser
+//! ([`osarch_trace::json`]) and written *canonically*:
 //! [`ArchSpec::to_json`] emits every overridable field in declaration
 //! order, so two specs with equal documents are byte-identical — the
 //! property the serve layer's registry digests and the cluster's spec
 //! gossip rely on.
 
 use crate::arch::{Arch, ArchSpec};
+use osarch_trace::json::{self, Value};
 use std::fmt::Write as _;
 
 /// The schema tag stamped into every spec document.
@@ -28,14 +30,6 @@ pub const SPEC_NAME_MAX: usize = 64;
 /// machine, small enough that a handler program stays cheap to simulate.
 const FIELD_CAP: f64 = 1_000_000.0;
 
-/// One scalar value of a flat spec document.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-}
-
 impl ArchSpec {
     /// Render this spec as a canonical `osarch-spec/1` document under
     /// `name`. Every overridable field is emitted explicitly, so
@@ -47,11 +41,11 @@ impl ArchSpec {
         let _ = write!(
             out,
             "{{\"schema\":\"{SPEC_SCHEMA}\",\"name\":\"{}\",\"base\":\"{}\"",
-            escape(name),
+            json::escape(name),
             self.arch
         );
         for (key, value) in self.scalar_fields() {
-            let _ = write!(out, ",\"{key}\":{}", value.render());
+            let _ = write!(out, ",\"{key}\":{value}");
         }
         out.push('}');
         out
@@ -62,19 +56,39 @@ impl ArchSpec {
     /// # Errors
     ///
     /// Returns a one-line reason when the document is not a flat JSON
-    /// object, the schema tag or base architecture is wrong, the name is
-    /// unusable, a key is unknown, or a value is out of range.
+    /// object (duplicate fields, nested values and non-finite numbers are
+    /// all refused), the schema tag or base architecture is wrong, the
+    /// name is unusable, a key is unknown, or a value is out of range.
     pub fn from_json(doc: &str) -> Result<(String, ArchSpec), String> {
-        let fields = parse_flat(doc)?;
+        let root = json::parse(doc).map_err(|e| e.to_string())?;
+        let fields = root
+            .as_object()
+            .ok_or_else(|| format!("a spec document must be an object, not a {}", root.kind()))?;
+        for (index, (key, value)) in fields.iter().enumerate() {
+            if fields[..index].iter().any(|(k, _)| k == key) {
+                return Err(format!("duplicate field {key:?}"));
+            }
+            match value {
+                Value::Array(_) | Value::Object(_) => {
+                    return Err(format!(
+                        "nested values are not allowed in a spec document (field {key:?})"
+                    ))
+                }
+                Value::Number(token) if !value.as_f64().is_some_and(f64::is_finite) => {
+                    return Err(format!("non-finite number {token:?} in field {key:?}"))
+                }
+                _ => {}
+            }
+        }
         let mut schema = None;
         let mut name = None;
         let mut base = None;
-        let mut overrides: Vec<(String, Scalar)> = Vec::new();
+        let mut overrides = Vec::new();
         for (key, value) in fields {
-            match key.as_str() {
-                "schema" => schema = Some(expect_str(&key, value)?),
-                "name" => name = Some(expect_str(&key, value)?),
-                "base" => base = Some(expect_str(&key, value)?),
+            match &**key {
+                "schema" => schema = Some(expect_str(key, value)?),
+                "name" => name = Some(expect_str(key, value)?),
+                "base" => base = Some(expect_str(key, value)?),
                 _ => overrides.push((key, value)),
             }
         }
@@ -88,48 +102,50 @@ impl ArchSpec {
             None => return Err(format!("missing \"schema\" (expected {SPEC_SCHEMA:?})")),
         }
         let name = name.ok_or_else(|| "missing \"name\"".to_string())?;
-        validate_name(&name)?;
+        validate_name(name)?;
         let base = base.ok_or_else(|| "missing \"base\"".to_string())?;
-        let arch =
-            parse_base(&base).ok_or_else(|| format!("unknown base architecture {base:?}"))?;
+        let arch = parse_base(base).ok_or_else(|| format!("unknown base architecture {base:?}"))?;
         let mut spec = arch.spec();
         for (key, value) in overrides {
-            spec.apply_override(&key, value)?;
+            spec.apply_override(key, value)?;
         }
-        Ok((name, spec))
+        Ok((name.to_string(), spec))
     }
 
     /// Every overridable field as `(key, value)` in declaration order.
-    fn scalar_fields(&self) -> Vec<(&'static str, Scalar)> {
-        let n = |v: u32| Scalar::Num(f64::from(v));
+    fn scalar_fields(&self) -> Vec<(&'static str, Value<'static>)> {
+        let n = |v: u32| Value::Number(v.to_string().into());
+        let f = |v: f64| {
+            // Every emitted number is finite (fields are validated on the
+            // way in and the built-ins are finite by construction).
+            debug_assert!(v.is_finite());
+            Value::Number(format!("{v}").into())
+        };
         vec![
-            ("clock_mhz", Scalar::Num(self.clock_mhz)),
-            ("application_speedup", Scalar::Num(self.application_speedup)),
+            ("clock_mhz", f(self.clock_mhz)),
+            ("application_speedup", f(self.application_speedup)),
             ("int_registers", n(self.int_registers)),
             ("fp_state_words", n(self.fp_state_words)),
             ("misc_state_words", n(self.misc_state_words)),
             ("trap_saved_registers", n(self.trap_saved_registers)),
             ("avg_windows_on_switch", n(self.avg_windows_on_switch)),
-            ("exposed_pipelines", Scalar::Bool(self.exposed_pipelines)),
+            ("exposed_pipelines", Value::Bool(self.exposed_pipelines)),
             ("pipeline_control_regs", n(self.pipeline_control_regs)),
-            (
-                "fpu_freeze_on_fault",
-                Scalar::Bool(self.fpu_freeze_on_fault),
-            ),
+            ("fpu_freeze_on_fault", Value::Bool(self.fpu_freeze_on_fault)),
             ("fpu_pipeline_save_instrs", n(self.fpu_pipeline_save_instrs)),
             ("fpu_drain_cycles", n(self.fpu_drain_cycles)),
-            ("precise_interrupts", Scalar::Bool(self.precise_interrupts)),
-            ("vectored_traps", Scalar::Bool(self.vectored_traps)),
+            ("precise_interrupts", Value::Bool(self.precise_interrupts)),
+            ("vectored_traps", Value::Bool(self.vectored_traps)),
             ("trap_dispatch_instrs", n(self.trap_dispatch_instrs)),
             ("trap_entry_cycles", n(self.trap_entry_cycles)),
             (
                 "provides_fault_address",
-                Scalar::Bool(self.provides_fault_address),
+                Value::Bool(self.provides_fault_address),
             ),
             ("fault_decode_instrs", n(self.fault_decode_instrs)),
-            ("has_delay_slots", Scalar::Bool(self.has_delay_slots)),
+            ("has_delay_slots", Value::Bool(self.has_delay_slots)),
             ("unfilled_slot_period", n(self.unfilled_slot_period)),
-            ("has_atomic_tas", Scalar::Bool(self.has_atomic_tas)),
+            ("has_atomic_tas", Value::Bool(self.has_atomic_tas)),
             ("tas_cycles", n(self.tas_cycles)),
             ("alu_cycles", n(self.alu_cycles)),
             ("load_cycles", n(self.load_cycles)),
@@ -144,7 +160,7 @@ impl ArchSpec {
     }
 
     /// Apply one override onto this spec, validating type and range.
-    fn apply_override(&mut self, key: &str, value: Scalar) -> Result<(), String> {
+    fn apply_override(&mut self, key: &str, value: &Value<'_>) -> Result<(), String> {
         match key {
             "clock_mhz" => self.clock_mhz = expect_pos(key, value)?,
             "application_speedup" => self.application_speedup = expect_pos(key, value)?,
@@ -183,71 +199,38 @@ impl ArchSpec {
     }
 }
 
-impl Scalar {
-    fn render(&self) -> String {
-        match self {
-            Scalar::Str(s) => format!("\"{}\"", escape(s)),
-            Scalar::Num(v) => {
-                // Every emitted number is finite (fields are validated on
-                // the way in and the built-ins are finite by construction).
-                debug_assert!(v.is_finite());
-                format!("{v}")
-            }
-            Scalar::Bool(b) => b.to_string(),
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            Scalar::Str(_) => "string",
-            Scalar::Num(_) => "number",
-            Scalar::Bool(_) => "boolean",
-        }
-    }
+fn expect_str<'v>(key: &str, value: &'v Value<'_>) -> Result<&'v str, String> {
+    value
+        .as_str()
+        .ok_or_else(|| format!("field {key:?} must be a string, not a {}", value.kind()))
 }
 
-fn expect_str(key: &str, value: Scalar) -> Result<String, String> {
-    match value {
-        Scalar::Str(s) => Ok(s),
-        other => Err(format!(
-            "field {key:?} must be a string, not a {}",
-            other.kind()
-        )),
-    }
+fn expect_bool(key: &str, value: &Value<'_>) -> Result<bool, String> {
+    value
+        .as_bool()
+        .ok_or_else(|| format!("field {key:?} must be a boolean, not a {}", value.kind()))
 }
 
-fn expect_bool(key: &str, value: Scalar) -> Result<bool, String> {
-    match value {
-        Scalar::Bool(b) => Ok(b),
-        other => Err(format!(
-            "field {key:?} must be a boolean, not a {}",
-            other.kind()
-        )),
-    }
+fn expect_num(key: &str, value: &Value<'_>) -> Result<f64, String> {
+    value
+        .as_f64()
+        .ok_or_else(|| format!("field {key:?} must be a number, not a {}", value.kind()))
 }
 
-fn expect_pos(key: &str, value: Scalar) -> Result<f64, String> {
-    match value {
-        Scalar::Num(v) if v > 0.0 && v <= FIELD_CAP => Ok(v),
-        Scalar::Num(v) => Err(format!(
+fn expect_pos(key: &str, value: &Value<'_>) -> Result<f64, String> {
+    match expect_num(key, value)? {
+        v if v > 0.0 && v <= FIELD_CAP => Ok(v),
+        v => Err(format!(
             "field {key:?} must be in (0, {FIELD_CAP:.0}], got {v}"
         )),
-        other => Err(format!(
-            "field {key:?} must be a number, not a {}",
-            other.kind()
-        )),
     }
 }
 
-fn expect_u32(key: &str, value: Scalar) -> Result<u32, String> {
-    match value {
-        Scalar::Num(v) if (0.0..=FIELD_CAP).contains(&v) && v.fract() == 0.0 => Ok(v as u32),
-        Scalar::Num(v) => Err(format!(
+fn expect_u32(key: &str, value: &Value<'_>) -> Result<u32, String> {
+    match expect_num(key, value)? {
+        v if (0.0..=FIELD_CAP).contains(&v) && v.fract() == 0.0 => Ok(v as u32),
+        v => Err(format!(
             "field {key:?} must be an integer in [0, {FIELD_CAP:.0}], got {v}"
-        )),
-        other => Err(format!(
-            "field {key:?} must be a number, not a {}",
-            other.kind()
         )),
     }
 }
@@ -291,193 +274,6 @@ fn parse_base(name: &str) -> Option<Arch> {
         "rs6000" => Some(Arch::Rs6000),
         _ => None,
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// A tiny flat-object JSON parser (strings, numbers, booleans only)
-// ---------------------------------------------------------------------------
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                char::from(byte),
-                self.pos
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(
-                                char::from_u32(hex).ok_or_else(|| {
-                                    format!("bad \\u escape at byte {}", self.pos)
-                                })?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b >= 0x20 => {
-                    // Advance one whole UTF-8 character.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| (b & 0xc0) == 0x80)
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| format!("bad UTF-8 at byte {start}"))?,
-                    );
-                }
-                _ => return Err(format!("unterminated string at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn scalar(&mut self) -> Result<Scalar, String> {
-        match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(Scalar::Str(self.string()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(Scalar::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(Scalar::Bool(false))
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while self
-                    .bytes
-                    .get(self.pos)
-                    .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-                {
-                    self.pos += 1;
-                }
-                let token = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("bad number at byte {start}"))?;
-                let value: f64 = token
-                    .parse()
-                    .map_err(|_| format!("bad number {token:?} at byte {start}"))?;
-                if !value.is_finite() {
-                    return Err(format!("non-finite number {token:?} at byte {start}"));
-                }
-                Ok(Scalar::Num(value))
-            }
-            Some(b'{' | b'[') => Err(format!(
-                "nested values are not allowed in a spec document (byte {})",
-                self.pos
-            )),
-            _ => Err(format!("expected a scalar value at byte {}", self.pos)),
-        }
-    }
-}
-
-/// Parse a flat JSON object of scalar fields, rejecting duplicates.
-fn parse_flat(doc: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let mut cur = Cursor {
-        bytes: doc.as_bytes(),
-        pos: 0,
-    };
-    cur.skip_ws();
-    cur.eat(b'{')?;
-    let mut fields: Vec<(String, Scalar)> = Vec::new();
-    cur.skip_ws();
-    if cur.bytes.get(cur.pos) == Some(&b'}') {
-        cur.pos += 1;
-    } else {
-        loop {
-            cur.skip_ws();
-            let key = cur.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate field {key:?}"));
-            }
-            cur.skip_ws();
-            cur.eat(b':')?;
-            cur.skip_ws();
-            let value = cur.scalar()?;
-            fields.push((key, value));
-            cur.skip_ws();
-            match cur.bytes.get(cur.pos) {
-                Some(b',') => cur.pos += 1,
-                Some(b'}') => {
-                    cur.pos += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", cur.pos)),
-            }
-        }
-    }
-    cur.skip_ws();
-    if cur.pos != cur.bytes.len() {
-        return Err(format!("trailing data at byte {}", cur.pos));
-    }
-    Ok(fields)
 }
 
 #[cfg(test)]
@@ -614,6 +410,31 @@ mod tests {
             "\"clock_mhz\":1e300}"
         );
         assert!(ArchSpec::from_json(doc).is_err());
+    }
+
+    #[test]
+    fn documents_nested_past_the_parser_cap_are_refused() {
+        let deep = format!(
+            "{{\"schema\":\"osarch-spec/1\",\"name\":\"x\",\"base\":\"R3000\",\"mem\":{}{}}}",
+            "[".repeat(json::MAX_DEPTH),
+            "]".repeat(json::MAX_DEPTH)
+        );
+        let err = ArchSpec::from_json(&deep).unwrap_err();
+        assert!(err.contains("nested deeper than"), "{err}");
+        // One level shallower parses, and is then refused as nested.
+        let shallow = deep.replacen('[', "", 1).replacen(']', "", 1);
+        let err = ArchSpec::from_json(&shallow).unwrap_err();
+        assert!(err.contains("nested values"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_refused() {
+        let doc = concat!(
+            "{\"schema\":\"osarch-spec/1\",\"name\":\"x\",\"base\":\"R3000\",",
+            "\"clock_mhz\":1e999}"
+        );
+        let err = ArchSpec::from_json(doc).unwrap_err();
+        assert!(err.contains("non-finite number \"1e999\""), "{err}");
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   probe. The cooldown is counted in *calls*, not seconds, keeping the
 //!   breaker deterministic too;
 //! * **reply verification** — a reply must be a complete line, parse as
-//!   JSON, and echo the request id. Anything torn or mismatched counts
-//!   as corruption, which the chaos soak asserts never happens silently.
+//!   JSON, and echo the request id exactly. Anything torn or mismatched
+//!   counts as corruption, which the chaos soak asserts never happens
+//!   silently.
 //!
 //! The client can also play the hostile peer: given a
 //! [`ChaosController`], it truncates, splits, stalls and resets its own
@@ -26,6 +27,7 @@
 //! framing and cleanup paths.
 
 use osarch_chaos::{ChaosController, ChaosRng, Failpoint};
+use osarch_core::json;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -49,9 +51,6 @@ pub struct ClientConfig {
     pub breaker_cooldown: u32,
     /// Seed for the deterministic jitter stream.
     pub seed: u64,
-    /// Validate every reply as JSON (the soak's corruption check); when
-    /// off, only framing and id-echo are verified.
-    pub validate_replies: bool,
 }
 
 impl Default for ClientConfig {
@@ -64,7 +63,6 @@ impl Default for ClientConfig {
             breaker_threshold: 5,
             breaker_cooldown: 8,
             seed: 0x05a1c,
-            validate_replies: false,
         }
     }
 }
@@ -410,36 +408,37 @@ impl ResilientClient {
         }
     }
 
-    /// Verify one complete reply line: id echo, optional JSON validation,
-    /// envelope flags. Corruption (bad JSON, wrong id) is counted and
-    /// reported as a connection-class error so the caller retries.
+    /// Verify one complete reply line: it parses, its `id` equals the
+    /// request's `id` token as a JSON value, and its envelope flags.
+    /// Corruption (bad JSON, wrong id) is counted and reported as a
+    /// connection-class error so the caller retries.
     fn verify(&mut self, raw: String, id_token: &str) -> Result<Reply, CallError> {
-        let id_needle = format!("\"id\":{id_token}");
-        if !raw.contains(&id_needle) {
+        let envelope = json::parse(&raw);
+        let expected = json::parse(id_token);
+        let corrupt = match (&envelope, &expected) {
+            (Err(_), _) => Some(format!("reply is not well-formed JSON: {raw}")),
+            (Ok(envelope), Ok(expected)) if envelope.get("id") == Some(expected) => None,
+            _ => Some(format!("reply does not echo id {id_token}: {raw}")),
+        };
+        if let Some(detail) = corrupt {
             self.counters.corrupt += 1;
             return Err(CallError {
                 class: ErrorClass::ConnReset,
-                detail: format!("reply does not echo id {id_token}: {raw}"),
+                detail,
             });
         }
-        if self.config.validate_replies && osarch_core::metrics::validate_json(&raw).is_err() {
-            self.counters.corrupt += 1;
-            return Err(CallError {
-                class: ErrorClass::ConnReset,
-                detail: format!("reply is not well-formed JSON: {raw}"),
-            });
-        }
-        let ok = raw.contains("\"ok\":true");
-        if !ok {
+        let envelope = envelope.expect("checked above");
+        let flag = |key: &str| envelope[key].as_bool() == Some(true);
+        if !flag("ok") {
             return Err(CallError {
                 class: ErrorClass::ServerError,
                 detail: raw,
             });
         }
         Ok(Reply {
-            ok,
-            cached: raw.contains("\"cached\":true"),
-            degraded: raw.contains("\"degraded\":true"),
+            ok: true,
+            cached: flag("cached"),
+            degraded: flag("degraded"),
             raw,
         })
     }
@@ -669,23 +668,18 @@ impl ClusterClient {
             match self.clients[index].call(line, id_token) {
                 Ok(reply) => return Ok(reply),
                 Err(error) => {
-                    if error.class == ErrorClass::ServerError
-                        && error.detail.contains("\"error\":\"not_owner\"")
-                    {
-                        // Topology drift: the server knows better — follow
-                        // its stated owner once, then fall through to the
-                        // normal failover order.
-                        if let Some(owner) = extract_field(&error.detail, "owner") {
-                            let owner_index = self.ring.nodes().iter().position(|n| n == owner);
-                            if let Some(owner_index) = owner_index {
-                                self.routes.redirects_followed += 1;
-                                match self.clients[owner_index].call(line, id_token) {
-                                    Ok(reply) => return Ok(reply),
-                                    Err(redirect_error) => last = redirect_error,
-                                }
-                                continue;
-                            }
+                    // Topology drift: the server knows better — follow its
+                    // stated owner once, then fall through to the normal
+                    // failover order.
+                    let owner_index = not_owner_redirect(&error)
+                        .and_then(|owner| self.ring.nodes().iter().position(|n| *n == owner));
+                    if let Some(owner_index) = owner_index {
+                        self.routes.redirects_followed += 1;
+                        match self.clients[owner_index].call(line, id_token) {
+                            Ok(reply) => return Ok(reply),
+                            Err(redirect_error) => last = redirect_error,
                         }
+                        continue;
                     }
                     last = error;
                 }
@@ -695,14 +689,16 @@ impl ClusterClient {
     }
 }
 
-/// Pull a flat string field (`"name":"value"`) out of a raw envelope
-/// without a JSON parser. Addresses and keys never contain quotes or
-/// escapes, so the next `"` ends the value.
-fn extract_field<'a>(raw: &'a str, name: &str) -> Option<&'a str> {
-    let needle = format!("\"{name}\":\"");
-    let start = raw.find(&needle)? + needle.len();
-    let end = raw[start..].find('"')? + start;
-    Some(&raw[start..end])
+/// The stated owner of a `not_owner` redirect envelope, if `error` is one.
+fn not_owner_redirect(error: &CallError) -> Option<String> {
+    if error.class != ErrorClass::ServerError {
+        return None;
+    }
+    let envelope = json::parse(&error.detail).ok()?;
+    if envelope["error"].as_str() != Some("not_owner") {
+        return None;
+    }
+    envelope["owner"].as_str().map(str::to_string)
 }
 
 #[cfg(test)]
@@ -809,17 +805,50 @@ mod tests {
 
     #[test]
     fn not_owner_fields_extract_from_the_raw_envelope() {
-        let raw = "{\"schema\":\"osarch-serve/1\",\"id\":3,\"ok\":false,\
-                   \"error\":\"not_owner\",\"key\":\"table/2\",\
-                   \"owner\":\"127.0.0.1:4102\",\
-                   \"replicas\":\"127.0.0.1:4102,127.0.0.1:4103\"}";
-        assert_eq!(extract_field(raw, "owner"), Some("127.0.0.1:4102"));
-        assert_eq!(extract_field(raw, "key"), Some("table/2"));
-        assert_eq!(
-            extract_field(raw, "replicas"),
-            Some("127.0.0.1:4102,127.0.0.1:4103")
+        let raw = crate::protocol::not_owner_envelope(
+            "3",
+            "table/2",
+            "127.0.0.1:4102",
+            &["127.0.0.1:4102", "127.0.0.1:4103"],
         );
-        assert_eq!(extract_field(raw, "missing"), None);
+        let redirect = |class, detail: &str| {
+            not_owner_redirect(&CallError {
+                class,
+                detail: detail.to_string(),
+            })
+        };
+        assert_eq!(
+            redirect(ErrorClass::ServerError, &raw).as_deref(),
+            Some("127.0.0.1:4102")
+        );
+        // Only a server error whose `error` member is `not_owner` counts:
+        // the same text in another member, or another class, does not.
+        let other = crate::protocol::err_envelope("3", "\"error\":\"not_owner\"");
+        assert_eq!(redirect(ErrorClass::ServerError, &other), None);
+        assert_eq!(redirect(ErrorClass::ConnReset, &raw), None);
+        assert_eq!(redirect(ErrorClass::ServerError, "torn {"), None);
+    }
+
+    #[test]
+    fn verify_compares_the_echoed_id_exactly() {
+        let mut client = ResilientClient::new("127.0.0.1:1", ClientConfig::default());
+        let reply = |id: &str| crate::protocol::ok_envelope(id, false, 1, 5, "{\"pong\":true}");
+        assert!(client.verify(reply("1"), "1").is_ok());
+        assert!(client.verify(reply("\"a/b\""), "\"a\\/b\"").is_ok());
+        // A reply to request 12 is not a reply to request 1, even though
+        // its text contains `"id":1`.
+        let error = client.verify(reply("12"), "1").unwrap_err();
+        assert_eq!(error.class, ErrorClass::ConnReset, "{}", error.detail);
+        assert!(client.verify(reply("\"1\""), "1").is_err());
+        assert!(client
+            .verify("{\"id\":1,\"ok\":tru".to_string(), "1")
+            .is_err());
+        assert_eq!(client.counters().corrupt, 3);
+        let refused = client
+            .verify(crate::protocol::err_envelope("1", "boom"), "1")
+            .unwrap_err();
+        assert_eq!(refused.class, ErrorClass::ServerError);
+        assert_eq!(client.counters().corrupt, 3);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   concurrent requests for one key coalesce onto one computation;
 //! * [`protocol`] — the `osarch-serve/1` line-delimited JSON protocol
 //!   over the full result surface (measure / table / lint / trace /
-//!   counters), reusing the `core/metrics` emitters byte-for-byte, with
+//!   counters), reusing the `core/metrics` emitters byte-for-byte and
+//!   reading every request (and, on the client side, every reply) with
+//!   the one depth-capped parser in `osarch_core::json`, with
 //!   an incremental framer ([`protocol::FrameBuf`]) that reassembles
 //!   requests from arbitrary read fragments and resynchronizes after an
 //!   oversized line;
@@ -73,6 +75,7 @@
 //! # Quickstart
 //!
 //! ```
+//! use osarch_core::json;
 //! use osarch_serve::{LoadgenConfig, Server, ServerConfig};
 //! use std::io::{BufRead, BufReader, Write};
 //!
@@ -81,7 +84,8 @@
 //! writeln!(conn, "{}", r#"{"op":"ping","id":1}"#).unwrap();
 //! let mut reply = String::new();
 //! BufReader::new(&conn).read_line(&mut reply).unwrap();
-//! assert!(reply.contains("\"pong\":true"));
+//! let reply = json::parse(&reply).unwrap();
+//! assert_eq!(reply["result"]["pong"].as_bool(), Some(true));
 //! server.stop();
 //! ```
 

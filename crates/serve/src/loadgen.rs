@@ -37,6 +37,7 @@
 use crate::client::{ClientConfig, ErrorClass, ResilientClient};
 use crate::server::{ClusterConfig, Server, ServerConfig, ServerHandle};
 use osarch_chaos::{ChaosConfig, ChaosController};
+use osarch_core::json::{self, Value};
 use osarch_core::metrics::{ClusterBenchReport, ResilienceCounters, ServeBenchReport};
 use osarch_core::stats::LatencySummary;
 use osarch_cpu::Arch;
@@ -450,14 +451,19 @@ fn drive_mux_paced(
                         break;
                     }
                     Ok(_) => {
-                        let id_token = format!("\"id\":{},", first_id + offset as u64);
-                        if !line.contains(&id_token) {
+                        let Ok(reply) = json::parse(&line) else {
+                            result.resilience.corrupt += 1;
+                            result.errors += 1;
+                            *sock = None;
+                            break;
+                        };
+                        if reply["id"].as_u64() != Some(first_id + offset as u64) {
                             result.resilience.corrupt += 1;
                             result.errors += 1;
                             *sock = None;
                             break;
                         }
-                        if line.contains("\"ok\":true") {
+                        if reply["ok"].as_bool() == Some(true) {
                             result.oks += 1;
                             result.latency.record(when.elapsed().as_micros() as u64);
                         } else {
@@ -496,9 +502,6 @@ fn drive_connection(
         addr,
         ClientConfig {
             seed,
-            // Full JSON validation per reply only under fault injection;
-            // the clean benchmark path stays cheap.
-            validate_replies: faulty,
             attempt_timeout: if faulty {
                 Duration::from_millis(500)
             } else {
@@ -576,27 +579,25 @@ fn query_stats(addr: &str) -> std::io::Result<CacheCounters> {
     writer.flush()?;
     let mut reply = String::new();
     reader.read_line(&mut reply)?;
+    let reply = json::parse(&reply).unwrap_or(Value::Null);
     Ok(CacheCounters {
-        hits: extract_counter(&reply, "cache_hits"),
-        misses: extract_counter(&reply, "cache_misses"),
-        coalesced: extract_counter(&reply, "cache_coalesced"),
+        hits: stats_counter(&reply, "cache_hits"),
+        misses: stats_counter(&reply, "cache_misses"),
+        coalesced: stats_counter(&reply, "cache_coalesced"),
     })
 }
 
-/// Scrape one named counter value out of a `stats` reply. The counters
-/// array is the deterministic `counters_json` format, so a plain
-/// substring scan is reliable without a JSON parser.
-fn extract_counter(reply: &str, name: &str) -> u64 {
-    let needle = format!("\"name\":\"{name}\",\"value\":");
-    reply
-        .find(&needle)
-        .and_then(|at| {
-            let digits: String = reply[at + needle.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            digits.parse().ok()
+/// One named serve counter out of a `stats` reply envelope (its
+/// `osarch-counters/1` document's `counters` array); 0 when absent.
+fn stats_counter(reply: &Value<'_>, name: &str) -> u64 {
+    reply["result"]["counters"]["counters"]
+        .as_array()
+        .and_then(|counters| {
+            counters
+                .iter()
+                .find(|counter| counter["name"].as_str() == Some(name))
         })
+        .and_then(|counter| counter["value"].as_u64())
         .unwrap_or(0)
 }
 
@@ -914,15 +915,16 @@ fn schema_overwrite_guard(path: &str, schema: &str, force: bool) -> Result<(), S
     let Ok(existing) = std::fs::read_to_string(path) else {
         return Ok(()); // absent or unreadable: nothing to protect
     };
-    let needle = format!("\"schema\":\"{family}/");
-    let Some(at) = existing.find(&needle) else {
+    let Ok(existing) = json::parse(&existing) else {
+        return Ok(()); // not a bench document: nothing to protect
+    };
+    let Some(version) = existing["schema"]
+        .as_str()
+        .and_then(|tag| tag.strip_prefix(family)?.strip_prefix('/'))
+    else {
         return Ok(());
     };
-    let digits: String = existing[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    match digits.parse::<u32>() {
+    match version.parse::<u32>() {
         Ok(version) if version < current => Err(format!(
             "{path} holds an older {family}/{version} document (current is /{current}); \
              pass --force to overwrite it"
@@ -1201,11 +1203,19 @@ mod tests {
 
     #[test]
     fn counter_extraction_reads_the_stats_shape() {
-        let reply = "{\"counters\":[{\"arch\":\"serve\",\"primitive\":\"request\",\
-                     \"phase\":\"total\",\"name\":\"cache_hits\",\"value\":41},\
-                     {\"name\":\"cache_misses\",\"value\":7}]}";
-        assert_eq!(extract_counter(reply, "cache_hits"), 41);
-        assert_eq!(extract_counter(reply, "cache_misses"), 7);
-        assert_eq!(extract_counter(reply, "absent"), 0);
+        let mut registry = osarch_trace::CounterRegistry::new();
+        registry.add("serve", "request", "total", "cache_hits", 41);
+        registry.add("serve", "request", "total", "cache_misses", 7);
+        let payload = format!(
+            "{{\"latency_us\":{{\"count\":3}},\"counters\":{}}}",
+            osarch_core::metrics::counters_json(&registry).trim_end()
+        );
+        let envelope = crate::protocol::ok_envelope("1", false, 1, 9, &payload);
+        let reply = json::parse(&envelope).unwrap();
+        assert_eq!(stats_counter(&reply, "cache_hits"), 41);
+        assert_eq!(stats_counter(&reply, "cache_misses"), 7);
+        assert_eq!(stats_counter(&reply, "absent"), 0);
+        // A `count` elsewhere in the reply is not a counter.
+        assert_eq!(stats_counter(&reply, "count"), 0);
     }
 }

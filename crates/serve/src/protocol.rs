@@ -7,7 +7,11 @@
 //! {"op":"measure","arch":"R3000","primitive":"syscall","id":1}
 //! ```
 //!
-//! with fields:
+//! read by the workspace's one JSON parser ([`osarch_core::json`], whose
+//! depth cap means no line can exhaust a loop's stack). A line that is not
+//! JSON, not an object, or has a nested (array/object) field value is
+//! refused with an error envelope; when a field name repeats, the first
+//! occurrence wins. The fields are:
 //!
 //! * `op` — `ping`, `measure`, `table`, `lint`, `trace`, `counters`,
 //!   `stats`, `spans`, `metrics`, `health`, `cluster`, `shutdown`,
@@ -57,6 +61,7 @@
 //! the corresponding CLI subcommand prints.
 
 use crate::registry::SpecSnapshot;
+use osarch_core::json::{self, Value};
 use osarch_core::{metrics, names, session};
 use osarch_cpu::Arch;
 use osarch_kernel::{trace_all, trace_primitive, Primitive};
@@ -340,38 +345,35 @@ pub struct Request {
     pub forwarded: bool,
 }
 
-/// A scalar field value from the flat request object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Scalar {
-    Str(String),
-    /// Number / `true` / `false` / `null`, kept as the raw token.
-    Token(String),
-}
-
-impl Scalar {
-    fn as_raw_token(&self) -> String {
-        match self {
-            Scalar::Str(s) => format!("\"{}\"", metrics::json_escape(s)),
-            Scalar::Token(t) => t.clone(),
-        }
-    }
-}
-
 /// Parse one request line. Errors are one-line human-readable messages
 /// destined for the `error` field of the response envelope; the second
 /// tuple element is the echoed `id` token if one could be recovered.
 pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
-    let fields = parse_flat_object(line).map_err(|e| (e, "null".to_string()))?;
-    let id = fields
+    let refuse = |message: String| (message, "null".to_string());
+    let root =
+        json::parse(line).map_err(|_| refuse("request is not well-formed JSON".to_string()))?;
+    let fields = root
+        .as_object()
+        .ok_or_else(|| refuse("request must be a JSON object".to_string()))?;
+    // Every request field is a scalar by design.
+    if let Some((key, _)) = fields
         .iter()
-        .find(|(k, _)| k == "id")
-        .map_or_else(|| "null".to_string(), |(_, v)| v.as_raw_token());
+        .find(|(_, value)| matches!(value, Value::Array(_) | Value::Object(_)))
+    {
+        return Err(refuse(format!(
+            "field {key:?} must be a scalar, not a nested value"
+        )));
+    }
+    // Echoed as the compact re-emission: numbers keep their source token.
+    let id = root
+        .get("id")
+        .map_or_else(|| "null".to_string(), Value::to_string);
     let get_str = |key: &str| -> Result<Option<String>, (String, String)> {
-        match fields.iter().find(|(k, _)| k == key) {
+        match root.get(key) {
             None => Ok(None),
-            Some((_, Scalar::Str(s))) => Ok(Some(s.clone())),
-            Some((_, Scalar::Token(t))) => Err((
-                format!("field {key:?} must be a string, got {t}"),
+            Some(Value::String(s)) => Ok(Some(s.to_string())),
+            Some(other) => Err((
+                format!("field {key:?} must be a string, got {other}"),
                 id.clone(),
             )),
         }
@@ -771,119 +773,6 @@ impl FrameBuf {
         self.start = 0;
         self.buf.truncate(self.baseline);
         self.buf.shrink_to_fit();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Flat-object JSON reader
-// ---------------------------------------------------------------------------
-
-/// Parse `line` as one flat JSON object of scalar fields. Nested objects
-/// and arrays are rejected: every request field is a scalar by design,
-/// and a flat grammar keeps the reader small enough to audit.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    if metrics::validate_json(line).is_err() {
-        return Err("request is not well-formed JSON".to_string());
-    }
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    if bytes.get(pos) != Some(&b'{') {
-        return Err("request must be a JSON object".to_string());
-    }
-    pos += 1;
-    let mut fields = Vec::new();
-    skip_ws(bytes, &mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(bytes, &mut pos);
-        let key = read_string(line, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        pos += 1; // ':' — guaranteed by the validator
-        skip_ws(bytes, &mut pos);
-        let value = match bytes.get(pos) {
-            Some(b'"') => Scalar::Str(read_string(line, &mut pos)?),
-            Some(b'{' | b'[') => {
-                return Err(format!(
-                    "field {key:?} must be a scalar, not a nested value"
-                ))
-            }
-            Some(_) => {
-                let start = pos;
-                while bytes
-                    .get(pos)
-                    .is_some_and(|b| !matches!(b, b',' | b'}' | b' ' | b'\t' | b'\n' | b'\r'))
-                {
-                    pos += 1;
-                }
-                Scalar::Token(line[start..pos].to_string())
-            }
-            None => return Err("truncated request".to_string()),
-        };
-        fields.push((key, value));
-        skip_ws(bytes, &mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            _ => return Ok(fields), // '}' — guaranteed by the validator
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-    {
-        *pos += 1;
-    }
-}
-
-/// Read a JSON string literal starting at `pos`, decoding escapes.
-fn read_string(line: &str, pos: &mut usize) -> Result<String, String> {
-    let bytes = line.as_bytes();
-    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let rest = &line[*pos..];
-        let mut chars = rest.char_indices();
-        match chars.next() {
-            None => return Err("unterminated string".to_string()),
-            Some((_, '"')) => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some((_, '\\')) => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = line
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "invalid \\u escape".to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("invalid escape".to_string()),
-                }
-                *pos += 1;
-            }
-            Some((i, c)) => {
-                out.push(c);
-                *pos += i + c.len_utf8();
-            }
-        }
     }
 }
 

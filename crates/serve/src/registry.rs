@@ -15,6 +15,7 @@
 //! not even when a cluster node adopts a remote snapshot whose epoch it
 //! has already used locally.
 
+use osarch_core::json;
 use osarch_cpu::ArchSpec;
 use osarch_telemetry::Histogram;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -172,91 +173,31 @@ impl SpecSnapshot {
     }
 }
 
-/// Parse the `result` payload of a `spec-fetch` reply back into
+/// Read the parsed `result` payload of a `spec-fetch` reply back into
 /// `(epoch, docs)` — the pull side of cluster spec convergence.
 ///
 /// # Errors
 ///
 /// Returns a one-line reason when the payload does not carry an
 /// `epoch` number and a `specs` string array.
-pub fn parse_spec_fetch(payload: &str) -> Result<(u64, Vec<String>), String> {
-    let epoch_at = payload
-        .find("\"epoch\":")
-        .ok_or_else(|| "spec-fetch payload missing \"epoch\"".to_string())?
-        + "\"epoch\":".len();
-    let epoch: u64 = payload[epoch_at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .map_err(|_| "spec-fetch payload has a malformed epoch".to_string())?;
-    let specs_at = payload
-        .find("\"specs\":[")
-        .ok_or_else(|| "spec-fetch payload missing \"specs\"".to_string())?
-        + "\"specs\":[".len();
-    let mut docs = Vec::new();
-    let bytes = payload.as_bytes();
-    let mut pos = specs_at;
-    loop {
-        while bytes.get(pos).is_some_and(|b| matches!(b, b' ' | b',')) {
-            pos += 1;
-        }
-        match bytes.get(pos) {
-            Some(b']') => return Ok((epoch, docs)),
-            Some(b'"') => docs.push(read_json_string(payload, &mut pos)?),
-            _ => return Err("spec-fetch payload has a malformed specs array".to_string()),
-        }
-    }
-}
-
-/// Read one JSON string literal starting at `pos` (which must point at
-/// the opening quote), decoding escapes.
-fn read_json_string(text: &str, pos: &mut usize) -> Result<String, String> {
-    let bytes = text.as_bytes();
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err("expected a string".to_string());
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let rest = &text[*pos..];
-        let mut chars = rest.char_indices();
-        match chars.next() {
-            None => return Err("unterminated string".to_string()),
-            Some((_, '"')) => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some((_, '\\')) => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = text
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "invalid \\u escape".to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("invalid escape".to_string()),
-                }
-                *pos += 1;
-            }
-            Some((i, c)) => {
-                out.push(c);
-                *pos += i + c.len_utf8();
-            }
-        }
-    }
+pub fn parse_spec_fetch(payload: &json::Value<'_>) -> Result<(u64, Vec<String>), String> {
+    let epoch = payload
+        .get("epoch")
+        .ok_or("spec-fetch payload missing \"epoch\"")?
+        .as_u64()
+        .ok_or("spec-fetch payload has a malformed epoch")?;
+    let docs = payload
+        .get("specs")
+        .ok_or("spec-fetch payload missing \"specs\"")?
+        .as_array()
+        .and_then(|specs| {
+            specs
+                .iter()
+                .map(|doc| Some(doc.as_str()?.to_string()))
+                .collect()
+        })
+        .ok_or("spec-fetch payload has a malformed specs array")?;
+    Ok((epoch, docs))
 }
 
 /// The registry proper: the active snapshot behind an `Arc` swap, the
@@ -311,9 +252,9 @@ impl SpecRegistry {
     ///
     /// # Errors
     ///
-    /// Returns the validator's one-line reason for a bad document.
+    /// Returns the codec's one-line reason for a bad document.
     pub fn stage(&self, doc: &str) -> Result<String, String> {
-        let (name, spec) = osarch_core::metrics::validate_spec_json(doc)?;
+        let (name, spec) = ArchSpec::from_json(doc)?;
         let canonical = spec.to_json(&name);
         let mut staged = lock_poisoned(&self.staged);
         staged.retain(|(n, _)| *n != name);
@@ -479,7 +420,7 @@ mod tests {
             .unwrap();
         let payload = snapshot.fetch_payload();
         assert_eq!(osarch_core::metrics::validate_json(&payload), Ok(()));
-        let (epoch, docs) = parse_spec_fetch(&payload).unwrap();
+        let (epoch, docs) = parse_spec_fetch(&json::parse(&payload).unwrap()).unwrap();
         assert_eq!(epoch, 4);
         assert_eq!(docs.len(), 2);
         let rebuilt = SpecSnapshot::from_docs(&docs, epoch).unwrap();

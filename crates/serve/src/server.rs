@@ -58,6 +58,7 @@ use crate::registry::{parse_spec_fetch, SpecRegistry, SpecSnapshot};
 use crate::stats::{op_slot, HealthGauges, ServeStats, OP_NAMES};
 use osarch_chaos::{ChaosController, Failpoint};
 use osarch_cluster::{Membership, Ring};
+use osarch_core::json::{self, Value};
 use osarch_poll::{fd_of, new_poller, Event, Interest, Readiness, Token, WakeRx, Waker};
 use osarch_telemetry::{
     PendingTrace, TelemetryHub, TraceIdGen, COUNTER_DEGRADED, COUNTER_ERRORS, COUNTER_HITS,
@@ -659,6 +660,9 @@ impl Server {
         let mut threads = Vec::with_capacity(workers + compute_threads + 2);
         for (index, wake_rx) in wake_rxs.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
+            // Live from the moment `start` returns: a probe answered before
+            // this thread first runs must not see the loop missing.
+            shared.stats.worker_started();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("serve-loop-{index}"))
@@ -1226,23 +1230,6 @@ fn exchange_line(
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 reply"))
 }
 
-/// Pull the `gossip` digest out of a peer's `health` reply without a
-/// JSON parser: digest strings contain no quotes or escapes by
-/// construction (`addr=inc/status;…`), so the next `"` ends it.
-fn extract_gossip(reply: &str) -> Option<&str> {
-    let start = reply.find("\"gossip\":\"")? + "\"gossip\":\"".len();
-    let end = reply[start..].find('"')? + start;
-    Some(&reply[start..end])
-}
-
-/// Pull the spec-registry digest (`{epoch}:{hash}`) out of a peer's
-/// `health` reply; same quote-scan, same no-escapes construction.
-fn extract_spec_digest(reply: &str) -> Option<&str> {
-    let start = reply.find("\"spec\":\"")? + "\"spec\":\"".len();
-    let end = reply[start..].find('"')? + start;
-    Some(&reply[start..end])
-}
-
 /// Cluster spec convergence, pull side: when a probed peer advertises a
 /// strictly newer registry epoch, fetch its spec set (`spec-fetch`) and
 /// adopt it at the *remote* epoch, so converged nodes share one digest.
@@ -1267,12 +1254,12 @@ fn maybe_pull_specs(shared: &Shared, target: &str, remote_digest: &str) {
     ) else {
         return;
     };
-    // Parse from the result payload onward: the envelope carries its own
+    // The payload, not the envelope: the envelope carries its own
     // top-level `epoch` field, which must not shadow the payload's.
-    let Some(at) = reply.find("\"result\":") else {
+    let Ok(envelope) = json::parse(&reply) else {
         return;
     };
-    let Ok((epoch, docs)) = parse_spec_fetch(&reply[at..]) else {
+    let Ok((epoch, docs)) = parse_spec_fetch(&envelope["result"]) else {
         return;
     };
     let Ok(snapshot) = SpecSnapshot::from_docs(&docs, epoch) else {
@@ -1314,16 +1301,20 @@ fn gossip_loop(shared: &Shared) {
         );
         match exchange_line(target, &line, GOSSIP_TIMEOUT, GOSSIP_TIMEOUT) {
             Ok(reply) => {
+                // The peer's `health` payload carries its membership digest
+                // (`addr=inc/status;…`) and its spec-registry digest.
+                let envelope = json::parse(&reply).unwrap_or(Value::Null);
+                let payload = &envelope["result"];
                 {
                     let mut membership = lock(&cluster.membership);
                     membership.record_success(target);
-                    if let Some(incoming) = extract_gossip(&reply) {
+                    if let Some(incoming) = payload["gossip"].as_str() {
                         membership.merge_digest(incoming);
                     }
                 }
                 // Membership lock released: the spec pull dials the peer
                 // again and must not hold it across the exchange.
-                if let Some(remote_digest) = extract_spec_digest(&reply) {
+                if let Some(remote_digest) = payload["spec"].as_str() {
                     maybe_pull_specs(shared, target, remote_digest);
                 }
             }
@@ -1349,10 +1340,10 @@ fn gossip_loop(shared: &Shared) {
 
 /// One event-loop thread: serve until shutdown, reincarnating after any
 /// escape of the per-request panic isolation (including injected worker
-/// deaths). The liveness gauge brackets the whole tenure, so `health`
-/// sees a respawning loop as continuously live.
+/// deaths). The liveness gauge brackets the whole tenure — [`Server::start`]
+/// counts the loop live before spawning it, and the loop uncounts itself
+/// on exit — so `health` sees a starting or respawning loop as live.
 fn loop_main(shared: &Shared, index: usize, wake_rx: &WakeRx) {
-    shared.stats.worker_started();
     // Trace state lives outside the respawn loop: a reincarnated loop
     // continues its id stream instead of reissuing ids from the start.
     let mut ltrace = LoopTrace {

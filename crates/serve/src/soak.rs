@@ -41,6 +41,7 @@ use crate::protocol::Query;
 use crate::registry::SpecSnapshot;
 use crate::server::{ClusterConfig, Server, ServerConfig, ServerHandle};
 use osarch_chaos::{ChaosConfig, ChaosController, ChaosRng, Failpoint};
+use osarch_core::json::{self, Value};
 use osarch_core::metrics::ResilienceCounters;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -422,7 +423,6 @@ fn soak_client(
             backoff_max: Duration::from_millis(10),
             breaker_threshold: 8,
             breaker_cooldown: 4,
-            validate_replies: true,
         },
     )
     .with_chaos(Arc::clone(chaos));
@@ -666,7 +666,6 @@ pub fn run_cluster(config: &ClusterSoakConfig) -> std::io::Result<ClusterSoakRep
             attempt_timeout: Duration::from_secs(2),
             breaker_threshold: 2,
             breaker_cooldown: 4,
-            validate_replies: true,
             ..ClientConfig::default()
         },
     );
@@ -897,32 +896,21 @@ fn exchange_once(addr: SocketAddr, line: &str, timeout: Duration) -> std::io::Re
     Ok(reply)
 }
 
-/// Scan `doc` for `"key":<digits>`.
-fn field_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let digits: String = doc[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+/// The `result` payload of a reply envelope; `null` when the reply does
+/// not parse or carries none (an error envelope).
+fn reply_result(reply: &str) -> Value<'_> {
+    json::parse(reply)
+        .ok()
+        .and_then(|envelope| envelope.get("result").cloned())
+        .unwrap_or(Value::Null)
 }
 
-/// Scan `doc` for `"key":"<value>"` (no escapes — digests and names).
-fn field_str(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let at = doc.find(&needle)? + needle.len();
-    doc[at..].split('"').next().map(str::to_string)
-}
-
-/// Scan `doc` for `"key":true|false`.
-fn field_bool(doc: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    if doc[at..].starts_with("true") {
-        Some(true)
-    } else if doc[at..].starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
+/// The registry `(epoch, digest)` an admin payload reports.
+fn epoch_and_digest(payload: &Value<'_>) -> Option<(u64, String)> {
+    Some((
+        payload["epoch"].as_u64()?,
+        payload["digest"].as_str()?.to_string(),
+    ))
 }
 
 /// A local mirror of the server's registry state-machine: the soak
@@ -1075,13 +1063,8 @@ fn spec_list(addr: SocketAddr, admin_id: &mut u64) -> Result<(u64, String), Stri
              \"id\":{admin_id}}}"
         );
         if let Ok(reply) = exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
-            if let Some(at) = reply.find("\"result\":") {
-                let payload = &reply[at..];
-                if let (Some(epoch), Some(digest)) =
-                    (field_u64(payload, "epoch"), field_str(payload, "digest"))
-                {
-                    return Ok((epoch, digest));
-                }
+            if let Some(state) = epoch_and_digest(&reply_result(&reply)) {
+                return Ok(state);
             }
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -1104,7 +1087,6 @@ fn swap_load_client(addr: &str, seed: u64, stop: &AtomicBool) -> (u64, u64, Clie
             // Effectively no breaker: shedding would count as a drop.
             breaker_threshold: 1_000_000,
             breaker_cooldown: 1,
-            validate_replies: true,
         },
     );
     let keys = key_space();
@@ -1179,27 +1161,29 @@ fn swap_verifier(
             conn = None;
             continue;
         }
-        if !reply.contains(&format!("\"id\":{request_id},")) {
-            mismatches += 1;
-            conn = None;
-            continue;
-        }
-        if !reply.contains("\"ok\":true") {
+        let reply = match json::parse(&reply) {
+            Ok(reply) if reply["id"].as_u64() == Some(request_id) => reply,
+            _ => {
+                mismatches += 1;
+                conn = None;
+                continue;
+            }
+        };
+        if reply["ok"].as_bool() != Some(true) {
             // `unknown spec` before the first activation (or while a
             // rollback has the hot spec out), deadline errors, … — all
             // legitimate, none epoch evidence.
             continue;
         }
-        if reply.contains("\"degraded\":true") {
+        if reply["degraded"].as_bool() == Some(true) {
             degraded += 1;
         }
-        let (Some(epoch), Some(at)) = (field_u64(&reply, "epoch"), reply.find("\"result\":"))
-        else {
+        let (Some(epoch), Some(payload)) = (reply["epoch"].as_u64(), reply.get("result")) else {
             mismatches += 1;
             continue;
         };
-        let payload = reply[at + "\"result\":".len()..].trim_end();
-        let payload = payload.strip_suffix('}').unwrap_or(payload);
+        // Compact re-emission reproduces the server's bytes exactly (the
+        // emitters write compact JSON, and numbers keep their tokens).
         samples.push((epoch, primitive, payload.to_string()));
     }
     (samples, degraded, mismatches)
@@ -1291,7 +1275,7 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
                 osarch_core::metrics::json_escape(&doc)
             );
             match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
-                Ok(reply) if reply.contains("\"staged\":\"hot\"") => {
+                Ok(reply) if reply_result(&reply)["staged"].as_str() == Some("hot") => {
                     staged = true;
                     break;
                 }
@@ -1317,19 +1301,17 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
             );
             match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
                 Ok(reply) => {
-                    let Some(at) = reply.find("\"result\":") else {
+                    let payload = reply_result(&reply);
+                    if payload == Value::Null {
                         violations.push(format!(
                             "ADMIN: spec-activate errored: {}",
                             reply.trim_end()
                         ));
                         break 'swaps;
-                    };
-                    let payload = &reply[at..];
-                    let (Some(activated), Some(epoch), Some(digest)) = (
-                        field_bool(payload, "activated"),
-                        field_u64(payload, "epoch"),
-                        field_str(payload, "digest"),
-                    ) else {
+                    }
+                    let (Some(activated), Some((epoch, digest))) =
+                        (payload["activated"].as_bool(), epoch_and_digest(&payload))
+                    else {
                         violations.push(format!(
                             "ADMIN: spec-activate reply unparsable: {}",
                             reply.trim_end()
@@ -1411,26 +1393,21 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
                 );
                 match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
                     Ok(reply) => {
-                        if let Some(at) = reply.find("\"result\":") {
-                            let payload = &reply[at..];
-                            if let (Some(epoch), Some(digest)) =
-                                (field_u64(payload, "epoch"), field_str(payload, "digest"))
-                            {
-                                let model_digest = model.apply_explicit_rollback(epoch);
-                                if model_digest == digest {
-                                    transcript.push(format!(
-                                        "swap {swap}+: explicit rollback to epoch {epoch} \
-                                         ({digest})"
-                                    ));
-                                } else {
-                                    violations.push(format!(
-                                        "MODEL DIVERGENCE: explicit rollback digest {digest} \
-                                         != model {model_digest}"
-                                    ));
-                                }
-                                explicit_rollbacks += 1;
-                                rolled = true;
+                        if let Some((epoch, digest)) = epoch_and_digest(&reply_result(&reply)) {
+                            let model_digest = model.apply_explicit_rollback(epoch);
+                            if model_digest == digest {
+                                transcript.push(format!(
+                                    "swap {swap}+: explicit rollback to epoch {epoch} \
+                                     ({digest})"
+                                ));
+                            } else {
+                                violations.push(format!(
+                                    "MODEL DIVERGENCE: explicit rollback digest {digest} \
+                                     != model {model_digest}"
+                                ));
                             }
+                            explicit_rollbacks += 1;
+                            rolled = true;
                         }
                         break;
                     }
@@ -1805,7 +1782,6 @@ pub fn run_swap_cluster(config: &SwapClusterConfig) -> std::io::Result<SwapClust
             attempt_timeout: Duration::from_secs(2),
             breaker_threshold: 2,
             breaker_cooldown: 4,
-            validate_replies: true,
             ..ClientConfig::default()
         },
     );
@@ -1843,11 +1819,7 @@ pub fn run_swap_cluster(config: &SwapClusterConfig) -> std::io::Result<SwapClust
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
             };
-            let payload = reply.find("\"result\":").map(|at| &reply[at..]);
-            let (Some(epoch), Some(digest)) = (
-                payload.and_then(|p| field_u64(p, "epoch")),
-                payload.and_then(|p| field_str(p, "digest")),
-            ) else {
+            let Some((epoch, digest)) = epoch_and_digest(&reply_result(&reply)) else {
                 violations.push(format!(
                     "ADMIN: spec-activate errored: {}",
                     reply.trim_end()

@@ -9,10 +9,9 @@
 //! control codes used are cursor-home and clear-screen, so the output
 //! also pipes cleanly with `--once`.
 //!
-//! The snapshot is scraped with the same deterministic substring scans
-//! the loadgen uses on `stats` replies: the emitter in `core/metrics`
-//! writes every key in a fixed order, so a JSON parser would buy
-//! nothing but a dependency.
+//! The reply is read with the workspace's one JSON parser
+//! ([`osarch_core::json`]); each field is looked up at its path in the
+//! snapshot, so a key repeated in another section can never be misread.
 //!
 //! A failed scrape does not kill the dashboard: cluster soaks kill and
 //! respawn whole nodes, so the watch loop retries with exponential
@@ -20,6 +19,7 @@
 //! has been unreachable for `--retry-secs` (default 120, `0` restores
 //! fail-fast). `--once` always fails fast — it exists for scripts.
 
+use osarch_core::json::{self, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -87,88 +87,53 @@ pub struct OpRow {
     pub max: u64,
 }
 
-/// Scrape one unsigned integer that follows `"key":` in `doc`.
-fn num(doc: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    doc.find(&needle)
-        .and_then(|at| {
-            let digits: String = doc[at + needle.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            digits.parse().ok()
-        })
-        .unwrap_or(0)
-}
-
-/// Scrape one decimal number (integer or fractional) after `"key":`.
-fn float(doc: &str, key: &str) -> f64 {
-    let needle = format!("\"{key}\":");
-    doc.find(&needle)
-        .and_then(|at| {
-            let digits: String = doc[at + needle.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            digits.parse().ok()
-        })
-        .unwrap_or(0.0)
-}
-
-/// Slice `doc` from the first occurrence of `marker` (empty if absent),
-/// so scans for repeated keys land inside the right object.
-fn section<'doc>(doc: &'doc str, marker: &str) -> &'doc str {
-    doc.find(marker).map_or("", |at| &doc[at..])
-}
-
-/// Parse the dashboard's fields out of a `metrics` snapshot document
-/// (either the raw scrape body or the payload inside a reply envelope).
-#[must_use]
-pub fn parse_snapshot(doc: &str) -> TopSnapshot {
-    let totals = section(doc, "\"totals\":");
-    let gauges = section(doc, "\"gauges\":");
-    let lag = section(doc, "\"loop_lag_us\":");
-    let mut ops = Vec::new();
-    // Each per-op row opens with `{"op":"name",` — fixed emitter order.
-    let mut rest = section(doc, "\"ops\":[");
-    while let Some(at) = rest.find("{\"op\":\"") {
-        rest = &rest[at + 7..];
-        let Some(end) = rest.find('"') else { break };
-        let op = rest[..end].to_string();
-        let row = match rest.find("{\"op\":\"") {
-            Some(next) => &rest[..next],
-            None => rest,
-        };
-        ops.push(OpRow {
-            op,
-            count: num(row, "count"),
-            p50: num(row, "p50"),
-            p99: num(row, "p99"),
-            p999: num(row, "p999"),
-            max: num(row, "max"),
-        });
-    }
-    TopSnapshot {
-        uptime_us: num(doc, "uptime_us"),
-        sample_every: num(doc, "sample_every"),
-        requests: num(totals, "requests"),
-        errors: num(totals, "errors"),
-        degraded: num(totals, "degraded"),
-        worker_respawns: num(totals, "worker_respawns"),
-        faults_injected: num(totals, "faults_injected"),
-        swaps: num(totals, "swaps"),
-        rollbacks: num(totals, "rollbacks"),
-        registry_epoch: num(gauges, "registry_epoch"),
-        cache_hit_ratio: float(gauges, "cache_hit_ratio"),
-        conns_open: num(gauges, "conns_open"),
-        conn_budget: num(gauges, "conn_budget"),
-        workers: num(gauges, "workers"),
-        workers_live: num(gauges, "workers_live"),
-        compute_backlog: num(gauges, "compute_backlog"),
-        oldest_write_backlog_ms: num(gauges, "oldest_write_backlog_ms"),
-        shutting_down: section(gauges, "\"shutting_down\":").starts_with("\"shutting_down\":true"),
-        loop_lag_p99_us: num(lag, "p99"),
-        ops,
+impl TopSnapshot {
+    /// The dashboard's fields out of a `metrics` snapshot: the
+    /// `osarch-metrics/1` document itself, or a reply envelope carrying it
+    /// under `result`. Absent fields read as zero.
+    #[must_use]
+    pub fn from_json(doc: &Value<'_>) -> TopSnapshot {
+        let doc = doc.get("result").unwrap_or(doc);
+        let num = |value: &Value<'_>| value.as_u64().unwrap_or(0);
+        let (totals, gauges) = (&doc["totals"], &doc["gauges"]);
+        let ops = doc["ops"]
+            .as_array()
+            .unwrap_or_default()
+            .iter()
+            .map(|row| {
+                let latency = &row["latency_us"];
+                OpRow {
+                    op: row["op"].as_str().unwrap_or_default().to_string(),
+                    count: num(&latency["count"]),
+                    p50: num(&latency["p50"]),
+                    p99: num(&latency["p99"]),
+                    p999: num(&latency["p999"]),
+                    max: num(&latency["max"]),
+                }
+            })
+            .collect();
+        TopSnapshot {
+            uptime_us: num(&doc["uptime_us"]),
+            sample_every: num(&doc["sample_every"]),
+            requests: num(&totals["requests"]),
+            errors: num(&totals["errors"]),
+            degraded: num(&totals["degraded"]),
+            worker_respawns: num(&totals["worker_respawns"]),
+            faults_injected: num(&totals["faults_injected"]),
+            swaps: num(&totals["swaps"]),
+            rollbacks: num(&totals["rollbacks"]),
+            registry_epoch: num(&gauges["registry_epoch"]),
+            cache_hit_ratio: gauges["cache_hit_ratio"].as_f64().unwrap_or(0.0),
+            conns_open: num(&gauges["conns_open"]),
+            conn_budget: num(&gauges["conn_budget"]),
+            workers: num(&gauges["workers"]),
+            workers_live: num(&gauges["workers_live"]),
+            compute_backlog: num(&gauges["compute_backlog"]),
+            oldest_write_backlog_ms: num(&gauges["oldest_write_backlog_ms"]),
+            shutting_down: gauges["shutting_down"].as_bool().unwrap_or(false),
+            loop_lag_p99_us: num(&doc["loop_lag_us"]["p99"]),
+            ops,
+        }
     }
 }
 
@@ -243,7 +208,7 @@ pub fn render(addr: &str, prev: Option<&TopSnapshot>, cur: &TopSnapshot, elapsed
 }
 
 /// Issue one `metrics` query on a fresh connection and return the reply
-/// line (envelope included — the parser scans through it).
+/// line (envelope included).
 fn fetch(addr: &str) -> std::io::Result<String> {
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
@@ -353,14 +318,17 @@ pub fn cli(args: &[String], prog: &str) -> Result<std::process::ExitCode, String
             prev = None;
             backoff = BACKOFF_START;
         }
-        if !reply.contains("\"ok\":true") {
-            eprintln!(
-                "osarch top: {addr} rejected the metrics query: {}",
-                reply.trim()
-            );
-            return Ok(ExitCode::FAILURE);
-        }
-        let cur = parse_snapshot(&reply);
+        let envelope = match json::parse(&reply) {
+            Ok(envelope) if envelope["ok"].as_bool() == Some(true) => envelope,
+            _ => {
+                eprintln!(
+                    "osarch top: {addr} rejected the metrics query: {}",
+                    reply.trim()
+                );
+                return Ok(ExitCode::FAILURE);
+            }
+        };
+        let cur = TopSnapshot::from_json(&envelope);
         if prev
             .as_ref()
             .is_some_and(|p| p.registry_epoch != cur.registry_epoch)
@@ -426,6 +394,10 @@ mod tests {
             },
         );
         osarch_core::metrics::metrics_snapshot_json(&snapshot)
+    }
+
+    fn parse_snapshot(doc: &str) -> TopSnapshot {
+        TopSnapshot::from_json(&json::parse(doc).expect("valid JSON"))
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use osarch_core::metrics;
 use osarch_serve::cache::Fetched;
-use osarch_serve::{Server, ServerConfig, ShardedCache, SoakConfig};
+use osarch_serve::{protocol, Server, ServerConfig, ShardedCache, SoakConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,6 +201,37 @@ fn panicking_leader_wakes_all_waiters_and_key_stays_retriable() {
         cache.lookups(),
         cache.hits() + cache.misses() + cache.coalesced()
     );
+}
+
+/// A request nested far past the JSON parser's depth cap is refused like
+/// any other malformed line — it must not overflow the event loop's
+/// stack — and the same connection goes on serving.
+#[test]
+fn deeply_nested_request_is_refused_and_the_connection_keeps_serving() {
+    let server = Server::start(&ServerConfig::default()).expect("start");
+    let (mut reader, mut stream) = connect(server.addr());
+    let mut burst = "[".repeat(60_000);
+    burst.push_str("\n{\"op\":\"ping\",\"id\":2}\n");
+    stream.write_all(burst.as_bytes()).expect("send");
+
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("recv the refusal");
+    assert_eq!(
+        reply.trim_end(),
+        protocol::err_envelope("null", "request is not well-formed JSON")
+    );
+    reply.clear();
+    reader.read_line(&mut reply).expect("recv the pong");
+    assert!(reply.contains("\"id\":2,\"ok\":true"), "{reply}");
+    assert!(reply.contains("\"pong\":true"), "{reply}");
+
+    // Still up: a fresh connection is served too.
+    let (mut reader, mut stream) = connect(server.addr());
+    writeln!(stream, "{{\"op\":\"ping\",\"id\":3}}").expect("send");
+    reply.clear();
+    reader.read_line(&mut reply).expect("recv");
+    assert!(reply.contains("\"pong\":true"), "{reply}");
+    server.stop();
 }
 
 /// The `health` probe: one line with worker liveness, queue depth, and

@@ -15,13 +15,17 @@
 //!   and OS-structure simulation emit;
 //! * [`CounterRegistry`] — hardware-style named monotonic counters
 //!   aggregated per architecture × primitive × phase;
-//! * [`PhaseProfile`] — the per-phase cycle histogram / top-N op view.
+//! * [`PhaseProfile`] — the per-phase cycle histogram / top-N op view;
+//! * [`json`] — the workspace's one JSON reader: a bounded-depth parser,
+//!   string decoder, escaper and compact emitter.
 //!
 //! The crate is deliberately a leaf: it depends on nothing in the
 //! workspace, so every simulation layer can thread a tracer through
-//! without dependency cycles. JSON export (Chrome trace-event format and
-//! the `osarch-counters/1` schema) lives in `osarch-core::metrics`, next
-//! to the existing dependency-free emitter.
+//! without dependency cycles, and every layer that reads JSON (the CPU's
+//! spec codec, the core validators, the server) can share one parser.
+//! `osarch-core` re-exports it as `osarch_core::json`. The JSON
+//! *emitters* (Chrome trace-event format, the `osarch-counters/1` schema
+//! and the rest) live in `osarch-core::metrics` and write with `format!`.
 //!
 //! # Example
 //!
@@ -39,6 +43,7 @@
 
 mod counters;
 mod event;
+pub mod json;
 mod profile;
 mod tracer;
 
