@@ -178,8 +178,9 @@ pub fn measure_spec_json(name: &str, spec: &osarch_cpu::ArchSpec, primitive: Pri
 /// One `osarch-loadgen` run, ready to serialize as `BENCH_serve.json`.
 ///
 /// Latency fields are microseconds of client-observed request round-trip
-/// time; the cache counters are the server's own `/stats` deltas over the
-/// run, so a report ties client throughput to server cache behaviour.
+/// time; the cache counters are deltas of the server's `metrics` totals
+/// over the run, so a report ties client throughput to server cache
+/// behaviour.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeBenchReport {
     /// Key distribution (`uniform` or `skewed`).

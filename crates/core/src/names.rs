@@ -73,12 +73,39 @@ pub fn report_names() -> String {
     names.join(", ")
 }
 
+/// Every serve-protocol op, in protocol order: the one op table. The
+/// telemetry hub keys its per-op latency windows by index into it
+/// ([`op_slot`]), and [`op_names`] lists it in error messages.
+pub const OP_NAMES: [&str; 14] = [
+    "ping",
+    "measure",
+    "table",
+    "lint",
+    "analyze",
+    "trace",
+    "counters",
+    "spans",
+    "metrics",
+    "health",
+    "cluster",
+    "shutdown",
+    "admin",
+    "spec-fetch",
+];
+
+/// The [`OP_NAMES`] index of an op name. Unknown names (only possible if
+/// a new op forgets to register) fold into slot 0 rather than panic.
+#[must_use]
+pub fn op_slot(op: &str) -> usize {
+    OP_NAMES.iter().position(|name| *name == op).unwrap_or(0)
+}
+
 /// Every serve-protocol op name, in protocol order. The CLI subcommands of
 /// the same names parse identically, so the one-line unknown-op error is
 /// shared between front ends.
 #[must_use]
-pub fn op_names() -> &'static str {
-    "ping, measure, table, lint, analyze, trace, counters, stats, spans, metrics, health, cluster, shutdown, admin, spec-fetch"
+pub fn op_names() -> String {
+    OP_NAMES.join(", ")
 }
 
 /// One-line error for an unknown serve-protocol op.
@@ -148,6 +175,16 @@ mod tests {
         assert!(ops.contains("lint, analyze, trace"), "{ops}");
         let err = unknown_op("frobnicate");
         assert!(err.contains("analyze") && !err.contains('\n'), "{err}");
+    }
+
+    #[test]
+    fn op_slots_index_the_op_table() {
+        assert_eq!(op_slot("ping"), 0);
+        assert_eq!(op_slot("measure"), 1);
+        assert_eq!(op_slot("table"), 2);
+        assert_eq!(op_slot("metrics"), 8);
+        assert_eq!(op_slot("spec-fetch"), OP_NAMES.len() - 1);
+        assert_eq!(op_slot("nonsense"), 0, "unknown ops fold into slot 0");
     }
 
     #[test]

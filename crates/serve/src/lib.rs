@@ -27,8 +27,7 @@
 //!   pipelined requests with strictly ordered replies, per-loop buffer
 //!   arenas, a compute-offload pool for cache misses, a global
 //!   open-connection budget with backpressure, progress-based idle and
-//!   write timeouts, per-request deadlines, graceful shutdown, and a
-//!   `/stats` query with monotonic counters and latency percentiles;
+//!   write timeouts, per-request deadlines, and graceful shutdown;
 //! * [`loadgen`] — open-/closed-loop and multiplexed-pipelined workload
 //!   driver emitting `BENCH_serve.json` (`osarch-serve-bench/2`) — the
 //!   pipelined driver holds 10 000 connections from a handful of client
@@ -54,13 +53,14 @@
 //!   resilience counters.
 //!
 //! Request telemetry threads through all of it (the `osarch-telemetry`
-//! crate): sampled requests carry a deterministic trace id from frame
-//! decode through the ticket queue, compute pool, cache, and write
-//! batch, each stage a span with queue-wait split from service time;
-//! unsampled requests pay one counter increment and a few histogram
-//! records, no allocation. The `metrics` op, the `--metrics-addr`
-//! scrape listener (Prometheus text + JSON), and the `spans` op's
-//! `chrome` filter expose it.
+//! crate's hub is the server's only recorder): sampled requests carry a
+//! deterministic trace id from frame decode through the ticket queue,
+//! compute pool, cache, and write batch, each stage a span with
+//! queue-wait split from service time; an unsampled request pays one
+//! hub call under its loop's shard lock, no allocation. The `metrics`
+//! op, the `health` probe (a view of the same gauges and totals), the
+//! `--metrics-addr` scrape listener (Prometheus text + JSON), and the
+//! `spans` op (the sampled chains as a Chrome trace) expose it.
 //!
 //! Fault injection comes from the `osarch-chaos` crate: every failpoint
 //! decision is a pure function of `(seed, failpoint, draw index)`, so a
@@ -100,12 +100,12 @@ pub mod queue;
 pub mod registry;
 pub mod server;
 pub mod soak;
-pub mod stats;
 pub mod top;
 
 pub use cache::{Fetched, ShardedCache};
 pub use client::{ClientConfig, ClusterClient, ErrorClass, ResilientClient, RouteCounters};
 pub use loadgen::{run as run_loadgen, run_cluster_bench, ClusterLoadConfig, LoadgenConfig};
+pub use osarch_core::names::OP_NAMES;
 pub use protocol::{Frame, FrameBuf, Query, Request, MAX_REQUEST_BYTES};
 pub use registry::{SpecRegistry, SpecSnapshot};
 pub use server::{ClusterConfig, Server, ServerConfig, ServerHandle};
@@ -114,4 +114,3 @@ pub use soak::{
     run_swap_cluster as run_swap_cluster_soak, ClusterSoakConfig, ClusterSoakReport, SoakConfig,
     SoakReport, SwapClusterConfig, SwapClusterReport, SwapSoakConfig, SwapSoakReport,
 };
-pub use stats::{HealthGauges, ServeStats, OP_NAMES};

@@ -128,7 +128,7 @@ struct ConnResult {
     resilience: ResilienceCounters,
 }
 
-/// Counter values scraped from a `stats` reply.
+/// Cache counters scraped from a `metrics` reply's lifetime totals.
 #[derive(Debug, Default, Clone, Copy)]
 struct CacheCounters {
     hits: u64,
@@ -183,7 +183,7 @@ fn drive(
     config: &LoadgenConfig,
     chaos: Option<&Arc<ChaosController>>,
 ) -> std::io::Result<ServeBenchReport> {
-    let before = query_stats(addr)?;
+    let before = query_cache_counters(addr)?;
     let duration = Duration::from_secs_f64(config.secs.max(0.1));
     let keys = key_space();
     let weights: Vec<u64> = if config.skew {
@@ -264,7 +264,7 @@ fn drive(
         });
     }
     let secs = started.elapsed().as_secs_f64();
-    let after = query_stats(addr)?;
+    let after = query_cache_counters(addr)?;
 
     let mut oks = 0u64;
     let mut errors = 0u64;
@@ -569,36 +569,30 @@ fn drive_connection(
     result
 }
 
-/// Issue one out-of-band `stats` query on a fresh connection.
-fn query_stats(addr: &str) -> std::io::Result<CacheCounters> {
+/// Issue one out-of-band `metrics` query on a fresh connection and read
+/// the cache counters from its lifetime totals.
+fn query_cache_counters(addr: &str) -> std::io::Result<CacheCounters> {
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    writeln!(writer, "{{\"op\":\"stats\"}}")?;
+    writeln!(writer, "{{\"op\":\"metrics\"}}")?;
     writer.flush()?;
     let mut reply = String::new();
     reader.read_line(&mut reply)?;
-    let reply = json::parse(&reply).unwrap_or(Value::Null);
-    Ok(CacheCounters {
-        hits: stats_counter(&reply, "cache_hits"),
-        misses: stats_counter(&reply, "cache_misses"),
-        coalesced: stats_counter(&reply, "cache_coalesced"),
-    })
+    Ok(cache_counters(&json::parse(&reply).unwrap_or(Value::Null)))
 }
 
-/// One named serve counter out of a `stats` reply envelope (its
-/// `osarch-counters/1` document's `counters` array); 0 when absent.
-fn stats_counter(reply: &Value<'_>, name: &str) -> u64 {
-    reply["result"]["counters"]["counters"]
-        .as_array()
-        .and_then(|counters| {
-            counters
-                .iter()
-                .find(|counter| counter["name"].as_str() == Some(name))
-        })
-        .and_then(|counter| counter["value"].as_u64())
-        .unwrap_or(0)
+/// The cache counters of a `metrics` reply envelope (its
+/// `osarch-metrics/1` document's `totals`); 0 for any that is absent.
+fn cache_counters(reply: &Value<'_>) -> CacheCounters {
+    let totals = &reply["result"]["totals"];
+    let counter = |name: &str| totals[name].as_u64().unwrap_or(0);
+    CacheCounters {
+        hits: counter("cache_hits"),
+        misses: counter("cache_misses"),
+        coalesced: counter("cache_coalesced"),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1202,20 +1196,25 @@ mod tests {
     }
 
     #[test]
-    fn counter_extraction_reads_the_stats_shape() {
-        let mut registry = osarch_trace::CounterRegistry::new();
-        registry.add("serve", "request", "total", "cache_hits", 41);
-        registry.add("serve", "request", "total", "cache_misses", 7);
-        let payload = format!(
-            "{{\"latency_us\":{{\"count\":3}},\"counters\":{}}}",
-            osarch_core::metrics::counters_json(&registry).trim_end()
+    fn counter_extraction_reads_the_metrics_totals() {
+        let hub = osarch_telemetry::TelemetryHub::new(1, &crate::OP_NAMES, 0, 0);
+        let totals = osarch_telemetry::Totals {
+            requests: 90,
+            cache_hits: 41,
+            cache_misses: 7,
+            cache_coalesced: 3,
+            ..osarch_telemetry::Totals::default()
+        };
+        let snap = hub.snapshot(1, osarch_telemetry::Gauges::default(), totals);
+        let payload = osarch_core::metrics::metrics_snapshot_json(&snap);
+        let envelope = crate::protocol::ok_envelope("1", false, 1, 9, payload.trim_end());
+        let counters = cache_counters(&json::parse(&envelope).unwrap());
+        assert_eq!(
+            (counters.hits, counters.misses, counters.coalesced),
+            (41, 7, 3)
         );
-        let envelope = crate::protocol::ok_envelope("1", false, 1, 9, &payload);
-        let reply = json::parse(&envelope).unwrap();
-        assert_eq!(stats_counter(&reply, "cache_hits"), 41);
-        assert_eq!(stats_counter(&reply, "cache_misses"), 7);
-        assert_eq!(stats_counter(&reply, "absent"), 0);
-        // A `count` elsewhere in the reply is not a counter.
-        assert_eq!(stats_counter(&reply, "count"), 0);
+        // A reply without totals (an error envelope) reads as zeros.
+        let error = crate::protocol::err_envelope("1", "server busy");
+        assert_eq!(cache_counters(&json::parse(&error).unwrap()).hits, 0);
     }
 }

@@ -13,8 +13,8 @@
 //! refused with an error envelope; when a field name repeats, the first
 //! occurrence wins. The fields are:
 //!
-//! * `op` — `ping`, `measure`, `table`, `lint`, `trace`, `counters`,
-//!   `stats`, `spans`, `metrics`, `health`, `cluster`, `shutdown`,
+//! * `op` — `ping`, `measure`, `table`, `lint`, `analyze`, `trace`,
+//!   `counters`, `spans`, `metrics`, `health`, `cluster`, `shutdown`,
 //!   `admin`, or `spec-fetch` (required);
 //! * `arch` — an architecture name (required for `measure`/`trace`,
 //!   optional for `lint`/`counters`; the `mips-r2000`/`mips-r3000`
@@ -29,9 +29,9 @@
 //!   has no token configured), and the spec name to activate;
 //! * `primitive` — a primitive name (required for `measure`/`trace`);
 //! * `table` — a report-registry name (required for `table`);
-//! * `filter` — for `spans`, the export format: omitted for the span
-//!   ring, `chrome` for the sampled per-request trace chains as a
-//!   Chrome trace-event document;
+//! * `filter` — for `spans`, optional and only ever `chrome`: the
+//!   sampled per-request trace chains always answer as a Chrome
+//!   trace-event document (`osarch-trace/1`);
 //! * `gossip` — for `health`, an optional membership digest string; the
 //!   node merges it and replies with its own digest (the cluster's
 //!   anti-entropy exchange rides the liveness probe);
@@ -127,14 +127,9 @@ pub enum Query {
         /// `None` aggregates every architecture.
         arch: Option<Arch>,
     },
-    /// Serving counters and latency percentiles.
-    Stats,
-    /// Recent per-request spans.
-    Spans {
-        /// When set, export the sampled per-request trace chains as a
-        /// Chrome trace-event document instead of the span ring.
-        chrome: bool,
-    },
+    /// The sampled per-request span chains as a Chrome trace-event
+    /// document (`osarch-trace/1`).
+    Spans,
     /// Full telemetry snapshot (`osarch-metrics/1`): windowed
     /// histograms, gauges, and lifetime totals.
     Metrics,
@@ -234,8 +229,7 @@ impl Query {
                 arch.map_or_else(|| "all".to_string(), |a| a.to_string())
             )),
             Query::Ping
-            | Query::Stats
-            | Query::Spans { .. }
+            | Query::Spans
             | Query::Metrics
             | Query::Health { .. }
             | Query::Cluster
@@ -263,8 +257,8 @@ impl Query {
     ///
     /// # Panics
     ///
-    /// Panics if called on a non-cacheable query (`ping`, `stats`,
-    /// `spans`, `shutdown`, `admin`, …) — the server answers those
+    /// Panics if called on a non-cacheable query (`ping`, `spans`,
+    /// `metrics`, `shutdown`, `admin`, …) — the server answers those
     /// directly. A [`Query::MeasureSpec`] naming a spec absent from the
     /// snapshot panics too: existence is checked before offload.
     #[must_use]
@@ -318,8 +312,7 @@ impl Query {
                 metrics::counters_json(&merged).trim_end().to_string()
             }
             Query::Ping
-            | Query::Stats
-            | Query::Spans { .. }
+            | Query::Spans
             | Query::Metrics
             | Query::Health { .. }
             | Query::Cluster
@@ -436,10 +429,8 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
             primitive: primitive()?,
         },
         "counters" => Query::Counters { arch: arch(false)? },
-        "stats" => Query::Stats,
         "spans" => match get_str("filter")?.as_deref() {
-            None => Query::Spans { chrome: false },
-            Some("chrome") => Query::Spans { chrome: true },
+            None | Some("chrome") => Query::Spans,
             Some(other) => {
                 return Err((
                     format!("unknown spans filter {other:?}; valid filters: chrome"),
@@ -782,7 +773,7 @@ mod tests {
 
     #[test]
     fn every_query_kind_parses() {
-        let cases: [(&str, Query); 19] = [
+        let cases: [(&str, Query); 18] = [
             ("{\"op\":\"ping\"}", Query::Ping),
             (
                 "{\"op\":\"measure\",\"spec\":\"hot-1\",\"primitive\":\"trap\"}",
@@ -838,12 +829,8 @@ mod tests {
                 },
             ),
             ("{\"op\":\"counters\"}", Query::Counters { arch: None }),
-            ("{\"op\":\"stats\"}", Query::Stats),
-            ("{\"op\":\"spans\"}", Query::Spans { chrome: false }),
-            (
-                "{\"op\":\"spans\",\"filter\":\"chrome\"}",
-                Query::Spans { chrome: true },
-            ),
+            ("{\"op\":\"spans\"}", Query::Spans),
+            ("{\"op\":\"spans\",\"filter\":\"chrome\"}", Query::Spans),
             ("{\"op\":\"metrics\"}", Query::Metrics),
             ("{\"op\":\"health\"}", Query::Health { gossip: None }),
             (
@@ -970,8 +957,7 @@ mod tests {
             Some(format!("{}measure/R3000/trap", builtins.key_prefix()))
         );
         for q in [
-            Query::Stats,
-            Query::Spans { chrome: true },
+            Query::Spans,
             Query::Metrics,
             Query::Shutdown,
             Query::Ping,

@@ -13,7 +13,7 @@
 //!
 //! The loops never block on anything but the poller:
 //!
-//! * control queries (`ping`, `stats`, `spans`, `health`, `shutdown`)
+//! * control queries (`ping`, `spans`, `metrics`, `health`, `shutdown`)
 //!   and already-landed cache entries ([`ShardedCache::try_get`]) are
 //!   answered inline on the loop;
 //! * a data-query miss is offloaded to a small compute pool through the
@@ -55,15 +55,13 @@ use crate::cache::{Fetched, ShardedCache};
 use crate::protocol::{self, AdminAction, Frame, FrameBuf, Query};
 use crate::queue::BoundedQueue;
 use crate::registry::{parse_spec_fetch, SpecRegistry, SpecSnapshot};
-use crate::stats::{op_slot, HealthGauges, ServeStats, OP_NAMES};
 use osarch_chaos::{ChaosController, Failpoint};
 use osarch_cluster::{Membership, Ring};
 use osarch_core::json::{self, Value};
+use osarch_core::metrics::json_number;
+use osarch_core::names::{op_slot, OP_NAMES};
 use osarch_poll::{fd_of, new_poller, Event, Interest, Readiness, Token, WakeRx, Waker};
-use osarch_telemetry::{
-    PendingTrace, TelemetryHub, TraceIdGen, COUNTER_DEGRADED, COUNTER_ERRORS, COUNTER_HITS,
-    COUNTER_MISSES, COUNTER_REQUESTS,
-};
+use osarch_telemetry::{Gauges, PendingTrace, Tally, TelemetryHub, Totals, TraceIdGen};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -377,7 +375,8 @@ impl LoopTrace {
 /// State shared by the accept thread, the loops, the pool and the handle.
 struct Shared {
     cache: ShardedCache,
-    stats: Arc<ServeStats>,
+    /// The one recorder: every counted event, the `workers_live` gauge,
+    /// the latency windows and the sampled span chains.
     hub: Arc<TelemetryHub>,
     shutdown: AtomicBool,
     deadline: Duration,
@@ -502,28 +501,35 @@ impl ClusterState {
 }
 
 impl Shared {
-    /// Take a chaos decision at `fp`; `false` whenever no controller is
-    /// configured. Injections are counted in the serve stats so `health`
-    /// can report them without reaching into the controller.
-    fn inject(&self, fp: Failpoint) -> bool {
+    /// Take a chaos decision at `fp` on behalf of loop `loop_index`;
+    /// `false` whenever no controller is configured. Injections are
+    /// tallied in the hub so `health` can report them without reaching
+    /// into the controller.
+    fn inject(&self, loop_index: usize, fp: Failpoint) -> bool {
         let hit = self
             .chaos
             .as_ref()
             .is_some_and(|chaos| chaos.should_inject(fp));
         if hit {
-            self.stats.record_fault_injected();
+            self.tally(loop_index, Tally::FaultInjected);
         }
         hit
     }
 
     /// Take a chaos delay decision at `fp` with a deterministic duration.
-    fn inject_delay(&self, fp: Failpoint, min: Duration, max: Duration) -> Option<Duration> {
+    fn inject_delay(
+        &self,
+        loop_index: usize,
+        fp: Failpoint,
+        min: Duration,
+        max: Duration,
+    ) -> Option<Duration> {
         let delay = self
             .chaos
             .as_ref()
             .and_then(|chaos| chaos.inject_delay(fp, min, max));
         if delay.is_some() {
-            self.stats.record_fault_injected();
+            self.tally(loop_index, Tally::FaultInjected);
         }
         delay
     }
@@ -538,6 +544,14 @@ impl Shared {
         self.started.elapsed().as_micros() as u64
     }
 
+    /// Count one [`Tally`] event on loop `loop_index`'s hub shard (any
+    /// thread may count on behalf of a loop; the index only picks the
+    /// shard), in the current 1 s window.
+    fn tally(&self, loop_index: usize, event: Tally) {
+        self.hub
+            .tally(loop_index, event, self.uptime_us() / 1_000_000);
+    }
+
     /// Age of the oldest unflushed reply across every loop, in ms.
     fn oldest_backlog_ms(&self) -> u64 {
         self.loops
@@ -547,29 +561,22 @@ impl Shared {
             .unwrap_or(0)
     }
 
-    /// One consistent-enough telemetry snapshot: windowed histograms
-    /// merged across shards, plus gauges and totals sampled now.
-    fn telemetry_snapshot(&self) -> osarch_telemetry::MetricsSnapshot {
-        let gauges = osarch_telemetry::Gauges {
+    /// Gauges and lifetime totals sampled now: the hub's own tallies and
+    /// liveness gauge, completed by the cache, registry and admission
+    /// counters. The `metrics` snapshot and the `health` probe are both
+    /// views of this one pair.
+    fn gauges_and_totals(&self) -> (Gauges, Totals) {
+        let gauges = Gauges {
             conns_open: self.open_conns() as u64,
             conn_budget: self.conn_budget as u64,
             workers: self.workers as u64,
-            workers_live: self.stats.workers_live(),
+            workers_live: self.hub.workers_live(),
             compute_backlog: self.jobs.len() as u64,
             oldest_write_backlog_ms: self.oldest_backlog_ms(),
             registry_epoch: self.registry.snapshot().epoch(),
             shutting_down: self.shutdown.load(Ordering::SeqCst),
         };
-        let totals = osarch_telemetry::Totals {
-            requests: self.stats.requests(),
-            errors: self.stats.errors(),
-            rejected: self.stats.rejected(),
-            deadline_exceeded: self.stats.deadline_exceeded(),
-            panics: self.stats.panics(),
-            degraded: self.stats.degraded(),
-            worker_respawns: self.stats.worker_respawns(),
-            faults_injected: self.stats.faults_injected(),
-            conns_opened: self.stats.conns_opened(),
+        let totals = Totals {
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             cache_coalesced: self.cache.coalesced(),
@@ -577,7 +584,15 @@ impl Shared {
             cache_degraded: self.cache.degraded(),
             swaps: self.registry.swaps(),
             rollbacks: self.registry.rollbacks(),
+            ..self.hub.totals()
         };
+        (gauges, totals)
+    }
+
+    /// One consistent-enough telemetry snapshot: windowed histograms
+    /// merged across shards, plus gauges and totals sampled now.
+    fn telemetry_snapshot(&self) -> osarch_telemetry::MetricsSnapshot {
+        let (gauges, totals) = self.gauges_and_totals();
         let mut snap = self.hub.snapshot(self.uptime_us(), gauges, totals);
         snap.swap_latency_us = self.registry.swap_latency();
         if let Some(cluster) = &self.cluster {
@@ -633,7 +648,6 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             cache: ShardedCache::new(config.shards),
-            stats: Arc::new(ServeStats::new()),
             hub: Arc::new(TelemetryHub::new(
                 workers,
                 &OP_NAMES,
@@ -662,7 +676,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             // Live from the moment `start` returns: a probe answered before
             // this thread first runs must not see the loop missing.
-            shared.stats.worker_started();
+            shared.hub.loop_started();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("serve-loop-{index}"))
@@ -749,28 +763,14 @@ impl ServerHandle {
     /// (ok requests, error requests, rejected connections).
     #[must_use]
     pub fn request_stats(&self) -> (u64, u64, u64) {
-        (
-            self.shared.stats.requests(),
-            self.shared.stats.errors(),
-            self.shared.stats.rejected(),
-        )
+        let totals = self.shared.hub.totals();
+        (totals.requests, totals.errors, totals.rejected)
     }
 
-    /// Connections currently admitted against the budget.
-    #[must_use]
-    pub fn open_connections(&self) -> usize {
-        self.shared.open_conns()
-    }
-
-    /// A shareable view of the serving counters that outlives the handle
-    /// — the chaos soak reads worker liveness *after* [`ServerHandle::stop`].
-    #[must_use]
-    pub fn stats(&self) -> Arc<ServeStats> {
-        Arc::clone(&self.shared.stats)
-    }
-
-    /// The telemetry hub: windowed histograms, sampled span chains, and
-    /// the deterministic trace-id generators. Outlives the handle.
+    /// The telemetry hub: windowed histograms, lifetime totals, the
+    /// `workers_live` gauge, sampled span chains, and the deterministic
+    /// trace-id generators. Outlives the handle — the chaos soak reads
+    /// worker liveness *after* [`ServerHandle::stop`].
     #[must_use]
     pub fn telemetry(&self) -> Arc<TelemetryHub> {
         Arc::clone(&self.shared.hub)
@@ -904,7 +904,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return; // the poke connection (or a straggler) — drop it
         }
-        if shared.inject(Failpoint::AcceptDrop) {
+        if shared.inject(next_loop, Failpoint::AcceptDrop) {
             // Chaos: the listener sheds this connection without a word;
             // the peer sees an immediate close.
             drop(stream);
@@ -916,15 +916,15 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         let open = shared.open_conns.fetch_add(1, Ordering::SeqCst);
         if open >= shared.conn_budget {
             shared.open_conns.fetch_sub(1, Ordering::SeqCst);
-            reject_busy(shared, stream);
+            reject_busy(shared, next_loop, stream);
             continue;
         }
-        shared.stats.record_conn_opened();
+        shared.tally(next_loop, Tally::ConnOpened);
         let item = (stream, Permit(Arc::clone(&shared.open_conns)));
         if let Some((stream, permit)) = place_round_robin(&shared.loops, &mut next_loop, item) {
             // Every handoff is full (or closed): shed the connection.
             drop(permit);
-            reject_busy(shared, stream);
+            reject_busy(shared, next_loop, stream);
         }
     }
 }
@@ -955,9 +955,10 @@ fn place_round_robin(
 
 /// Backpressure: answer busy and hang up rather than queueing unbounded
 /// work. The message keeps its historical wording — the budget *is* the
-/// connection queue of the old core.
-fn reject_busy(shared: &Shared, mut stream: TcpStream) {
-    shared.stats.record_rejected();
+/// connection queue of the old core. `loop_index` only picks the hub
+/// shard the rejection is tallied on.
+fn reject_busy(shared: &Shared, loop_index: usize, mut stream: TcpStream) {
+    shared.tally(loop_index, Tally::Rejected);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     let _ = writeln!(
         stream,
@@ -1092,6 +1093,7 @@ fn pool_main(shared: &Shared) {
                 let fetched = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     compute_job(
                         shared,
+                        job.loop_index,
                         &job.key,
                         &job.query,
                         &job.snapshot,
@@ -1131,12 +1133,13 @@ fn pool_main(shared: &Shared) {
     }
 }
 
-/// Run one offloaded computation through the single-flight cache. When
-/// this thread ends up the flight leader, `compute_span` receives the
-/// inner computation's `(start_us, dur_us)` — coalesced followers leave
-/// it `None`.
+/// Run one offloaded computation for loop `loop_index` through the
+/// single-flight cache. When this thread ends up the flight leader,
+/// `compute_span` receives the inner computation's `(start_us, dur_us)`
+/// — coalesced followers leave it `None`.
 fn compute_job(
     shared: &Shared,
+    loop_index: usize,
     key: &str,
     query: &Query,
     snapshot: &SpecSnapshot,
@@ -1145,6 +1148,7 @@ fn compute_job(
     shared.cache.get_or_compute_resilient(key, || {
         let compute_start = shared.uptime_us();
         if let Some(delay) = shared.inject_delay(
+            loop_index,
             Failpoint::ComputeDelay,
             COMPUTE_DELAY_MIN,
             COMPUTE_DELAY_MAX,
@@ -1153,7 +1157,7 @@ fn compute_job(
             // deadline).
             std::thread::sleep(delay);
         }
-        if shared.inject(Failpoint::ComputePanic) {
+        if shared.inject(loop_index, Failpoint::ComputePanic) {
             // Chaos: the single-flight leader dies mid-compute.
             panic!("chaos: injected computation panic");
         }
@@ -1360,11 +1364,11 @@ fn loop_main(shared: &Shared, index: usize, wake_rx: &WakeRx) {
                 // The loop died mid-tenure (its connections die with it;
                 // their permits release on unwind). Respawn in place
                 // with a fresh poller rather than shrinking the pool.
-                shared.stats.record_worker_respawn();
+                shared.tally(index, Tally::LoopRespawn);
             }
         }
     }
-    shared.stats.worker_stopped();
+    shared.hub.loop_stopped();
 }
 
 fn event_loop(shared: &Shared, index: usize, wake_rx: &WakeRx, ltrace: &mut LoopTrace) {
@@ -1386,7 +1390,7 @@ fn event_loop(shared: &Shared, index: usize, wake_rx: &WakeRx, ltrace: &mut Loop
         while let Some((stream, permit)) = me.handoff.try_pop() {
             adopt(
                 shared,
-                me,
+                index,
                 poller.as_mut(),
                 &mut conns,
                 &mut free_slots,
@@ -1408,9 +1412,10 @@ fn event_loop(shared: &Shared, index: usize, wake_rx: &WakeRx, ltrace: &mut Loop
             if conn.gen == completion.gen {
                 settle_ticket(shared, index, &mut conn, completion);
             }
-            service_conn(shared, poller.as_mut(), &mut conn);
+            service_conn(shared, index, poller.as_mut(), &mut conn);
             park_or_retire(
                 shared,
+                index,
                 poller.as_mut(),
                 &mut conns,
                 &mut free_slots,
@@ -1444,9 +1449,10 @@ fn event_loop(shared: &Shared, index: usize, wake_rx: &WakeRx, ltrace: &mut Loop
                     panic!("chaos: injected mid-swap loop death");
                 }
             }
-            service_conn(shared, poller.as_mut(), &mut conn);
+            service_conn(shared, index, poller.as_mut(), &mut conn);
             park_or_retire(
                 shared,
+                index,
                 poller.as_mut(),
                 &mut conns,
                 &mut free_slots,
@@ -1463,7 +1469,7 @@ fn event_loop(shared: &Shared, index: usize, wake_rx: &WakeRx, ltrace: &mut Loop
             for parked in &mut conns {
                 if let Some(mut conn) = parked.take() {
                     conn.stalled_until = None;
-                    service_conn(shared, poller.as_mut(), &mut conn);
+                    service_conn(shared, index, poller.as_mut(), &mut conn);
                 }
             }
             return;
@@ -1486,13 +1492,14 @@ fn event_loop(shared: &Shared, index: usize, wake_rx: &WakeRx, ltrace: &mut Loop
                 let Some(mut conn) = conns.get_mut(slot).and_then(Option::take) else {
                     continue;
                 };
-                sweep_conn(shared, &mut conn, now);
-                service_conn(shared, poller.as_mut(), &mut conn);
+                sweep_conn(shared, index, &mut conn, now);
+                service_conn(shared, index, poller.as_mut(), &mut conn);
                 if conn.write_backlog() > 0 && !conn.dead {
                     oldest_backlog = oldest_backlog.max(now.duration_since(conn.last_write));
                 }
                 park_or_retire(
                     shared,
+                    index,
                     poller.as_mut(),
                     &mut conns,
                     &mut free_slots,
@@ -1517,7 +1524,7 @@ fn event_loop(shared: &Shared, index: usize, wake_rx: &WakeRx, ltrace: &mut Loop
 /// Per-tick connection timers. Idle accounting is progress-based: the
 /// clock runs from the last byte *read*, so a client trickling a request
 /// one byte at a time is never "idle" — only true silence disconnects.
-fn sweep_conn(shared: &Shared, conn: &mut Conn, now: Instant) {
+fn sweep_conn(shared: &Shared, loop_index: usize, conn: &mut Conn, now: Instant) {
     // A connection with nothing owed to it and no bytes for the idle
     // window is disconnected (a mid-request partial counts as silence —
     // the *clock* still only runs from the last byte received).
@@ -1541,7 +1548,7 @@ fn sweep_conn(shared: &Shared, conn: &mut Conn, now: Instant) {
     // posts a completion, even for panics).
     if let Some(Ticket::Waiting { queued_at, id, .. }) = conn.pending.front() {
         if now.duration_since(*queued_at) >= shared.deadline + LOST_JOB_GRACE {
-            shared.stats.record_error();
+            shared.tally(loop_index, Tally::Error);
             let envelope = protocol::err_envelope(id, "internal error: compute result lost");
             conn.pending[0] = Ticket::Done {
                 envelope,
@@ -1556,6 +1563,7 @@ fn sweep_conn(shared: &Shared, conn: &mut Conn, now: Instant) {
 #[allow(clippy::too_many_arguments)]
 fn park_or_retire(
     shared: &Shared,
+    loop_index: usize,
     poller: &mut dyn Readiness,
     conns: &mut [Option<Conn>],
     free_slots: &mut Vec<usize>,
@@ -1568,7 +1576,7 @@ fn park_or_retire(
         || ((conn.torn || conn.poisoned) && flushed)
         || (conn.read_closed && conn.pending.is_empty() && flushed);
     if finished {
-        retire_conn(shared, poller, free_slots, arena, slot, conn);
+        retire_conn(shared, loop_index, poller, free_slots, arena, slot, conn);
     } else {
         conns[slot] = Some(conn);
     }
@@ -1577,7 +1585,7 @@ fn park_or_retire(
 #[allow(clippy::too_many_arguments)]
 fn adopt(
     shared: &Shared,
-    me: &LoopShared,
+    loop_index: usize,
     poller: &mut dyn Readiness,
     conns: &mut Vec<Option<Conn>>,
     free_slots: &mut Vec<usize>,
@@ -1595,7 +1603,7 @@ fn adopt(
         conns.len() - 1
     });
     let token = slot + TOKEN_BASE;
-    let gen = me.gen.fetch_add(1, Ordering::Relaxed) + 1;
+    let gen = shared.loops[loop_index].gen.fetch_add(1, Ordering::Relaxed) + 1;
     let (frames, write_buf) = arena.pop().unwrap_or_else(|| {
         (
             FrameBuf::new(READ_BASELINE),
@@ -1627,7 +1635,7 @@ fn adopt(
         .is_err()
     {
         free_slots.push(slot);
-        shared.stats.record_rejected();
+        shared.tally(loop_index, Tally::Rejected);
         return; // conn drops, permit releases
     }
     conns[slot] = Some(conn);
@@ -1635,6 +1643,7 @@ fn adopt(
 
 fn retire_conn(
     shared: &Shared,
+    loop_index: usize,
     poller: &mut dyn Readiness,
     free_slots: &mut Vec<usize>,
     arena: &mut Vec<(FrameBuf, Vec<u8>)>,
@@ -1661,7 +1670,7 @@ fn retire_conn(
         arena.push((frames, write_buf));
     }
     free_slots.push(slot);
-    if shared.inject(Failpoint::WorkerDeath) {
+    if shared.inject(loop_index, Failpoint::WorkerDeath) {
         // Chaos: kill the loop on connection retirement. loop_main
         // catches the unwind and respawns it with a fresh poller.
         panic!("chaos: injected worker death");
@@ -1718,11 +1727,7 @@ fn process_frames(shared: &Shared, loop_index: usize, conn: &mut Conn, ltrace: &
         match conn.frames.next_frame() {
             Frame::None => return,
             Frame::Oversized => {
-                shared.stats.record_error();
-                let now_us = shared.uptime_us();
-                shared
-                    .hub
-                    .bump(loop_index, COUNTER_ERRORS, 1, now_us / 1_000_000);
+                shared.tally(loop_index, Tally::Error);
                 let envelope = protocol::err_envelope(
                     "null",
                     &format!(
@@ -1777,14 +1782,7 @@ fn dispatch_line(
         );
     }));
     if outcome.is_err() {
-        shared.stats.record_panic();
-        shared.stats.record_error();
-        shared.hub.bump(
-            loop_index,
-            COUNTER_ERRORS,
-            1,
-            shared.uptime_us() / 1_000_000,
-        );
+        shared.tally(loop_index, Tally::PanicError);
         conn.pending.push_back(Ticket::Done {
             envelope: protocol::err_envelope("null", "internal error: request handler panicked"),
             chaos: false,
@@ -1805,8 +1803,7 @@ fn op_name(query: &Query) -> &'static str {
         Query::Analyze { .. } => "analyze",
         Query::Trace { .. } => "trace",
         Query::Counters { .. } => "counters",
-        Query::Stats => "stats",
-        Query::Spans { .. } => "spans",
+        Query::Spans => "spans",
         Query::Metrics => "metrics",
         Query::Health { .. } => "health",
         Query::Cluster => "cluster",
@@ -1839,7 +1836,6 @@ fn handle_request(
 ) {
     let started = Instant::now();
     let start_us = shared.uptime_us();
-    let now_s = start_us / 1_000_000;
     let sampled = ltrace.tick(shared.hub.sample_every());
     let mut trace = if sampled {
         Some(PendingTrace::start(
@@ -1856,8 +1852,7 @@ fn handle_request(
         Err((message, id)) => {
             // A line that fails to parse has no op to trace: the sampled
             // slot is spent (ids stay deterministic), the trace dropped.
-            shared.stats.record_error();
-            shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+            shared.tally(loop_index, Tally::Error);
             pending.push_back(Ticket::Done {
                 envelope: protocol::err_envelope(&id, &message),
                 chaos: false,
@@ -1880,26 +1875,7 @@ fn handle_request(
     let mut reply_epoch = snapshot.epoch();
     let (payload, cached) = match &request.query {
         Query::Ping => ("{\"pong\":true}".to_string(), false),
-        Query::Stats => {
-            let (hits, misses, coalesced) = (
-                shared.cache.hits(),
-                shared.cache.misses(),
-                shared.cache.coalesced(),
-            );
-            (
-                shared.stats.stats_payload(
-                    hits,
-                    misses,
-                    coalesced,
-                    shared.workers,
-                    shared.cache.shard_count(),
-                    shared.open_conns(),
-                ),
-                false,
-            )
-        }
-        Query::Spans { chrome: false } => (shared.stats.spans_payload(), false),
-        Query::Spans { chrome: true } => (
+        Query::Spans => (
             osarch_core::metrics::serve_chains_chrome_json(&shared.hub.chains())
                 .trim_end()
                 .to_string(),
@@ -1912,16 +1888,8 @@ fn handle_request(
             false,
         ),
         Query::Health { gossip } => {
-            let mut payload = shared.stats.health_payload(&HealthGauges {
-                queue_depth: shared.jobs.len(),
-                conns_open: shared.open_conns(),
-                conn_budget: shared.conn_budget,
-                workers: shared.workers,
-                cache_hits: shared.cache.hits() + shared.cache.coalesced(),
-                cache_misses: shared.cache.misses(),
-                oldest_write_backlog_ms: shared.oldest_backlog_ms(),
-                shutting_down: shared.shutdown.load(Ordering::SeqCst),
-            });
+            let (gauges, totals) = shared.gauges_and_totals();
+            let mut payload = health_payload(&gauges, &totals);
             if let Some(cluster) = &shared.cluster {
                 // Anti-entropy piggybacks on the liveness probe: merge
                 // the caller's digest (if any), answer with ours.
@@ -1946,8 +1914,7 @@ fn handle_request(
         Query::Cluster => match &shared.cluster {
             Some(cluster) => (cluster.status_payload(), false),
             None => {
-                shared.stats.record_error();
-                shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+                shared.tally(loop_index, Tally::Error);
                 pending.push_back(Ticket::Done {
                     envelope: protocol::err_envelope(&id, "cluster: not running in cluster mode"),
                     chaos: false,
@@ -1968,7 +1935,14 @@ fn handle_request(
             token,
             name,
             spec,
-        } => match handle_admin(shared, *action, token, name.as_deref(), spec.as_deref()) {
+        } => match handle_admin(
+            shared,
+            loop_index,
+            *action,
+            token,
+            name.as_deref(),
+            spec.as_deref(),
+        ) {
             Ok(payload) => {
                 // Admin replies report the post-action epoch: an
                 // activation's envelope carries the epoch it created.
@@ -1976,8 +1950,7 @@ fn handle_request(
                 (payload, false)
             }
             Err(message) => {
-                shared.stats.record_error();
-                shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+                shared.tally(loop_index, Tally::Error);
                 pending.push_back(Ticket::Done {
                     envelope: protocol::err_envelope(&id, &message),
                     chaos: false,
@@ -1990,8 +1963,7 @@ fn handle_request(
             // Data query. A query kind with no cache key would once have
             // panicked the worker here; now it is a clean error envelope.
             let Some(routing_key) = query.routing_key() else {
-                shared.stats.record_error();
-                shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+                shared.tally(loop_index, Tally::Error);
                 pending.push_back(Ticket::Done {
                     envelope: protocol::err_envelope(
                         &id,
@@ -2007,8 +1979,7 @@ fn handle_request(
             // compute path can rely on existence.
             if let Query::MeasureSpec { name, .. } = query {
                 if snapshot.spec(name).is_none() {
-                    shared.stats.record_error();
-                    shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+                    shared.tally(loop_index, Tally::Error);
                     let loaded: Vec<&str> =
                         snapshot.entries().iter().map(|e| e.name.as_str()).collect();
                     pending.push_back(Ticket::Done {
@@ -2047,8 +2018,7 @@ fn handle_request(
                     }
                 } else if request.forwarded || !cluster.proxy {
                     cluster.redirected.fetch_add(1, Ordering::Relaxed);
-                    shared.stats.record_error();
-                    shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+                    shared.tally(loop_index, Tally::Error);
                     let owner = replicas.first().copied().unwrap_or("");
                     pending.push_back(Ticket::Done {
                         envelope: protocol::not_owner_envelope(&id, &routing_key, owner, &replicas),
@@ -2118,8 +2088,7 @@ fn handle_request(
                         relay,
                     };
                     if shared.jobs.try_push(job).is_err() {
-                        shared.stats.record_error();
-                        shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+                        shared.tally(loop_index, Tally::Error);
                         pending.push_back(Ticket::Done {
                             envelope: protocol::err_envelope(
                                 &id,
@@ -2154,6 +2123,54 @@ fn handle_request(
     ));
 }
 
+/// The `health` payload: liveness in one line, a view over the same
+/// gauges and totals the `metrics` snapshot carries (no histogram is
+/// merged on the probe path). `queue_depth` is the compute-offload
+/// backlog, `conns_open` the connections admitted against
+/// `conn_budget` (so a prober sees headroom, not just load), and
+/// `workers_live` the event loops inside their serving tenure (respawns
+/// keep it at `workers`). With the cache hit ratio, the age of the
+/// oldest unflushed reply and the resilience counters, a prober tells
+/// "healthy", "degraded but serving" and "shedding load" apart without
+/// scraping the full snapshot.
+fn health_payload(gauges: &Gauges, totals: &Totals) -> String {
+    let status = if gauges.shutting_down {
+        "shutting_down"
+    } else if gauges.workers_live < gauges.workers {
+        "impaired"
+    } else if totals.degraded > 0 || totals.panics > 0 {
+        "degraded"
+    } else {
+        "ok"
+    };
+    format!(
+        concat!(
+            "{{\"status\":\"{}\",\"workers\":{},\"workers_live\":{},",
+            "\"queue_depth\":{},\"conns_open\":{},\"conn_budget\":{},",
+            "\"cache_hit_ratio\":{},\"oldest_write_backlog_ms\":{},",
+            "\"shutting_down\":{},",
+            "\"panics\":{},\"degraded\":{},\"worker_respawns\":{},",
+            "\"faults_injected\":{},\"requests\":{},\"errors\":{},\"rejected\":{}}}"
+        ),
+        status,
+        gauges.workers,
+        gauges.workers_live,
+        gauges.compute_backlog,
+        gauges.conns_open,
+        gauges.conn_budget,
+        json_number(totals.cache_hit_ratio()),
+        gauges.oldest_write_backlog_ms,
+        gauges.shutting_down,
+        totals.panics,
+        totals.degraded,
+        totals.worker_respawns,
+        totals.faults_injected,
+        totals.requests,
+        totals.errors,
+        totals.rejected,
+    )
+}
+
 /// Constant-time token comparison: the byte-fold visits every byte of
 /// both strings regardless of where they first differ, so response
 /// timing leaks neither the match prefix length nor (beyond the
@@ -2172,6 +2189,7 @@ fn token_matches(expected: &str, got: &str) -> bool {
 /// error (rendered as an error envelope by the caller).
 fn handle_admin(
     shared: &Shared,
+    loop_index: usize,
     action: AdminAction,
     token: &str,
     name: Option<&str>,
@@ -2194,7 +2212,7 @@ fn handle_admin(
                 registry.snapshot().epoch()
             ))
         }
-        AdminAction::SpecActivate => activate_spec(shared, name.unwrap_or_default()),
+        AdminAction::SpecActivate => activate_spec(shared, loop_index, name.unwrap_or_default()),
         AdminAction::SpecRollback => {
             let swap_started = Instant::now();
             let restored = registry.rollback(None);
@@ -2239,7 +2257,7 @@ fn handle_admin(
 /// containment. A probe failure (including an injected `CorruptSpec`
 /// fault) rolls the registry back to last-good automatically; the reply
 /// reports which way it went.
-fn activate_spec(shared: &Shared, name: &str) -> Result<String, String> {
+fn activate_spec(shared: &Shared, loop_index: usize, name: &str) -> Result<String, String> {
     let registry = &shared.registry;
     let swap_started = Instant::now();
     let doc = registry
@@ -2279,7 +2297,7 @@ fn activate_spec(shared: &Shared, name: &str) -> Result<String, String> {
     // containment. This is where a corrupt spec blows up — and where
     // chaos pretends one did.
     let probe = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        if shared.inject(Failpoint::CorruptSpec) {
+        if shared.inject(loop_index, Failpoint::CorruptSpec) {
             panic!("chaos: injected spec corruption during the activation probe");
         }
         let spec = committed
@@ -2293,7 +2311,7 @@ fn activate_spec(shared: &Shared, name: &str) -> Result<String, String> {
     registry.record_swap_latency(swap_us);
     match probe {
         Ok(()) => {
-            if shared.inject(Failpoint::SwapLoopDeath) {
+            if shared.inject(loop_index, Failpoint::SwapLoopDeath) {
                 // Chaos: arm the loop-death flag; the event loop checks
                 // it outside dispatch's catch_unwind and dies for real
                 // before this reply is written.
@@ -2313,7 +2331,7 @@ fn activate_spec(shared: &Shared, name: &str) -> Result<String, String> {
         Err(_) => {
             // The candidate died mid-probe: automatic rollback to the
             // last-good content at a fresh epoch, candidate unstaged.
-            shared.stats.record_panic();
+            shared.tally(loop_index, Tally::ProbePanic);
             let restored = registry.rollback(Some(name));
             shared.cache.retain_prefix(restored.key_prefix());
             Ok(format!(
@@ -2350,9 +2368,7 @@ fn finish_now(
     let service_us = service.as_micros() as u64;
     let now_s = start_us / 1_000_000;
     if service > shared.deadline {
-        shared.stats.record_deadline_exceeded();
-        shared.stats.record_error();
-        shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+        shared.tally(loop_index, Tally::DeadlineMiss);
         return Ticket::Done {
             envelope: protocol::err_envelope(
                 id,
@@ -2365,16 +2381,15 @@ fn finish_now(
             trace: None,
         };
     }
-    shared
-        .stats
-        .record_request(op, start_us, service_us, cached);
-    shared
-        .hub
-        .record_op(loop_index, op_slot(op), service_us, now_s);
-    shared.hub.bump(loop_index, COUNTER_REQUESTS, 1, now_s);
-    if cached {
-        shared.hub.bump(loop_index, COUNTER_HITS, 1, now_s);
-    }
+    // Inline replies never miss: a landed cache entry is a hit, a
+    // control op never touched the cache.
+    shared.hub.record_served(
+        loop_index,
+        op_slot(op),
+        service_us,
+        cached.then_some(true),
+        now_s,
+    );
     if let Some(trace) = trace.as_mut() {
         // Response ready: everything from here to batching is `write`.
         trace.mark(shared.uptime_us());
@@ -2415,9 +2430,7 @@ fn render_completion(shared: &Shared, loop_index: usize, completion: Completion)
             let service = completion.started.elapsed();
             let service_us = service.as_micros() as u64;
             if service > shared.deadline {
-                shared.stats.record_deadline_exceeded();
-                shared.stats.record_error();
-                shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+                shared.tally(loop_index, Tally::DeadlineMiss);
                 return Ticket::Done {
                     envelope: protocol::err_envelope(
                         &completion.id,
@@ -2431,12 +2444,8 @@ fn render_completion(shared: &Shared, loop_index: usize, completion: Completion)
                 };
             }
             shared
-                .stats
-                .record_request(completion.op, completion.start_us, service_us, false);
-            shared
                 .hub
-                .record_op(loop_index, op_slot(completion.op), service_us, now_s);
-            shared.hub.bump(loop_index, COUNTER_REQUESTS, 1, now_s);
+                .record_served(loop_index, op_slot(completion.op), service_us, None, now_s);
             if let Some(trace) = trace.as_mut() {
                 trace.mark(shared.uptime_us());
             }
@@ -2451,15 +2460,11 @@ fn render_completion(shared: &Shared, loop_index: usize, completion: Completion)
         Fetched::Computed(payload) => (payload, false, None),
         Fetched::Cached(payload) => (payload, true, None),
         Fetched::Degraded(payload, error) => {
-            shared.stats.record_panic();
-            shared.stats.record_degraded();
-            shared.hub.bump(loop_index, COUNTER_DEGRADED, 1, now_s);
+            shared.tally(loop_index, Tally::Degraded);
             (payload, true, Some(error.clone()))
         }
         Fetched::Failed(error) => {
-            shared.stats.record_panic();
-            shared.stats.record_error();
-            shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+            shared.tally(loop_index, Tally::PanicError);
             return Ticket::Done {
                 envelope: protocol::err_envelope(
                     &completion.id,
@@ -2473,9 +2478,7 @@ fn render_completion(shared: &Shared, loop_index: usize, completion: Completion)
     let service = completion.started.elapsed();
     let service_us = service.as_micros() as u64;
     if service > shared.deadline {
-        shared.stats.record_deadline_exceeded();
-        shared.stats.record_error();
-        shared.hub.bump(loop_index, COUNTER_ERRORS, 1, now_s);
+        shared.tally(loop_index, Tally::DeadlineMiss);
         return Ticket::Done {
             envelope: protocol::err_envelope(
                 &completion.id,
@@ -2488,17 +2491,11 @@ fn render_completion(shared: &Shared, loop_index: usize, completion: Completion)
             trace: None,
         };
     }
-    shared
-        .stats
-        .record_request(completion.op, completion.start_us, service_us, cached);
-    shared
-        .hub
-        .record_op(loop_index, op_slot(completion.op), service_us, now_s);
-    shared.hub.bump(loop_index, COUNTER_REQUESTS, 1, now_s);
-    shared.hub.bump(
+    shared.hub.record_served(
         loop_index,
-        if cached { COUNTER_HITS } else { COUNTER_MISSES },
-        1,
+        op_slot(completion.op),
+        service_us,
+        Some(cached),
         now_s,
     );
     let envelope = match degraded {
@@ -2530,7 +2527,7 @@ fn render_completion(shared: &Shared, loop_index: usize, completion: Completion)
 
 /// Move the completed reply prefix into the write buffer (one batched
 /// write per pass), attempt the flush, and reconcile poller interest.
-fn service_conn(shared: &Shared, poller: &mut dyn Readiness, conn: &mut Conn) {
+fn service_conn(shared: &Shared, loop_index: usize, poller: &mut dyn Readiness, conn: &mut Conn) {
     while !conn.torn && matches!(conn.pending.front(), Some(Ticket::Done { .. })) {
         let Some(Ticket::Done {
             envelope,
@@ -2541,16 +2538,19 @@ fn service_conn(shared: &Shared, poller: &mut dyn Readiness, conn: &mut Conn) {
             unreachable!("front checked above");
         };
         if chaos {
-            if let Some(delay) =
-                shared.inject_delay(Failpoint::WriteStall, WRITE_STALL_MIN, WRITE_STALL_MAX)
-            {
+            if let Some(delay) = shared.inject_delay(
+                loop_index,
+                Failpoint::WriteStall,
+                WRITE_STALL_MIN,
+                WRITE_STALL_MAX,
+            ) {
                 // Chaos: sit on the finished response (drives client
                 // timeouts) — emulated by a flush embargo, never by
                 // blocking the loop.
                 let until = Instant::now() + delay;
                 conn.stalled_until = Some(conn.stalled_until.map_or(until, |t| t.max(until)));
             }
-            if shared.inject(Failpoint::WritePartial) {
+            if shared.inject(loop_index, Failpoint::WritePartial) {
                 // Chaos: emit a torn response — a prefix with no newline
                 // — then fail the connection. Clients must never parse
                 // this as a reply.
@@ -2651,3 +2651,67 @@ const COMPUTE_DELAY_MAX: Duration = Duration::from_millis(120);
 /// per-attempt timeouts.
 const WRITE_STALL_MIN: Duration = Duration::from_millis(50);
 const WRITE_STALL_MAX: Duration = Duration::from_millis(400);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn health_payload_reflects_liveness_and_degradation() {
+        let gauges = Gauges {
+            compute_backlog: 3,
+            conns_open: 5,
+            conn_budget: 64,
+            workers: 2,
+            workers_live: 2,
+            oldest_write_backlog_ms: 17,
+            ..Gauges::default()
+        };
+        let totals = Totals {
+            cache_hits: 2,
+            cache_coalesced: 1,
+            cache_misses: 1,
+            ..Totals::default()
+        };
+        let healthy = health_payload(&gauges, &totals);
+        assert!(json::parse(&healthy).is_ok(), "{healthy}");
+        for field in [
+            "\"status\":\"ok\"",
+            "\"workers_live\":2",
+            "\"queue_depth\":3",
+            "\"conns_open\":5",
+            "\"conn_budget\":64",
+            "\"cache_hit_ratio\":0.75",
+            "\"oldest_write_backlog_ms\":17",
+        ] {
+            assert!(healthy.contains(field), "missing {field}: {healthy}");
+        }
+        // A contained panic degrades the verdict; with no lookups the
+        // ratio reads 0, not NaN. A missing loop outranks that, and
+        // shutdown outranks everything.
+        let panicked = Totals {
+            panics: 1,
+            ..Totals::default()
+        };
+        let impaired = Gauges {
+            workers_live: 1,
+            ..gauges
+        };
+        let stopping = Gauges {
+            shutting_down: true,
+            ..impaired
+        };
+        for (gauges, status) in [
+            (gauges, "degraded"),
+            (impaired, "impaired"),
+            (stopping, "shutting_down"),
+        ] {
+            let payload = health_payload(&gauges, &panicked);
+            assert!(
+                payload.contains(&format!("\"status\":\"{status}\"")),
+                "{payload}"
+            );
+            assert!(payload.contains("\"cache_hit_ratio\":0,"), "{payload}");
+        }
+    }
+}

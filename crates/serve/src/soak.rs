@@ -193,7 +193,7 @@ fn soak_chaos_run(
         ..ServerConfig::default()
     })?;
     let addr = handle.addr().to_string();
-    let stats = handle.stats();
+    let hub = handle.telemetry();
     let mut violations: Vec<String> = Vec::new();
 
     // Drive the clients. Each reports its tallies over a channel; the
@@ -257,7 +257,7 @@ fn soak_chaos_run(
     }
 
     // Invariant 3 (first half): every worker alive (deaths respawned).
-    let live_during = stats.workers_live();
+    let live_during = hub.workers_live();
     if live_during != config.workers as u64 {
         violations.push(format!(
             "LEAKED WORKER: {live_during} of {} workers live before shutdown",
@@ -268,16 +268,16 @@ fn soak_chaos_run(
     let (hits, misses, coalesced) = handle.cache_stats();
     let (cache_failed, cache_degraded) = handle.cache_failure_stats();
     let lookups = handle.cache_lookups();
-    let server_panics = stats.panics();
-    let server_degraded = stats.degraded();
-    let worker_respawns = stats.worker_respawns();
+    let totals = hub.totals();
+    let server_panics = totals.panics;
+    let server_degraded = totals.degraded;
+    let worker_respawns = totals.worker_respawns;
     let injected_total = chaos.injected_total();
 
     // Telemetry exports, taken while the server is still up: the final
     // snapshot, the sampled chains as a Chrome trace, and the per-loop
     // trace-id sequences for the replay invariant.
     let metrics_snapshot = handle.metrics_snapshot_json();
-    let hub = handle.telemetry();
     let chains = hub.chains();
     let chains_sampled = hub.chains_sampled();
     let chrome_trace = osarch_core::metrics::serve_chains_chrome_json(&chains);
@@ -297,7 +297,7 @@ fn soak_chaos_run(
         ));
     }
     // Invariant 3 (second half): shutdown reaps every worker.
-    let live_after = stats.workers_live();
+    let live_after = hub.workers_live();
     if live_after != 0 {
         violations.push(format!("LEAKED WORKER: {live_after} live after stop"));
     }
@@ -1234,7 +1234,7 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
     })?;
     let addr = handle.addr();
     let addr_text = addr.to_string();
-    let stats = handle.stats();
+    let hub = handle.telemetry();
     let stop = Arc::new(AtomicBool::new(false));
     let mut violations: Vec<String> = Vec::new();
     let mut transcript: Vec<String> = Vec::new();
@@ -1471,14 +1471,14 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
     }
 
     // Invariant 6 (first half): every loop alive before shutdown.
-    let live_during = stats.workers_live();
+    let live_during = hub.workers_live();
     if live_during != config.workers as u64 {
         violations.push(format!(
             "LEAKED WORKER: {live_during} of {} loops live before shutdown",
             config.workers
         ));
     }
-    let loop_deaths = stats.worker_respawns();
+    let loop_deaths = hub.totals().worker_respawns;
 
     // Wind down traffic and collect tallies; the receive is the
     // deadlock watchdog.
@@ -1614,7 +1614,7 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
         );
     }
     // Invariant 6 (second half): shutdown reaps every loop.
-    let live_after = stats.workers_live();
+    let live_after = hub.workers_live();
     if live_after != 0 {
         violations.push(format!("LEAKED WORKER: {live_after} live after stop"));
     }

@@ -364,7 +364,7 @@ mod tests {
     fn sample_doc() -> String {
         // A real snapshot out of the real emitter, so the scraper and
         // the producer cannot drift apart silently.
-        let hub = osarch_telemetry::TelemetryHub::new(2, &crate::stats::OP_NAMES, 64, 7);
+        let hub = osarch_telemetry::TelemetryHub::new(2, &crate::OP_NAMES, 64, 7);
         hub.record_op(0, 1, 150, 3);
         hub.record_op(0, 1, 950, 3);
         hub.record_op(1, 0, 40, 3);
@@ -420,7 +420,7 @@ mod tests {
         assert!(!snap.shutting_down);
         assert!((snap.cache_hit_ratio - 0.6).abs() < 1e-9);
         assert_eq!(snap.loop_lag_p99_us, 90);
-        assert_eq!(snap.ops.len(), crate::stats::OP_NAMES.len());
+        assert_eq!(snap.ops.len(), crate::OP_NAMES.len());
         let measure = snap.ops.iter().find(|row| row.op == "measure").unwrap();
         assert_eq!(measure.count, 2);
         assert!(measure.p50 >= 150 && measure.p50 < 950);

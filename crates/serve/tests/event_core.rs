@@ -124,7 +124,7 @@ fn worker_gauge_tracks_loop_count_through_stop() {
         workers: 3,
         ..ServerConfig::default()
     });
-    let stats = handle.stats();
+    let stats = handle.telemetry();
     // The loops increment the gauge from their own threads; give them a
     // moment to come up before pinning the count.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);

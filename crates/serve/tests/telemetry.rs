@@ -323,3 +323,86 @@ fn hub_survives_concurrent_record_merge_and_rotation() {
     osarch_core::metrics::validate_metrics_snapshot(&doc)
         .unwrap_or_else(|reason| panic!("stress snapshot rejected: {reason}"));
 }
+
+#[test]
+fn health_metrics_and_request_stats_count_one_mix_identically() {
+    use osarch_core::json;
+    let handle = Server::start(&ServerConfig {
+        workers: 2,
+        queue_depth: 1, // one admitted connection; the next is rejected
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let stream = connect(&handle);
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut round_trip = |line: &str| -> String {
+        writeln!(writer, "{line}").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        reply
+    };
+
+    // Two misses, then three hits on the same two keys.
+    let keys = [("R2000", "trap"), ("SPARC", "ctxsw")];
+    for (arch, primitive) in keys.iter().chain(&keys).chain(&keys[..1]) {
+        let reply = round_trip(&format!(
+            "{{\"op\":\"measure\",\"arch\":\"{arch}\",\"primitive\":\"{primitive}\"}}"
+        ));
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+    // One malformed and one oversized line: two error envelopes, and the
+    // connection keeps serving.
+    assert!(round_trip("not json").contains("\"ok\":false"));
+    let huge = "x".repeat(osarch_serve::MAX_REQUEST_BYTES + 10);
+    assert!(round_trip(&huge).contains("request too large"));
+    // One rejected connection: the budget of one is taken.
+    let rejected = connect(&handle);
+    let mut busy = String::new();
+    BufReader::new(rejected)
+        .read_line(&mut busy)
+        .expect("busy reply");
+    assert!(busy.contains("server busy"), "{busy}");
+
+    let (requests, errors, rejections) = (5, 2, 1);
+    assert_eq!(handle.request_stats(), (requests, errors, rejections));
+    let doc = handle.metrics_snapshot_json();
+    let snap = json::parse(&doc).expect("snapshot parses");
+    let totals = &snap["totals"];
+    let window = &snap["window"];
+    for (field, expected) in [
+        ("requests", requests),
+        ("errors", errors),
+        ("rejected", rejections),
+        ("cache_hits", 3),
+        ("cache_misses", 2),
+        ("conns_opened", 1),
+    ] {
+        assert_eq!(totals[field].as_u64(), Some(expected), "totals.{field}");
+    }
+    for (field, expected) in [
+        ("requests", requests),
+        ("errors", errors),
+        ("hits", 3),
+        ("misses", 2),
+    ] {
+        assert_eq!(window[field].as_u64(), Some(expected), "window.{field}");
+    }
+    // The probe's payload is taken before the probe itself is counted.
+    let reply = round_trip("{\"op\":\"health\",\"id\":1}");
+    let envelope = json::parse(&reply).expect("health parses");
+    let health = &envelope["result"];
+    for (field, expected) in [
+        ("requests", requests),
+        ("errors", errors),
+        ("rejected", rejections),
+    ] {
+        assert_eq!(health[field].as_u64(), Some(expected), "health.{field}");
+    }
+    assert_eq!(health["status"].as_str(), Some("ok"), "{reply}");
+    assert_eq!(
+        health["cache_hit_ratio"].as_f64(),
+        snap["gauges"]["cache_hit_ratio"].as_f64()
+    );
+    handle.stop();
+}

@@ -4,16 +4,24 @@
 //! (the JSON half, schema `osarch-metrics/1`, lives in `osarch-core`'s
 //! metrics module next to the other emitters). Counters carry a
 //! `_total` suffix, quantiles use the conventional `quantile` label,
-//! and every family gets `# TYPE` metadata — enough for a real
-//! Prometheus server or `osarch top` to consume.
+//! and every family written gets exactly one `# TYPE` line ahead of its
+//! samples — enough for a real Prometheus server or `osarch top` to
+//! consume.
 
 use crate::window::COUNTER_NAMES;
 use crate::{Histogram, MetricsSnapshot};
-use std::fmt::Write;
+use std::fmt::{Display, Write};
 
 /// The quantiles every histogram family exports.
 const QUANTILES: [(f64, &str); 4] = [(50.0, "0.5"), (99.0, "0.99"), (99.9, "0.999"), (100.0, "1")];
 
+/// One single-sample family: its `# TYPE` line, then its sample.
+fn family(out: &mut String, name: &str, kind: &str, value: impl Display) {
+    let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {value}");
+}
+
+/// The samples of one summary family (quantiles, `_sum`, `_count`); the
+/// caller writes the family's `# TYPE` line once.
 fn summary(out: &mut String, family: &str, labels: &str, hist: &Histogram) {
     let sep = if labels.is_empty() { "" } else { "," };
     for (q, tag) in QUANTILES {
@@ -31,10 +39,13 @@ fn summary(out: &mut String, family: &str, labels: &str, hist: &Histogram) {
 #[must_use]
 pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(4096);
-    let _ = writeln!(out, "# TYPE osarch_uptime_seconds gauge");
-    let _ = writeln!(out, "osarch_uptime_seconds {}", snap.uptime_us / 1_000_000);
+    family(
+        &mut out,
+        "osarch_uptime_seconds",
+        "gauge",
+        snap.uptime_us / 1_000_000,
+    );
 
-    let _ = writeln!(out, "# TYPE osarch_requests_total counter");
     let totals = &snap.totals;
     for (name, value) in [
         ("requests", totals.requests),
@@ -54,11 +65,10 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
         ("spec_swaps", totals.swaps),
         ("spec_rollbacks", totals.rollbacks),
     ] {
-        let _ = writeln!(out, "osarch_{name}_total {value}");
+        family(&mut out, &format!("osarch_{name}_total"), "counter", value);
     }
 
     let gauges = &snap.gauges;
-    let _ = writeln!(out, "# TYPE osarch_gauge gauge");
     for (name, value) in [
         ("conns_open", gauges.conns_open),
         ("conn_budget", gauges.conn_budget),
@@ -71,50 +81,59 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
         ("trace_sample_every", snap.sample_every),
         ("trace_chains_sampled", snap.chains_sampled),
     ] {
-        let _ = writeln!(out, "osarch_{name} {value}");
+        family(&mut out, &format!("osarch_{name}"), "gauge", value);
     }
-    let _ = writeln!(
-        out,
-        "osarch_cache_hit_ratio {:.6}",
-        totals.cache_hit_ratio()
+    family(
+        &mut out,
+        "osarch_cache_hit_ratio",
+        "gauge",
+        format_args!("{:.6}", totals.cache_hit_ratio()),
     );
 
     if let Some(cluster) = &snap.cluster {
-        let _ = writeln!(out, "# TYPE osarch_cluster_gauge gauge");
         for (name, value) in [
             ("peers_alive", cluster.peers_alive),
             ("peers_total", cluster.peers_total),
             ("incarnation", cluster.incarnation),
         ] {
-            let _ = writeln!(out, "osarch_cluster_{name} {value}");
+            family(&mut out, &format!("osarch_cluster_{name}"), "gauge", value);
         }
-        let _ = writeln!(
-            out,
-            "osarch_cluster_ownership {:.6}",
-            cluster.ownership_ppm as f64 / 1_000_000.0
+        family(
+            &mut out,
+            "osarch_cluster_ownership",
+            "gauge",
+            format_args!("{:.6}", cluster.ownership_ppm as f64 / 1_000_000.0),
         );
-        let _ = writeln!(out, "# TYPE osarch_cluster_total counter");
         for (name, value) in [
             ("forwarded", cluster.forwarded),
             ("proxied", cluster.proxied),
             ("redirected", cluster.redirected),
             ("gossip_rounds", cluster.gossip_rounds),
         ] {
-            let _ = writeln!(out, "osarch_cluster_{name}_total {value}");
+            let name = format!("osarch_cluster_{name}_total");
+            family(&mut out, &name, "counter", value);
         }
     }
 
+    // Window sums slide with the retention horizon and can fall, so they
+    // are gauges despite the historical `_total` suffix.
     let _ = writeln!(
         out,
-        "# TYPE osarch_window_total counter\n\
-         # window counters cover the last {} s",
+        "# window counters cover the last {} s",
         snap.retention_s
     );
     for (name, value) in COUNTER_NAMES.iter().zip(snap.window) {
-        let _ = writeln!(out, "osarch_window_{name}_total {value}");
+        family(
+            &mut out,
+            &format!("osarch_window_{name}_total"),
+            "gauge",
+            value,
+        );
     }
 
-    let _ = writeln!(out, "# TYPE osarch_op_latency_us summary");
+    if snap.ops.iter().any(|op| !op.hist.is_empty()) {
+        let _ = writeln!(out, "# TYPE osarch_op_latency_us summary");
+    }
     for op in &snap.ops {
         if op.hist.is_empty() {
             continue;
@@ -126,24 +145,15 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
             &op.hist,
         );
     }
-    let _ = writeln!(out, "# TYPE osarch_loop_lag_us summary");
-    summary(&mut out, "osarch_loop_lag_us", "", &snap.loop_lag_us);
-    let _ = writeln!(out, "# TYPE osarch_offload_queue_depth summary");
-    summary(
-        &mut out,
-        "osarch_offload_queue_depth",
-        "",
-        &snap.queue_depth,
-    );
-    let _ = writeln!(out, "# TYPE osarch_arena_buffers summary");
-    summary(&mut out, "osarch_arena_buffers", "", &snap.arena_buffers);
-    let _ = writeln!(out, "# TYPE osarch_swap_latency_us summary");
-    summary(
-        &mut out,
-        "osarch_swap_latency_us",
-        "",
-        &snap.swap_latency_us,
-    );
+    for (name, hist) in [
+        ("osarch_loop_lag_us", &snap.loop_lag_us),
+        ("osarch_offload_queue_depth", &snap.queue_depth),
+        ("osarch_arena_buffers", &snap.arena_buffers),
+        ("osarch_swap_latency_us", &snap.swap_latency_us),
+    ] {
+        let _ = writeln!(out, "# TYPE {name} summary");
+        summary(&mut out, name, "", hist);
+    }
     out
 }
 
@@ -191,6 +201,14 @@ mod tests {
         // The op with no records is omitted entirely.
         assert!(!text.contains("op=\"ping\""), "{text}");
         assert!(text.contains("osarch_window_requests_total 0"), "{text}");
+        for typed in [
+            "osarch_requests_total counter",
+            "osarch_cache_hit_ratio gauge",
+            "osarch_window_requests_total gauge",
+            "osarch_op_latency_us summary",
+        ] {
+            assert!(text.contains(&format!("# TYPE {typed}\n")), "{typed}");
+        }
         // No cluster section on a standalone snapshot.
         assert!(!text.contains("osarch_cluster_"), "{text}");
         // Every line is either a comment or `name{labels} value`.
@@ -200,6 +218,7 @@ mod tests {
                 "malformed line: {line}"
             );
         }
+        assert_types_declared_once(&text);
     }
 
     #[test]
@@ -224,11 +243,45 @@ mod tests {
             text.contains("osarch_cluster_gossip_rounds_total 25"),
             "{text}"
         );
+        // No op has records: the op-latency family is neither typed nor
+        // written.
+        assert!(!text.contains("osarch_op_latency_us"), "{text}");
         for line in text.lines() {
             assert!(
                 line.starts_with('#') || line.split_whitespace().count() == 2,
                 "malformed line: {line}"
             );
+        }
+        assert_types_declared_once(&text);
+    }
+
+    /// Every sample's family is declared by exactly one earlier `# TYPE`
+    /// line, and every declared family has a sample. A summary family
+    /// `F` owns the samples `F{quantile=..}`, `F_sum` and `F_count`.
+    fn assert_types_declared_once(text: &str) {
+        let mut families: Vec<(&str, &str, bool)> = Vec::new();
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest.split_once(' ').expect("TYPE name kind");
+                assert!(families.iter().all(|f| f.0 != name), "{name} typed twice");
+                families.push((name, kind, false));
+            } else if !line.starts_with('#') {
+                let sample = line.split(['{', ' ']).next().expect("sample name");
+                let owner = families.iter_mut().find(|f| {
+                    let parts: &[&str] = if f.1 == "summary" {
+                        &["", "_sum", "_count"]
+                    } else {
+                        &[""]
+                    };
+                    parts.iter().any(|p| sample.strip_suffix(p) == Some(f.0))
+                });
+                owner
+                    .unwrap_or_else(|| panic!("{sample} has no earlier # TYPE"))
+                    .2 = true;
+            }
+        }
+        for (name, _, written) in families {
+            assert!(written, "{name} typed but never written");
         }
     }
 }

@@ -2,9 +2,16 @@
 //!
 //! End-to-end request telemetry for the `osarch` serving stack: HDR-style
 //! mergeable [`Histogram`]s with integer-only recording, 1 s / 60 s
-//! [`WindowedMetrics`] aggregated per event-loop shard, and deterministic
-//! per-request trace contexts ([`PendingTrace`] → [`SpanChain`]) sampled
-//! at a configurable rate so the unsampled hot path allocates nothing.
+//! [`WindowedMetrics`] aggregated per event-loop shard, lifetime
+//! [`Totals`] kept beside them, and deterministic per-request trace
+//! contexts ([`PendingTrace`] → [`SpanChain`]) sampled at a configurable
+//! rate so the unsampled hot path allocates nothing.
+//!
+//! The [`TelemetryHub`] is the serving layer's only recorder: a served
+//! request is one [`TelemetryHub::record_served`] call and every other
+//! counted event one [`TelemetryHub::tally`] call, each taking exactly
+//! one lock — the recording loop's own shard — to update the window and
+//! the lifetime total together.
 //!
 //! The crate is `std`-only and near-leaf (it reuses `osarch-trace`'s
 //! event vocabulary for export compatibility but adds no other
@@ -18,10 +25,13 @@
 //!   hub is microseconds/seconds *since server start*, measured by the
 //!   caller; trace ids are a pure function of `(seed, shard, ordinal)`,
 //!   so same-seed chaos replays draw bit-identical id streams;
-//! * **no floats, no allocation on the record path** — floats appear
-//!   only on read paths (quantiles, means, exposition);
+//! * **no floats, no per-record allocation** — floats appear only on
+//!   read paths (quantiles, means, exposition); a shard allocates only
+//!   when its 1 s window rotates and on an op's first record in a window;
 //! * **exact merges** — histograms share one fixed bucket layout, so
-//!   per-shard windows merge into global totals without loss.
+//!   per-shard windows merge into global totals without loss;
+//! * **one record per event** — the window counter and the lifetime
+//!   total of an event move under the same lock, so they cannot drift.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +50,7 @@ pub use window::{
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Completed span chains retained for export (a bounded ring; the
 /// newest win).
@@ -67,10 +77,12 @@ pub struct Gauges {
     pub shutting_down: bool,
 }
 
-/// Lifetime totals carried from the serving layer's monotonic counters.
+/// Lifetime totals. The hub keeps the request and [`Tally`] fields
+/// itself ([`TelemetryHub::totals`]); the cache and registry fields come
+/// from their owners in the serving layer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Totals {
-    /// Requests answered.
+    /// Requests answered with an `ok` envelope.
     pub requests: u64,
     /// Error envelopes returned.
     pub errors: u64,
@@ -105,6 +117,20 @@ pub struct Totals {
 }
 
 impl Totals {
+    /// Add the hub-kept fields of `other` (requests and every [`Tally`]
+    /// field) into `self`.
+    fn add_tallies(&mut self, other: &Totals) {
+        self.requests += other.requests;
+        self.errors += other.errors;
+        self.rejected += other.rejected;
+        self.deadline_exceeded += other.deadline_exceeded;
+        self.panics += other.panics;
+        self.degraded += other.degraded;
+        self.worker_respawns += other.worker_respawns;
+        self.faults_injected += other.faults_injected;
+        self.conns_opened += other.conns_opened;
+    }
+
     /// Fraction of cache lookups served without leading a computation
     /// (hits + coalesced over all lookups); 0 when no lookups happened.
     #[must_use]
@@ -114,6 +140,62 @@ impl Totals {
             0.0
         } else {
             (self.cache_hits + self.cache_coalesced) as f64 / lookups as f64
+        }
+    }
+}
+
+/// A counted serving event other than a served request. One
+/// [`TelemetryHub::tally`] call per occurrence advances every lifetime
+/// total the event implies and, where it has one, its window counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tally {
+    /// A request answered with an error envelope.
+    Error,
+    /// A request answered with a `deadline exceeded` error envelope.
+    DeadlineMiss,
+    /// A contained panic answered with an error envelope: a handler
+    /// panic, or a computation that failed with no stale value to serve.
+    PanicError,
+    /// A contained panic answered with the stale last-good value.
+    Degraded,
+    /// A contained panic whose request was still answered `ok`: a spec
+    /// activation probe that rolled the registry back.
+    ProbePanic,
+    /// A connection refused by the open-connection budget.
+    Rejected,
+    /// An event loop that died and was respawned in place.
+    LoopRespawn,
+    /// A chaos fault injected server-side.
+    FaultInjected,
+    /// A connection admitted past the budget check.
+    ConnOpened,
+}
+
+impl Tally {
+    /// Advance `totals` for this event; returns the window counter the
+    /// event also bumps, if any.
+    fn apply(self, totals: &mut Totals) -> Option<usize> {
+        // The event's own lifetime total…
+        match self {
+            Tally::Error => {}
+            Tally::DeadlineMiss => totals.deadline_exceeded += 1,
+            Tally::PanicError | Tally::Degraded | Tally::ProbePanic => totals.panics += 1,
+            Tally::Rejected => totals.rejected += 1,
+            Tally::LoopRespawn => totals.worker_respawns += 1,
+            Tally::FaultInjected => totals.faults_injected += 1,
+            Tally::ConnOpened => totals.conns_opened += 1,
+        }
+        // …then the reply it ended in: an error envelope or a stale value.
+        match self {
+            Tally::Error | Tally::DeadlineMiss | Tally::PanicError => {
+                totals.errors += 1;
+                Some(COUNTER_ERRORS)
+            }
+            Tally::Degraded => {
+                totals.degraded += 1;
+                Some(COUNTER_DEGRADED)
+            }
+            _ => None,
         }
     }
 }
@@ -190,15 +272,24 @@ pub struct MetricsSnapshot {
     pub swap_latency_us: Histogram,
 }
 
-/// The per-server telemetry hub: one windowed-metrics shard per event
-/// loop, a bounded ring of sampled span chains, and the deterministic
-/// trace-id seed.
+/// One loop's slice of the hub: its windows and its share of the
+/// lifetime totals, behind one lock.
+#[derive(Debug)]
+struct Shard {
+    windows: WindowedMetrics,
+    totals: Totals,
+}
+
+/// The per-server telemetry hub: one shard (windowed metrics plus
+/// lifetime totals) per event loop, the `workers_live` gauge, a bounded
+/// ring of sampled span chains, and the deterministic trace-id seed.
 #[derive(Debug)]
 pub struct TelemetryHub {
     op_names: &'static [&'static str],
     sample_every: u64,
     seed: u64,
-    shards: Vec<Mutex<WindowedMetrics>>,
+    shards: Vec<Mutex<Shard>>,
+    workers_live: AtomicU64,
     chains: Mutex<VecDeque<SpanChain>>,
     chains_sampled: AtomicU64,
 }
@@ -219,8 +310,14 @@ impl TelemetryHub {
             sample_every,
             seed,
             shards: (0..loops.max(1))
-                .map(|_| Mutex::new(WindowedMetrics::new(op_names.len())))
+                .map(|_| {
+                    Mutex::new(Shard {
+                        windows: WindowedMetrics::new(op_names.len()),
+                        totals: Totals::default(),
+                    })
+                })
                 .collect(),
+            workers_live: AtomicU64::new(0),
             chains: Mutex::new(VecDeque::with_capacity(64)),
             chains_sampled: AtomicU64::new(0),
         }
@@ -232,50 +329,114 @@ impl TelemetryHub {
         self.sample_every
     }
 
-    /// The registered op names, in slot order.
-    #[must_use]
-    pub fn op_names(&self) -> &'static [&'static str] {
-        self.op_names
-    }
-
     /// A deterministic id generator for one loop shard.
     #[must_use]
     pub fn ids_for(&self, loop_index: usize) -> TraceIdGen {
         TraceIdGen::new(self.seed, loop_index as u64)
     }
 
-    fn shard(&self, loop_index: usize) -> &Mutex<WindowedMetrics> {
-        &self.shards[loop_index % self.shards.len()]
+    /// Lock one loop's shard. Callers off the event loops (the accept
+    /// thread, the compute pool) pass the loop their event belongs to.
+    fn shard(&self, loop_index: usize) -> MutexGuard<'_, Shard> {
+        self.shards[loop_index % self.shards.len()]
+            .lock()
+            .expect("telemetry shard")
     }
 
-    /// Record one request's service time under op slot `op`.
+    /// Record one request answered `ok` under op slot `op`: its service
+    /// time, the window's `requests` counter plus `hits` (`hit` is
+    /// `Some(true)`) or `misses` (`Some(false)`) for a reply that went
+    /// through the cache, and the lifetime request total.
+    pub fn record_served(
+        &self,
+        loop_index: usize,
+        op: usize,
+        service_us: u64,
+        hit: Option<bool>,
+        now_s: u64,
+    ) {
+        let mut shard = self.shard(loop_index);
+        shard.totals.requests += 1;
+        let windows = &mut shard.windows;
+        windows.record_op(op, service_us, now_s);
+        windows.bump(COUNTER_REQUESTS, 1, now_s);
+        match hit {
+            Some(true) => windows.bump(COUNTER_HITS, 1, now_s),
+            Some(false) => windows.bump(COUNTER_MISSES, 1, now_s),
+            None => {}
+        }
+    }
+
+    /// Count one [`Tally`] event: its lifetime totals and its window
+    /// counter, if it has one.
+    pub fn tally(&self, loop_index: usize, event: Tally, now_s: u64) {
+        let mut guard = self.shard(loop_index);
+        let shard = &mut *guard;
+        if let Some(counter) = event.apply(&mut shard.totals) {
+            shard.windows.bump(counter, 1, now_s);
+        }
+    }
+
+    /// Lifetime totals of the hub-kept fields (requests and every
+    /// [`Tally`]) summed over the shards; the cache and registry fields
+    /// are left zero for the serving layer to fill.
+    #[must_use]
+    pub fn totals(&self) -> Totals {
+        let mut sum = Totals::default();
+        for index in 0..self.shards.len() {
+            sum.add_tallies(&self.shard(index).totals);
+        }
+        sum
+    }
+
+    /// An event loop began its serving tenure (the `workers_live` gauge).
+    pub fn loop_started(&self) {
+        self.workers_live.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// An event loop left its serving loop for good.
+    pub fn loop_stopped(&self) {
+        self.workers_live.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Event loops currently inside their serving tenure.
+    #[must_use]
+    pub fn workers_live(&self) -> u64 {
+        self.workers_live.load(Ordering::SeqCst)
+    }
+
+    /// Record one service time under op slot `op` in the window only —
+    /// no counter moves ([`TelemetryHub::record_served`] is the serving
+    /// path's call).
     pub fn record_op(&self, loop_index: usize, op: usize, service_us: u64, now_s: u64) {
-        let mut shard = self.shard(loop_index).lock().expect("telemetry shard");
-        shard.record_op(op, service_us, now_s);
+        self.shard(loop_index)
+            .windows
+            .record_op(op, service_us, now_s);
     }
 
-    /// Bump a window counter on a shard.
+    /// Bump a window counter on a shard; the lifetime totals do not
+    /// move ([`TelemetryHub::tally`] is the serving path's call).
     pub fn bump(&self, loop_index: usize, counter: usize, n: u64, now_s: u64) {
-        let mut shard = self.shard(loop_index).lock().expect("telemetry shard");
-        shard.bump(counter, n, now_s);
+        self.shard(loop_index).windows.bump(counter, n, now_s);
     }
 
     /// Record one event-loop iteration's busy time.
     pub fn record_loop_lag(&self, loop_index: usize, busy_us: u64, now_s: u64) {
-        let mut shard = self.shard(loop_index).lock().expect("telemetry shard");
-        shard.record_loop_lag(busy_us, now_s);
+        self.shard(loop_index)
+            .windows
+            .record_loop_lag(busy_us, now_s);
     }
 
     /// Sample the offload-queue depth from a shard's housekeeping tick.
     pub fn record_queue_depth(&self, loop_index: usize, depth: u64, now_s: u64) {
-        let mut shard = self.shard(loop_index).lock().expect("telemetry shard");
-        shard.record_queue_depth(depth, now_s);
+        self.shard(loop_index)
+            .windows
+            .record_queue_depth(depth, now_s);
     }
 
     /// Sample the buffer-arena occupancy from a housekeeping tick.
     pub fn record_arena(&self, loop_index: usize, buffers: u64, now_s: u64) {
-        let mut shard = self.shard(loop_index).lock().expect("telemetry shard");
-        shard.record_arena(buffers, now_s);
+        self.shard(loop_index).windows.record_arena(buffers, now_s);
     }
 
     /// Retire a completed span chain into the bounded ring.
@@ -306,8 +467,10 @@ impl TelemetryHub {
     }
 
     /// Merge every shard's windows into one snapshot. `uptime_us` is the
-    /// caller's monotonic server clock; gauges and totals come from the
-    /// serving layer's own counters.
+    /// caller's monotonic server clock; `gauges` and `totals` are carried
+    /// as given (the serving layer builds them from
+    /// [`TelemetryHub::totals`], [`TelemetryHub::workers_live`] and its
+    /// own cache and registry counters).
     #[must_use]
     pub fn snapshot(&self, uptime_us: u64, gauges: Gauges, totals: Totals) -> MetricsSnapshot {
         let now_s = uptime_us / 1_000_000;
@@ -316,8 +479,8 @@ impl TelemetryHub {
         let mut queue_depth = Histogram::new();
         let mut arena = Histogram::new();
         let mut window = [0u64; COUNTERS];
-        for shard in &self.shards {
-            shard.lock().expect("telemetry shard").merge_into(
+        for index in 0..self.shards.len() {
+            self.shard(index).windows.merge_into(
                 now_s,
                 &mut per_op,
                 &mut loop_lag,
@@ -442,6 +605,50 @@ mod tests {
         assert_eq!(snap.arena_buffers.max(), 7);
         assert_eq!(snap.gauges.conn_budget, 64);
         assert!((snap.totals.cache_hit_ratio() - 0.8).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_call_moves_the_window_and_the_lifetime_total_together() {
+        let hub = TelemetryHub::new(2, &OPS, 0, 3);
+        hub.record_served(0, 1, 40, Some(true), 0);
+        hub.record_served(1, 1, 900, Some(false), 0);
+        hub.record_served(1, 0, 5, None, 0);
+        for event in [
+            Tally::Error,
+            Tally::DeadlineMiss,
+            Tally::PanicError,
+            Tally::Degraded,
+            Tally::ProbePanic,
+            Tally::Rejected,
+            Tally::LoopRespawn,
+            Tally::FaultInjected,
+            Tally::ConnOpened,
+        ] {
+            hub.tally(0, event, 0);
+        }
+        let totals = hub.totals();
+        assert_eq!(totals.requests, 3);
+        assert_eq!(totals.errors, 3, "error, deadline miss, panic error");
+        assert_eq!(totals.deadline_exceeded, 1);
+        assert_eq!(totals.panics, 3, "panic error, degraded, probe panic");
+        assert_eq!(totals.degraded, 1);
+        assert_eq!(totals.rejected, 1);
+        assert_eq!(totals.worker_respawns, 1);
+        assert_eq!(totals.faults_injected, 1);
+        assert_eq!(totals.conns_opened, 1);
+        assert_eq!(totals.cache_hits, 0, "cache fields are the caller's");
+        let snap = hub.snapshot(500_000, Gauges::default(), totals);
+        assert_eq!(snap.window[COUNTER_REQUESTS], totals.requests);
+        assert_eq!(snap.window[COUNTER_ERRORS], totals.errors);
+        assert_eq!(snap.window[COUNTER_DEGRADED], totals.degraded);
+        assert_eq!(snap.window[COUNTER_HITS], 1);
+        assert_eq!(snap.window[COUNTER_MISSES], 1);
+        assert_eq!(snap.ops[1].hist.count(), 2);
+        assert_eq!(snap.ops[0].hist.count(), 1);
+        hub.loop_started();
+        hub.loop_started();
+        hub.loop_stopped();
+        assert_eq!(hub.workers_live(), 1);
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub const RETENTION_S: u64 = 60;
 /// Per-window event counters, indexed by the `COUNTER_*` constants.
 pub const COUNTERS: usize = 5;
 
-/// Requests answered (any outcome).
+/// Requests answered with an `ok` envelope (error envelopes count
+/// under [`COUNTER_ERRORS`] instead).
 pub const COUNTER_REQUESTS: usize = 0;
 /// Error envelopes (parse errors, deadline exceedances, failures).
 pub const COUNTER_ERRORS: usize = 1;
