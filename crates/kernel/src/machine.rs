@@ -171,45 +171,11 @@ impl Machine {
         out.stats
     }
 
-    /// Measure the mean of `n` back-to-back runs (after one warm-up), as the
-    /// paper's repeated-call loops do.
-    pub fn measure_mean(&mut self, program: &Program, n: u32) -> ExecStats {
-        assert!(n > 0, "need at least one repetition");
-        let _ = self.measure(program);
-        let mut total = ExecStats::default();
-        for _ in 0..n {
-            let out = self.run(program);
-            assert!(
-                out.completed(),
-                "handler {program} faulted: {:?}",
-                out.fault
-            );
-            total.merge(&out.stats);
-            let drain = self.mem.write_buffer_drain_time();
-            self.mem.advance(u64::from(drain) + 32);
-        }
-        // Return per-iteration averages by dividing cycle/instruction totals.
-        scale_stats(&total, n)
-    }
-
     /// Convert a cycle count into microseconds on this machine.
     #[must_use]
     pub fn cycles_to_us(&self, cycles: u64) -> f64 {
         self.spec.cycles_to_us(cycles)
     }
-}
-
-fn scale_stats(total: &ExecStats, n: u32) -> ExecStats {
-    // ExecStats has no public constructor for scaled values; reconstruct by
-    // merging is not possible, so approximate: measure() already returns a
-    // representative single run. Here we only scale the top-level counters.
-    let mut out = *total;
-    out.instructions = total.instructions / u64::from(n);
-    out.cycles = total.cycles / u64::from(n);
-    out.wb_stall_cycles = total.wb_stall_cycles / u64::from(n);
-    out.tlb_misses = total.tlb_misses / u64::from(n);
-    out.cache_misses = total.cache_misses / u64::from(n);
-    out
 }
 
 #[cfg(test)]
@@ -272,19 +238,6 @@ mod tests {
             warm.cycles, again.cycles,
             "steady-state must be reproducible"
         );
-    }
-
-    #[test]
-    fn measure_mean_close_to_single_measurement() {
-        let mut machine = Machine::new(Arch::R3000);
-        let base = machine.layout().save_area;
-        let mut b = Program::builder("mean");
-        b.store_run(base, 8);
-        let program = b.build();
-        let single = machine.measure(&program);
-        let mean = machine.measure_mean(&program, 10);
-        let diff = (single.cycles as f64 - mean.cycles as f64).abs();
-        assert!(diff <= single.cycles as f64 * 0.2 + 2.0);
     }
 
     #[test]

@@ -143,6 +143,11 @@ struct Line {
 /// A set-associative tag store (no data is simulated — only timing and
 /// occupancy matter for the paper's analysis).
 ///
+/// The ways of every set sit in one flat, set-major array: set `s` is
+/// `lines[s * assoc..(s + 1) * assoc]`, so building a cache costs the same
+/// two allocations (lines and round-robin victims) whatever its geometry,
+/// a DECstation's 16,384 direct-mapped sets included.
+///
 /// # Example
 ///
 /// ```
@@ -157,7 +162,7 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Option<Line>>>,
+    lines: Vec<Option<Line>>,
     victim: Vec<usize>,
     stats: CacheStats,
 }
@@ -178,7 +183,7 @@ impl Cache {
         let sets = config.sets() as usize;
         Cache {
             config,
-            sets: vec![vec![None; config.assoc as usize]; sets],
+            lines: vec![None; sets * config.assoc as usize],
             victim: vec![0; sets],
             stats: CacheStats::default(),
         }
@@ -208,7 +213,8 @@ impl Cache {
     pub fn access(&mut self, addr: u32, asid: Asid, kind: AccessKind) -> CacheOutcome {
         let (set, tag) = self.index_and_tag(addr);
         let ctx = self.effective_asid(asid);
-        let ways = &mut self.sets[set];
+        let assoc = self.config.assoc as usize;
+        let ways = &mut self.lines[set * assoc..(set + 1) * assoc];
         let hit_way = ways
             .iter()
             .position(|line| matches!(line, Some(l) if l.tag == tag && l.asid == ctx));
@@ -245,7 +251,7 @@ impl Cache {
                         Some(free) => free,
                         None => {
                             let victim = self.victim[set];
-                            self.victim[set] = (victim + 1) % self.config.assoc as usize;
+                            self.victim[set] = (victim + 1) % assoc;
                             victim
                         }
                     };
@@ -268,7 +274,8 @@ impl Cache {
     pub fn warm(&mut self, addr: u32, asid: Asid) {
         let (set, tag) = self.index_and_tag(addr);
         let ctx = self.effective_asid(asid);
-        let ways = &mut self.sets[set];
+        let assoc = self.config.assoc as usize;
+        let ways = &mut self.lines[set * assoc..(set + 1) * assoc];
         if ways
             .iter()
             .any(|line| matches!(line, Some(l) if l.tag == tag && l.asid == ctx))
@@ -293,11 +300,9 @@ impl Cache {
     /// expensive").
     pub fn flush_all(&mut self) -> u32 {
         let mut flushed = 0u64;
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.take().is_some() {
-                    flushed += 1;
-                }
+        for line in &mut self.lines {
+            if line.take().is_some() {
+                flushed += 1;
             }
         }
         self.stats.lines_flushed += flushed;
@@ -321,7 +326,8 @@ impl Cache {
         let page_base = page_addr & !(crate::addr::PAGE_SIZE - 1);
         let ctx = self.effective_asid(asid);
         let mut flushed = 0u64;
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
+        let assoc = self.config.assoc as usize;
+        for (set_idx, set) in self.lines.chunks_exact_mut(assoc).enumerate() {
             for line in set.iter_mut() {
                 if let Some(l) = line {
                     // Reconstruct the line's address from tag and set index.
@@ -344,11 +350,7 @@ impl Cache {
     /// Number of valid lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets
-            .iter()
-            .flatten()
-            .filter(|line| line.is_some())
-            .count()
+        self.lines.iter().filter(|line| line.is_some()).count()
     }
 
     /// True when no lines are valid.

@@ -201,7 +201,9 @@ pub trait PageTable: fmt::Debug {
 /// The table is a contiguous array indexed by virtual page number. Mapping a
 /// page far beyond the current extent *grows the array*, which is exactly the
 /// sparse-address-space weakness Section 3.2 calls "problematic on a linear
-/// page table system like the VAX".
+/// page table system like the VAX". The model keeps only the mapped slots
+/// and the length that array would have, so [`LinearPageTable::table_words`]
+/// reports the VAX's cost while the host pays per mapped page.
 ///
 /// On the VAX, per-process tables themselves live in system virtual memory, so
 /// a user-space walk costs two memory references; `extra_indirection` models
@@ -209,9 +211,9 @@ pub trait PageTable: fmt::Debug {
 #[derive(Debug, Clone)]
 pub struct LinearPageTable {
     base_vpn: u32,
-    entries: Vec<Option<Pte>>,
+    entries: BTreeMap<u32, Pte>,
+    words: usize,
     extra_indirection: bool,
-    mapped: usize,
 }
 
 impl LinearPageTable {
@@ -221,71 +223,50 @@ impl LinearPageTable {
     pub fn new(base_vpn: u32, extra_indirection: bool) -> LinearPageTable {
         LinearPageTable {
             base_vpn,
-            entries: Vec::new(),
+            entries: BTreeMap::new(),
+            words: 0,
             extra_indirection,
-            mapped: 0,
         }
     }
 
-    /// Words of table storage currently allocated (one word per slot) — the
-    /// space cost of sparsity.
+    /// Length in words (one per slot) of the VAX array this table models:
+    /// one past the highest slot ever mapped, the space cost of sparsity.
+    /// It grows on map and never shrinks; host storage grows only with the
+    /// mapped pages.
     #[must_use]
     pub fn table_words(&self) -> usize {
-        self.entries.len()
+        self.words
     }
 
-    fn slot(&self, va: VirtAddr) -> Option<usize> {
-        let vpn = va.vpn();
-        if vpn < self.base_vpn {
-            return None;
-        }
-        Some((vpn - self.base_vpn) as usize)
+    fn slot(&self, va: VirtAddr) -> Option<u32> {
+        va.vpn().checked_sub(self.base_vpn)
     }
 }
 
 impl PageTable for LinearPageTable {
     fn translate(&self, va: VirtAddr) -> Option<Pte> {
-        let idx = self.slot(va)?;
-        self.entries
-            .get(idx)
-            .copied()
-            .flatten()
-            .filter(|pte| pte.valid)
+        let pte = self.entries.get(&self.slot(va)?)?;
+        pte.valid.then_some(*pte)
     }
 
     fn map(&mut self, va: VirtAddr, pte: Pte) {
-        let idx = match self.slot(va) {
-            Some(idx) => idx,
-            None => return,
-        };
-        if idx >= self.entries.len() {
-            self.entries.resize(idx + 1, None);
+        if let Some(slot) = self.slot(va) {
+            self.words = self.words.max(slot as usize + 1);
+            self.entries.insert(slot, pte);
         }
-        if self.entries[idx].is_none() {
-            self.mapped += 1;
-        }
-        self.entries[idx] = Some(pte);
     }
 
     fn unmap(&mut self, va: VirtAddr) -> Option<Pte> {
-        let idx = self.slot(va)?;
-        let old = self.entries.get_mut(idx)?.take();
-        if old.is_some() {
-            self.mapped -= 1;
-        }
-        old
+        self.entries.remove(&self.slot(va)?)
     }
 
     fn protect(&mut self, va: VirtAddr, prot: Protection) -> bool {
-        let Some(idx) = self.slot(va) else {
-            return false;
-        };
-        match self.entries.get_mut(idx) {
-            Some(Some(pte)) => {
+        match self.slot(va).and_then(|slot| self.entries.get_mut(&slot)) {
+            Some(pte) => {
                 *pte = pte.with_prot(prot);
                 true
             }
-            _ => false,
+            None => false,
         }
     }
 
@@ -298,7 +279,7 @@ impl PageTable for LinearPageTable {
     }
 
     fn mapped_pages(&self) -> usize {
-        self.mapped
+        self.entries.len()
     }
 
     fn kind(&self) -> PageTableKind {

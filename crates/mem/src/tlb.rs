@@ -215,7 +215,6 @@ impl Tlb {
     /// Returns the evicted entry, if any.
     pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
         // Same-page update.
-        let ctx = entry.asid.unwrap_or(Asid(u16::MAX));
         if let Some(slot) = self.entries.iter_mut().flatten().find(|existing| {
             existing.vpn == entry.vpn && (!self.config.tagged || existing.asid == entry.asid)
         }) {
@@ -223,7 +222,6 @@ impl Tlb {
             *slot = entry;
             return Some(old);
         }
-        let _ = ctx;
         // Free slot.
         if let Some(slot) = self.entries.iter_mut().find(|slot| slot.is_none()) {
             *slot = Some(entry);

@@ -1,11 +1,220 @@
 //! Property-based tests for the memory-hierarchy substrate.
 
 use osarch_mem::{
-    AccessKind, Asid, Cache, CacheConfig, LinearPageTable, MultiLevelPageTable, PageTable,
-    Protection, Pte, SoftwarePageTable, Tlb, TlbConfig, TlbEntry, VirtAddr, WriteBuffer,
-    WriteBufferConfig, WritePolicy,
+    AccessKind, Addressing, Asid, Cache, CacheConfig, CacheOutcome, CacheStats, LinearPageTable,
+    MultiLevelPageTable, PageTable, Protection, Pte, SoftwarePageTable, Tlb, TlbConfig, TlbEntry,
+    VirtAddr, WriteBuffer, WriteBufferConfig, WritePolicy, PAGE_SIZE,
 };
 use proptest::prelude::*;
+
+/// The tag store as it was before the flat set-major layout: one `Vec` of
+/// ways per set, with the same lookup, allocation, victim and flush logic.
+/// `flat_cache_matches_the_nested_oracle` checks [`Cache`] against it.
+mod nested {
+    use super::{
+        AccessKind, Addressing, Asid, CacheConfig, CacheOutcome, CacheStats, WritePolicy, PAGE_SIZE,
+    };
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Line {
+        tag: u32,
+        asid: Option<Asid>,
+        dirty: bool,
+    }
+
+    pub struct NestedCache {
+        config: CacheConfig,
+        sets: Vec<Vec<Option<Line>>>,
+        victim: Vec<usize>,
+        stats: CacheStats,
+    }
+
+    impl NestedCache {
+        pub fn new(config: CacheConfig) -> NestedCache {
+            let sets = config.sets() as usize;
+            NestedCache {
+                config,
+                sets: vec![vec![None; config.assoc as usize]; sets],
+                victim: vec![0; sets],
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn index_and_tag(&self, addr: u32) -> (usize, u32) {
+            let line_addr = addr / self.config.line_bytes;
+            let set = (line_addr % self.config.sets()) as usize;
+            let tag = line_addr / self.config.sets();
+            (set, tag)
+        }
+
+        fn effective_asid(&self, asid: Asid) -> Option<Asid> {
+            match (self.config.addressing, self.config.tagged) {
+                (Addressing::Virtual, true) => Some(asid),
+                _ => None,
+            }
+        }
+
+        pub fn access(&mut self, addr: u32, asid: Asid, kind: AccessKind) -> CacheOutcome {
+            let (set, tag) = self.index_and_tag(addr);
+            let ctx = self.effective_asid(asid);
+            let ways = &mut self.sets[set];
+            let hit_way = ways
+                .iter()
+                .position(|line| matches!(line, Some(l) if l.tag == tag && l.asid == ctx));
+            let write = matches!(kind, AccessKind::Write);
+            match hit_way {
+                Some(way) => {
+                    if write {
+                        self.stats.write_hits += 1;
+                        if self.config.write_policy == WritePolicy::Back {
+                            if let Some(line) = &mut ways[way] {
+                                line.dirty = true;
+                            }
+                        }
+                    } else {
+                        self.stats.read_hits += 1;
+                    }
+                    CacheOutcome {
+                        hit: true,
+                        extra_cycles: 0,
+                    }
+                }
+                None => {
+                    let penalty = if write {
+                        self.stats.write_misses += 1;
+                        self.config.write_miss_penalty
+                    } else {
+                        self.stats.read_misses += 1;
+                        self.config.read_miss_penalty
+                    };
+                    let allocate = !write || self.config.write_policy == WritePolicy::Back;
+                    if allocate {
+                        let way = match ways.iter().position(Option::is_none) {
+                            Some(free) => free,
+                            None => {
+                                let victim = self.victim[set];
+                                self.victim[set] = (victim + 1) % self.config.assoc as usize;
+                                victim
+                            }
+                        };
+                        ways[way] = Some(Line {
+                            tag,
+                            asid: ctx,
+                            dirty: write,
+                        });
+                    }
+                    CacheOutcome {
+                        hit: false,
+                        extra_cycles: penalty,
+                    }
+                }
+            }
+        }
+
+        pub fn warm(&mut self, addr: u32, asid: Asid) {
+            let (set, tag) = self.index_and_tag(addr);
+            let ctx = self.effective_asid(asid);
+            let ways = &mut self.sets[set];
+            if ways
+                .iter()
+                .any(|line| matches!(line, Some(l) if l.tag == tag && l.asid == ctx))
+            {
+                return;
+            }
+            let way = ways.iter().position(Option::is_none).unwrap_or(0);
+            ways[way] = Some(Line {
+                tag,
+                asid: ctx,
+                dirty: false,
+            });
+        }
+
+        pub fn flush_all(&mut self) -> u32 {
+            let mut flushed = 0u64;
+            for set in &mut self.sets {
+                for line in set.iter_mut() {
+                    if line.take().is_some() {
+                        flushed += 1;
+                    }
+                }
+            }
+            self.stats.lines_flushed += flushed;
+            let cycles = self.config.lines() * self.config.flush_cycles_per_line;
+            self.stats.flush_cycles += u64::from(cycles);
+            cycles
+        }
+
+        pub fn flush_page(&mut self, page_addr: u32, asid: Asid) -> (u32, u32) {
+            if self.config.addressing == Addressing::Physical {
+                return (0, 0);
+            }
+            let page_base = page_addr & !(PAGE_SIZE - 1);
+            let ctx = self.effective_asid(asid);
+            let mut flushed = 0u64;
+            for (set_idx, set) in self.sets.iter_mut().enumerate() {
+                for line in set.iter_mut() {
+                    if let Some(l) = line {
+                        let line_addr =
+                            (l.tag * self.config.sets() + set_idx as u32) * self.config.line_bytes;
+                        if line_addr & !(PAGE_SIZE - 1) == page_base && l.asid == ctx {
+                            *line = None;
+                            flushed += 1;
+                        }
+                    }
+                }
+            }
+            self.stats.lines_flushed += flushed;
+            let examined = self.config.lines();
+            let cycles = examined * self.config.flush_cycles_per_line;
+            self.stats.flush_cycles += u64::from(cycles);
+            (examined, cycles)
+        }
+
+        pub fn len(&self) -> usize {
+            self.sets
+                .iter()
+                .flatten()
+                .filter(|line| line.is_some())
+                .count()
+        }
+
+        pub fn stats(&self) -> CacheStats {
+            self.stats
+        }
+    }
+}
+
+/// A cache geometry from its parts: `sets` sets of `assoc` ways of
+/// `line_bytes`, with physical (0), tagged-virtual (1) or untagged-virtual
+/// (2) addressing.
+fn geometry(
+    assoc: u32,
+    sets: u32,
+    line_bytes: u32,
+    addressing: u8,
+    write_back: bool,
+    penalties: (u32, u32, u32),
+) -> CacheConfig {
+    CacheConfig {
+        size_bytes: sets * assoc * line_bytes,
+        line_bytes,
+        assoc,
+        addressing: if addressing == 0 {
+            Addressing::Physical
+        } else {
+            Addressing::Virtual
+        },
+        write_policy: if write_back {
+            WritePolicy::Back
+        } else {
+            WritePolicy::Through
+        },
+        read_miss_penalty: penalties.0,
+        write_miss_penalty: penalties.1,
+        tagged: addressing == 1,
+        flush_cycles_per_line: penalties.2,
+    }
+}
 
 fn arb_prot() -> impl Strategy<Value = Protection> {
     prop_oneof![
@@ -148,5 +357,74 @@ proptest! {
     #[test]
     fn protection_display_total(prot in arb_prot()) {
         prop_assert_eq!(format!("{prot}").len(), 3);
+    }
+}
+
+// The flat cache and the sparse linear table against reference
+// implementations: cheap enough to explore many more cases than the block
+// above.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// After any map/unmap/protect sequence the linear table translates and
+    /// counts exactly as the software table does, and its VAX array length
+    /// is one past the highest slot ever mapped, whatever was unmapped since.
+    #[test]
+    fn linear_table_answers_like_the_software_table(
+        vpns in proptest::collection::vec(0u32..0x000f_ffff, 12..13),
+        ops in proptest::collection::vec((0u8..3, 0usize..12, 0u32..1_000_000, arb_prot(), any::<bool>()), 1..160),
+    ) {
+        let mut linear = LinearPageTable::new(0, false);
+        let mut reference = SoftwarePageTable::new();
+        let mut words = 0usize;
+        for (kind, pick, pfn, prot, valid) in ops {
+            let va = VirtAddr(vpns[pick] << 12);
+            match kind {
+                0 => {
+                    let pte = Pte { valid, ..Pte::new(pfn, prot) };
+                    linear.map(va, pte);
+                    reference.map(va, pte);
+                    words = words.max(vpns[pick] as usize + 1);
+                }
+                1 => prop_assert_eq!(linear.unmap(va), reference.unmap(va)),
+                _ => prop_assert_eq!(linear.protect(va, prot), reference.protect(va, prot)),
+            }
+            prop_assert_eq!(linear.mapped_pages(), reference.mapped_pages());
+            prop_assert_eq!(linear.table_words(), words);
+            for &vpn in &vpns {
+                let probe = VirtAddr((vpn << 12) | 0x123);
+                prop_assert_eq!(linear.translate(probe), reference.translate(probe));
+            }
+        }
+    }
+
+    /// The flat set-major cache gives the nested-`Vec` oracle's outcomes,
+    /// statistics and occupancy on any geometry and operation sequence.
+    #[test]
+    fn flat_cache_matches_the_nested_oracle(
+        shape in (prop_oneof![Just(1u32), Just(2u32), Just(4u32)], 1u32..65, prop_oneof![Just(4u32), Just(16u32), Just(32u32)]),
+        mode in (0u8..3, any::<bool>(), (1u32..20, 0u32..4, 1u32..3)),
+        ops in proptest::collection::vec((0u8..10, 0u32..0x1_0000, 0u16..3), 1..300),
+    ) {
+        let config = geometry(shape.0, shape.1, shape.2, mode.0, mode.1, mode.2);
+        let mut flat = Cache::new(config);
+        let mut oracle = nested::NestedCache::new(config);
+        for (kind, addr, asid) in ops {
+            let asid = Asid(asid);
+            match kind {
+                0..=5 => {
+                    let access = [AccessKind::Read, AccessKind::Write, AccessKind::Execute][kind as usize % 3];
+                    prop_assert_eq!(flat.access(addr, asid, access), oracle.access(addr, asid, access));
+                }
+                6 | 7 => {
+                    flat.warm(addr, asid);
+                    oracle.warm(addr, asid);
+                }
+                8 => prop_assert_eq!(flat.flush_page(addr, asid), oracle.flush_page(addr, asid)),
+                _ => prop_assert_eq!(flat.flush_all(), oracle.flush_all()),
+            }
+            prop_assert_eq!(flat.stats(), oracle.stats());
+            prop_assert_eq!(flat.len(), oracle.len());
+        }
     }
 }
