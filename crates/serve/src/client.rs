@@ -28,6 +28,7 @@
 
 use osarch_chaos::{ChaosController, ChaosRng, Failpoint};
 use osarch_core::json;
+use osarch_core::metrics::ResilienceCounters;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -139,6 +140,38 @@ pub struct ClientCounters {
     /// Replies that failed verification: unparseable JSON or an id echo
     /// mismatch. Must stay zero — this is the corruption detector.
     pub corrupt: u64,
+}
+
+impl ClientCounters {
+    /// Add another client's tallies to these.
+    pub fn accumulate(&mut self, other: &ClientCounters) {
+        self.oks += other.oks;
+        self.retries += other.retries;
+        self.giveups += other.giveups;
+        self.breaker_opens += other.breaker_opens;
+        self.breaker_shed += other.breaker_shed;
+        self.timeouts += other.timeouts;
+        self.conn_resets += other.conn_resets;
+        self.server_errors += other.server_errors;
+        self.degraded += other.degraded;
+        self.corrupt += other.corrupt;
+    }
+}
+
+impl From<ClientCounters> for ResilienceCounters {
+    fn from(c: ClientCounters) -> ResilienceCounters {
+        ResilienceCounters {
+            retries: c.retries,
+            giveups: c.giveups,
+            breaker_opens: c.breaker_opens,
+            degraded: c.degraded,
+            timeouts: c.timeouts,
+            conn_resets: c.conn_resets,
+            server_errors: c.server_errors,
+            breaker_open: c.breaker_shed,
+            corrupt: c.corrupt,
+        }
+    }
 }
 
 /// Circuit-breaker state machine. Deterministic: cooldown is counted in
@@ -612,19 +645,19 @@ impl ClusterClient {
     pub fn counters(&self) -> ClientCounters {
         let mut total = ClientCounters::default();
         for client in &self.clients {
-            let c = client.counters();
-            total.oks += c.oks;
-            total.retries += c.retries;
-            total.giveups += c.giveups;
-            total.breaker_opens += c.breaker_opens;
-            total.breaker_shed += c.breaker_shed;
-            total.timeouts += c.timeouts;
-            total.conn_resets += c.conn_resets;
-            total.server_errors += c.server_errors;
-            total.degraded += c.degraded;
-            total.corrupt += c.corrupt;
+            total.accumulate(&client.counters);
         }
         total
+    }
+
+    /// Attach a fault-injection schedule to every node's client (see
+    /// [`ResilientClient::with_chaos`]).
+    #[must_use]
+    pub fn with_chaos(mut self, chaos: &Arc<ChaosController>) -> ClusterClient {
+        for client in &mut self.clients {
+            client.chaos = Some(Arc::clone(chaos));
+        }
+        self
     }
 
     /// Issue `line` for `key`: route to the key's replica set in ring

@@ -35,10 +35,12 @@
 //! * [`client`] — the resilient protocol client: per-attempt timeouts,
 //!   bounded retries with deterministic backoff jitter, and a
 //!   closed/open/half-open circuit breaker;
-//! * [`soak`] — the chaos soak (`osarch chaos`): loadgen against a
-//!   fault-injected in-process server, asserting the resilience
+//! * [`soak`] — the chaos soak runner (`osarch chaos`): one runner over
+//!   [`Scenario`] values (seed, fault rate, nodes, load, and a phase list
+//!   of loads, node kills and respawns, spec swaps and rollbacks) that
+//!   drives fault-injected in-process nodes and asserts the resilience
 //!   invariants (no corruption, no deadlock, no leaked workers, degraded
-//!   replies flagged, single-flight accounting exact);
+//!   replies flagged, single-flight accounting exact, seeded replay);
 //! * cluster mode — multiple `osarch serve` nodes form a ring
 //!   (`osarch-cluster`): keys shard by consistent hashing with R-way
 //!   replica placement, a non-owner either proxies the query to a live
@@ -109,8 +111,3 @@ pub use osarch_core::names::OP_NAMES;
 pub use protocol::{Frame, FrameBuf, Query, Request, MAX_REQUEST_BYTES};
 pub use registry::{SpecRegistry, SpecSnapshot};
 pub use server::{ClusterConfig, Server, ServerConfig, ServerHandle};
-pub use soak::{
-    run as run_soak, run_cluster as run_cluster_soak, run_swap as run_swap_soak,
-    run_swap_cluster as run_swap_cluster_soak, ClusterSoakConfig, ClusterSoakReport, SoakConfig,
-    SoakReport, SwapClusterConfig, SwapClusterReport, SwapSoakConfig, SwapSoakReport,
-};

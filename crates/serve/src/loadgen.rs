@@ -34,11 +34,11 @@
 //! pile onto a few hot keys, so hit/coalesce counters dominate and
 //! serving cost is the fixed per-request envelope, not the simulation.
 
-use crate::client::{ClientConfig, ErrorClass, ResilientClient};
-use crate::server::{ClusterConfig, Server, ServerConfig, ServerHandle};
+use crate::client::{ClientConfig, ClientCounters, ErrorClass, ResilientClient};
+use crate::server::{reserve_loopback_addrs, ClusterConfig, Server, ServerConfig, ServerHandle};
 use osarch_chaos::{ChaosConfig, ChaosController};
 use osarch_core::json::{self, Value};
-use osarch_core::metrics::{ClusterBenchReport, ResilienceCounters, ServeBenchReport};
+use osarch_core::metrics::{ClusterBenchReport, ServeBenchReport};
 use osarch_core::stats::LatencySummary;
 use osarch_cpu::Arch;
 use osarch_kernel::Primitive;
@@ -117,15 +117,15 @@ pub fn key_space() -> Vec<(Arch, Primitive)> {
     keys
 }
 
-/// Per-connection tallies, merged after the run. Latencies go straight
-/// into a log-linear histogram — bucket merge across connections is
-/// exact, so the report's percentiles cover every reply, not a sample.
+/// Per-connection tallies, merged after the run (`counters.oks` counts
+/// the ok replies). Latencies go straight into a log-linear histogram —
+/// bucket merge across connections is exact, so the report's
+/// percentiles cover every reply, not a sample.
 #[derive(Debug, Default)]
 struct ConnResult {
-    oks: u64,
     errors: u64,
     latency: Histogram,
-    resilience: ResilienceCounters,
+    counters: ClientCounters,
 }
 
 /// Cache counters scraped from a `metrics` reply's lifetime totals.
@@ -266,16 +266,15 @@ fn drive(
     let secs = started.elapsed().as_secs_f64();
     let after = query_cache_counters(addr)?;
 
-    let mut oks = 0u64;
     let mut errors = 0u64;
-    let mut resilience = ResilienceCounters::default();
+    let mut counters = ClientCounters::default();
     let mut latency = Histogram::new();
     for conn in results {
-        oks += conn.oks;
         errors += conn.errors;
-        merge_resilience(&mut resilience, conn.resilience);
+        counters.accumulate(&conn.counters);
         latency.merge(&conn.latency);
     }
+    let oks = counters.oks;
     Ok(ServeBenchReport {
         workload: if config.skew { "skewed" } else { "uniform" }.to_string(),
         mode: if mux {
@@ -300,20 +299,8 @@ fn drive(
         hits: after.hits.saturating_sub(before.hits),
         misses: after.misses.saturating_sub(before.misses),
         coalesced: after.coalesced.saturating_sub(before.coalesced),
-        resilience,
+        resilience: counters.into(),
     })
-}
-
-fn merge_resilience(total: &mut ResilienceCounters, conn: ResilienceCounters) {
-    total.retries += conn.retries;
-    total.giveups += conn.giveups;
-    total.breaker_opens += conn.breaker_opens;
-    total.degraded += conn.degraded;
-    total.timeouts += conn.timeouts;
-    total.conn_resets += conn.conn_resets;
-    total.server_errors += conn.server_errors;
-    total.breaker_open += conn.breaker_open;
-    total.corrupt += conn.corrupt;
 }
 
 /// Above this many connections the thread-per-connection driver would
@@ -452,23 +439,23 @@ fn drive_mux_paced(
                     }
                     Ok(_) => {
                         let Ok(reply) = json::parse(&line) else {
-                            result.resilience.corrupt += 1;
+                            result.counters.corrupt += 1;
                             result.errors += 1;
                             *sock = None;
                             break;
                         };
                         if reply["id"].as_u64() != Some(first_id + offset as u64) {
-                            result.resilience.corrupt += 1;
+                            result.counters.corrupt += 1;
                             result.errors += 1;
                             *sock = None;
                             break;
                         }
                         if reply["ok"].as_bool() == Some(true) {
-                            result.oks += 1;
+                            result.counters.oks += 1;
                             result.latency.record(when.elapsed().as_micros() as u64);
                         } else {
                             result.errors += 1;
-                            result.resilience.server_errors += 1;
+                            result.counters.server_errors += 1;
                         }
                     }
                 }
@@ -540,10 +527,7 @@ fn drive_connection(
         );
         let sent = Instant::now();
         match client.call(&line, &id_token) {
-            Ok(_) => {
-                result.oks += 1;
-                result.latency.record(sent.elapsed().as_micros() as u64);
-            }
+            Ok(_) => result.latency.record(sent.elapsed().as_micros() as u64),
             Err(error) => {
                 result.errors += 1;
                 // Without faults, a clean shutdown or backpressure close
@@ -554,18 +538,7 @@ fn drive_connection(
             }
         }
     }
-    let c = client.counters();
-    result.resilience = ResilienceCounters {
-        retries: c.retries,
-        giveups: c.giveups,
-        breaker_opens: c.breaker_opens,
-        degraded: c.degraded,
-        timeouts: c.timeouts,
-        conn_resets: c.conn_resets,
-        server_errors: c.server_errors,
-        breaker_open: c.breaker_shed,
-        corrupt: c.corrupt,
-    };
+    result.counters = client.counters();
     result
 }
 
@@ -696,10 +669,9 @@ fn mux_fanout(
     let secs = started.elapsed().as_secs_f64();
     let mut merged = ConnResult::default();
     for conn in results {
-        merged.oks += conn.oks;
         merged.errors += conn.errors;
         merged.latency.merge(&conn.latency);
-        merge_resilience(&mut merged.resilience, conn.resilience);
+        merged.counters.accumulate(&conn.counters);
     }
     (merged, secs)
 }
@@ -770,7 +742,7 @@ pub fn run_cluster_bench(config: &ClusterLoadConfig) -> std::io::Result<ClusterB
     );
     baseline_handle.stop();
     let baseline_rps = if baseline_secs > 0.0 {
-        baseline.oks as f64 / baseline_secs
+        baseline.counters.oks as f64 / baseline_secs
     } else {
         0.0
     };
@@ -778,15 +750,7 @@ pub fn run_cluster_bench(config: &ClusterLoadConfig) -> std::io::Result<ClusterB
     // Clustered run: reserve every address first (nodes need the full
     // peer list up front), start the ring, then give each node's driver
     // thread the slice of keys that node replicates.
-    let addrs = {
-        let listeners: Vec<std::net::TcpListener> = (0..nodes)
-            .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
-            .collect::<std::io::Result<_>>()?;
-        listeners
-            .iter()
-            .map(|l| Ok(format!("127.0.0.1:{}", l.local_addr()?.port())))
-            .collect::<std::io::Result<Vec<String>>>()?
-    };
+    let addrs = reserve_loopback_addrs(nodes)?;
     let handles: Vec<ServerHandle> = (0..nodes)
         .map(|index| Server::start(&node_config(Some((&addrs, index)))))
         .collect::<std::io::Result<_>>()?;
@@ -860,11 +824,11 @@ pub fn run_cluster_bench(config: &ClusterLoadConfig) -> std::io::Result<ClusterB
     let mut latency = Histogram::new();
     let mut per_node = Vec::with_capacity(nodes);
     for (addr, result) in addrs.iter().zip(&per_thread) {
-        requests += result.oks;
+        requests += result.counters.oks;
         errors += result.errors;
-        corrupt += result.resilience.corrupt;
+        corrupt += result.counters.corrupt;
         latency.merge(&result.latency);
-        per_node.push((addr.clone(), result.oks));
+        per_node.push((addr.clone(), result.counters.oks));
     }
     let throughput_rps = if secs > 0.0 {
         requests as f64 / secs

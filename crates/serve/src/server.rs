@@ -154,6 +154,23 @@ pub struct ClusterConfig {
     pub gossip_interval: Duration,
 }
 
+/// Reserve `n` distinct loopback addresses for a ring by binding them
+/// all at once, then freeing them: every node needs every peer's
+/// dialable address before any node starts.
+///
+/// # Errors
+///
+/// Fails when the host cannot bind a loopback port.
+pub fn reserve_loopback_addrs(n: usize) -> std::io::Result<Vec<String>> {
+    let listeners: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0"))
+        .collect::<std::io::Result<_>>()?;
+    listeners
+        .iter()
+        .map(|listener| Ok(format!("127.0.0.1:{}", listener.local_addr()?.port())))
+        .collect()
+}
+
 impl Default for ClusterConfig {
     fn default() -> ClusterConfig {
         ClusterConfig {
@@ -374,7 +391,7 @@ impl LoopTrace {
 
 /// State shared by the accept thread, the loops, the pool and the handle.
 struct Shared {
-    cache: ShardedCache,
+    cache: Arc<ShardedCache>,
     /// The one recorder: every counted event, the `workers_live` gauge,
     /// the latency windows and the sampled span chains.
     hub: Arc<TelemetryHub>,
@@ -647,7 +664,7 @@ impl Server {
             None => None,
         };
         let shared = Arc::new(Shared {
-            cache: ShardedCache::new(config.shards),
+            cache: Arc::new(ShardedCache::new(config.shards)),
             hub: Arc::new(TelemetryHub::new(
                 workers,
                 &OP_NAMES,
@@ -753,11 +770,12 @@ impl ServerHandle {
         (self.shared.cache.failed(), self.shared.cache.degraded())
     }
 
-    /// Total cache lookups. The single-flight accounting invariant is
-    /// `lookups == hits + misses + coalesced`, exactly.
+    /// The response cache. Outlives the handle, like
+    /// [`ServerHandle::telemetry`]: the chaos soak reads a node's final
+    /// counts once it has stopped.
     #[must_use]
-    pub fn cache_lookups(&self) -> u64 {
-        self.shared.cache.lookups()
+    pub fn cache(&self) -> Arc<ShardedCache> {
+        Arc::clone(&self.shared.cache)
     }
 
     /// (ok requests, error requests, rejected connections).

@@ -1,136 +1,355 @@
-//! The chaos soak harness (`osarch chaos`).
+//! The chaos soak runner (`osarch chaos`).
 //!
-//! Runs the load generator against an in-process, fault-injected server
-//! — both sides drawing their faults from one deterministic
-//! [`ChaosController`] schedule — and checks the resilience invariants
-//! that must hold *no matter what the schedule does*:
+//! One [`run`] drives every soak. A [`Scenario`] says what happens: the
+//! seed and fault rate, one node or a gossip ring of in-process nodes
+//! with R-way replication, the load connections and event loops per
+//! node, whether a dropped call is a violation, and an ordered list of
+//! [`Phase`]s — load for a time, scrape the metrics listener, kill the
+//! seeded victim node, respawn it, swap in the next spec, roll it back.
+//! The four built-in soaks are four constructors: [`Scenario::soak`],
+//! [`Scenario::cluster`], [`Scenario::swap`] and
+//! [`Scenario::swap_cluster`]. A new soak is one more constructor.
 //!
-//! 1. **no client-visible corruption** — every reply that reaches a
-//!    client parses as JSON and echoes its request id (`corrupt == 0`);
-//! 2. **no deadlock** — every client thread reports back before the
-//!    watchdog deadline; a waiter stuck on a poisoned cache flight or a
-//!    worker wedged on a dead socket would trip it;
-//! 3. **no leaked workers** — worker deaths respawn in place
-//!    (`workers_live == workers` while serving, `0` after shutdown);
-//! 4. **degraded replies are flagged** — the client never sees a stale
-//!    value without `"degraded":true` (counted both sides and compared);
-//! 5. **single-flight accounting stays exact** — cache
-//!    `lookups == hits + misses + coalesced` even with leaders panicking
-//!    mid-flight.
+//! While the phases run on the calling thread, `conns` background
+//! clients sweep the measure key space through shard-aware routing
+//! clients (a ring of one for a single node) and, when the scenario
+//! swaps, an epoch verifier samples the hot spec on node 0. Every node
+//! draws its faults from one deterministic [`ChaosController`]
+//! schedule. The runner then checks the invariants that must hold *no
+//! matter what the schedule does*:
 //!
-//! The *schedule* is the reproducible artifact: planned event counts per
-//! failpoint are a pure function of the seed (see
-//! [`ChaosController::schedule_events`]), so two soaks with one seed
-//! assert bit-identical schedules even though thread interleaving makes
-//! the injected counts differ run to run.
+//! 1. **no corruption** — every reply that reaches a client parses as
+//!    JSON and echoes its request id;
+//! 2. **no deadlock** — every load thread reports back within the
+//!    watchdog after it is told to stop;
+//! 3. **no leaked workers** — on every node, event-loop deaths respawn
+//!    in place (all loops live while serving, none after shutdown);
+//! 4. **degraded replies are flagged** — clients never see more stale
+//!    replies than the servers flagged, nor servers more than their
+//!    caches served;
+//! 5. **single-flight accounting is exact** — on every node, cache
+//!    `lookups == hits + misses + coalesced`;
+//! 6. **telemetry replays from the seed** — every node samples traces
+//!    with the soak seed as its telemetry seed, and every retained
+//!    trace id is on its loop's pure id stream;
+//! 7. **metrics validate** — a [`Phase::Scrape`] and every node's final
+//!    snapshot hold to the `osarch-metrics/1` schema;
+//! 8. **zero drops**, when the scenario demands it — no load call fails
+//!    after retries and failover;
+//! 9. **ring membership** — a ring settles before load starts and, after
+//!    a respawn, re-agrees with the victim alive at its new incarnation;
+//! 10. **a faithful control plane**, when the scenario swaps — every
+//!     admin reply digest (torn replies recovered through `spec-list`),
+//!     the final listed digest and every node's registry digest match a
+//!     locally replayed registry model; the registry's swap and rollback
+//!     counters match the driven sequence; every sampled `measure spec`
+//!     payload is byte-identical to its epoch's direct emitter; and the
+//!     rollback stream equals the seeded `admin/corrupt-spec` stream.
 //!
-//! Telemetry soaks under the same discipline. The server runs with
-//! trace sampling on (`sample`, default 1/64) and the soak seed as the
-//! telemetry seed, so every sampled trace id replays from the seed: a
-//! sixth invariant asserts each loop's observed ids form a subsequence
-//! of that loop's pure generator stream — bit-identical across
-//! same-seed runs. Mid-run the harness scrapes `--metrics-addr` (when
-//! configured), validates the `osarch-metrics/1` document with the core
-//! validator (a failed scrape or validation is a violation), and the
-//! report carries the final snapshot plus the sampled Chrome trace for
-//! artifact upload.
+//! The reproducible artifacts are pure functions of the seed: the
+//! planned schedule (per-failpoint event counts, see
+//! [`ChaosController::schedule_events`]), the victim, the rollback
+//! stream, the final registry digest and the transcript (one line per
+//! admin action, kill and respawn). Injected counts, traffic and lost
+//! replies depend on thread interleaving and vary run to run.
 
-use crate::client::{ClientConfig, ClientCounters, ClusterClient, ResilientClient};
+use crate::client::{ClientConfig, ClientCounters, ClusterClient, RouteCounters};
 use crate::loadgen::key_space;
 use crate::protocol::Query;
 use crate::registry::SpecSnapshot;
-use crate::server::{ClusterConfig, Server, ServerConfig, ServerHandle};
+use crate::server::{reserve_loopback_addrs, ClusterConfig, Server, ServerConfig, ServerHandle};
 use osarch_chaos::{ChaosConfig, ChaosController, ChaosRng, Failpoint};
 use osarch_core::json::{self, Value};
-use osarch_core::metrics::ResilienceCounters;
-use std::collections::{BTreeMap, HashMap};
+use osarch_core::metrics::{validate_metrics_snapshot, ResilienceCounters};
+use osarch_telemetry::TelemetryHub;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
+use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Chaos soak knobs.
+/// Cache shards per node.
+const SHARDS: usize = 16;
+
+/// Gossip anti-entropy cadence in a ring — also the spec-digest
+/// propagation path.
+const GOSSIP: Duration = Duration::from_millis(50);
+
+/// The admin token every node runs with (the soak owns both ends of the
+/// connection, so the value only has to be non-empty).
+const TOKEN: &str = "swap-soak-admin-token";
+
+/// Per-exchange timeout for admin, verifier and scrape connections.
+const IO_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// How long a load thread may take to report once told to stop.
+const WATCHDOG: Duration = Duration::from_secs(60);
+
+/// How long a ring may take to agree: on membership before the first
+/// phase and after a respawn, and on the spec digest at the end.
+const SETTLE: Duration = Duration::from_secs(20);
+
+/// What one soak does. Start from a constructor and adjust with struct
+/// update syntax: `Scenario { conns: 4, ..Scenario::soak(42, secs) }`.
 #[derive(Debug, Clone)]
-pub struct SoakConfig {
-    /// Seed for the fault schedule and every client's jitter stream.
+pub struct Scenario {
+    /// Seed for the fault schedule, the victim, the rollback stream,
+    /// every client's jitter stream and every node's trace ids.
     pub seed: u64,
-    /// Fault probability per failpoint draw.
+    /// Fault probability per failpoint draw; 0 injects nothing.
     pub rate: f64,
-    /// Soak duration in seconds.
-    pub secs: f64,
-    /// Concurrent client connections.
+    /// In-process nodes; more than one form a gossip ring.
+    pub nodes: usize,
+    /// Replication factor R of a ring.
+    pub replicas: usize,
+    /// Background load connections.
     pub conns: u32,
-    /// Server worker threads.
+    /// Event loops per node.
     pub workers: usize,
-    /// Cache shards.
-    pub shards: usize,
-    /// Trace-sampling divisor (sample one request in `sample`; 0 turns
-    /// tracing off). The soak seed doubles as the telemetry seed.
+    /// Trace one request in `sample` per event loop on every node (0
+    /// turns tracing off). Every built-in samples 1 in 64.
     pub sample: u64,
-    /// Bind a metrics scrape listener here and validate a mid-run
-    /// scrape against the `osarch-metrics/1` schema.
+    /// Bind node 0's metrics scrape listener here; without one a
+    /// [`Phase::Scrape`] is a violation.
     pub metrics_addr: Option<String>,
+    /// Whether a load call that fails after retries and failover is a
+    /// violation. It also sets how patient both ends are: a 2 s server
+    /// deadline, and on a lone node 10 client attempts with no breaker
+    /// and no client-side faults. A scenario that tolerates drops runs a
+    /// 50 ms deadline that injected compute delays overrun, and 3
+    /// attempts under client-side faults.
+    pub zero_drops: bool,
+    /// What happens, in order.
+    pub phases: Vec<Phase>,
 }
 
-impl Default for SoakConfig {
-    fn default() -> SoakConfig {
-        SoakConfig {
-            seed: 42,
+/// One step of a [`Scenario`], run on the driving thread while the load
+/// runs in the background.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Let the load run this long.
+    Load(Duration),
+    /// Scrape node 0's metrics listener and validate the snapshot.
+    Scrape,
+    /// Stop the seeded victim node outright: its listener closes and
+    /// every in-flight connection drops.
+    Kill,
+    /// Restart the victim at a higher incarnation with a fresh registry;
+    /// a ring must re-agree on membership.
+    Respawn,
+    /// Stage and activate the next `hot` spec through node 0's admin
+    /// plane.
+    Swap,
+    /// Roll node 0's registry back to its last-good content.
+    Rollback,
+}
+
+impl Scenario {
+    /// The plain chaos soak: fault-injecting clients against one
+    /// fault-injected node for `load`, with a scrape of an ephemeral
+    /// metrics listener halfway.
+    #[must_use]
+    pub fn soak(seed: u64, load: Duration) -> Scenario {
+        Scenario {
+            seed,
             rate: 0.2,
-            secs: 3.0,
+            nodes: 1,
+            replicas: 1,
             conns: 8,
             workers: 4,
-            shards: 16,
+            sample: 64,
+            metrics_addr: Some("127.0.0.1:0".to_string()),
+            zero_drops: false,
+            phases: vec![Phase::Load(load / 2), Phase::Scrape, Phase::Load(load / 2)],
+        }
+    }
+
+    /// The node-kill soak: a three-node ring (R=2) under load for a
+    /// third of `load`, a third with its seeded victim dead, and a third
+    /// after the victim respawns. R ≥ 2 must keep every key answerable.
+    /// Each third lasts at least one full key-space sweep.
+    #[must_use]
+    pub fn cluster(seed: u64, load: Duration) -> Scenario {
+        let third = Phase::Load(load / 3);
+        Scenario {
+            seed,
+            rate: 0.0,
+            nodes: 3,
+            replicas: 2,
+            conns: 1,
+            workers: 2,
             sample: 64,
             metrics_addr: None,
+            zero_drops: true,
+            phases: vec![third, Phase::Kill, third, Phase::Respawn, third],
+        }
+    }
+
+    /// The live-swap soak: `swaps` activations on one node under full
+    /// fault injection, with one explicit rollback after the middle one.
+    /// The rate is low enough that patient retries absorb every fault.
+    #[must_use]
+    pub fn swap(seed: u64, swaps: u64) -> Scenario {
+        let mut phases = Vec::new();
+        for swap in 1..=swaps {
+            phases.push(Phase::Swap);
+            if swap == swaps / 2 {
+                phases.push(Phase::Rollback);
+            }
+            // Let the data plane sample this epoch before the next swap.
+            phases.push(Phase::Load(Duration::from_millis(25)));
+        }
+        Scenario {
+            seed,
+            rate: 0.08,
+            nodes: 1,
+            replicas: 1,
+            conns: 4,
+            workers: 4,
+            sample: 64,
+            metrics_addr: None,
+            zero_drops: true,
+            phases,
+        }
+    }
+
+    /// The ring variant of [`Scenario::swap`]: `swaps` activations
+    /// through node 0 of a three-node ring, the victim killed right after
+    /// the middle activation commits (before gossip can spread it) and
+    /// respawned two swaps later with a fresh epoch-1 registry.
+    #[must_use]
+    pub fn swap_cluster(seed: u64, swaps: u64) -> Scenario {
+        let kill = (swaps / 2).max(1);
+        let respawn = (kill + 2).min(swaps);
+        let mut phases = Vec::new();
+        for swap in 1..=swaps {
+            phases.push(Phase::Swap);
+            if swap == kill {
+                phases.push(Phase::Kill);
+            }
+            if swap == respawn {
+                phases.push(Phase::Respawn);
+            }
+            phases.push(Phase::Load(GOSSIP));
+        }
+        Scenario {
+            seed,
+            rate: 0.0,
+            nodes: 3,
+            replicas: 2,
+            conns: 1,
+            workers: 2,
+            sample: 64,
+            metrics_addr: None,
+            zero_drops: true,
+            phases,
+        }
+    }
+
+    fn swaps(&self) -> bool {
+        self.phases
+            .iter()
+            .any(|phase| matches!(phase, Phase::Swap | Phase::Rollback))
+    }
+
+    /// Client patience; see [`Scenario::zero_drops`]. In a ring a call's
+    /// patience is failover to another replica, so each node's client
+    /// gives up fast and its breaker opens early, steering calls off a
+    /// dead node. On a lone node it is retries, and a breaker that opens
+    /// sheds calls, which only a scenario that tolerates drops affords.
+    fn client_config(&self, seed: u64) -> ClientConfig {
+        let (attempts, breaker_threshold) = match (self.nodes > 1, self.zero_drops) {
+            (true, _) => (3, 2),
+            (false, false) => (3, 8),
+            (false, true) => (10, u32::MAX),
+        };
+        ClientConfig {
+            seed,
+            attempts,
+            attempt_timeout: Duration::from_millis(if self.zero_drops { 2000 } else { 800 }),
+            backoff_base: Duration::from_micros(200),
+            backoff_max: Duration::from_millis(if self.zero_drops { 20 } else { 10 }),
+            breaker_threshold,
+            breaker_cooldown: 4,
         }
     }
 }
 
-/// One failpoint's planned schedule entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduleEntry {
-    /// The failpoint label (e.g. `compute/panic`).
-    pub label: &'static str,
-    /// Planned injections over the schedule horizon — a pure function of
-    /// the seed, identical across same-seed runs.
-    pub planned: u64,
-}
-
-/// Everything a soak run observed.
-#[derive(Debug, Clone)]
+/// Everything a soak observed. Server-side counts sum over every node
+/// that ran, a killed node's counted when it died.
+#[derive(Debug, Clone, Default)]
 pub struct SoakReport {
-    /// The deterministic fault schedule, one entry per failpoint.
-    pub schedule: Vec<ScheduleEntry>,
+    /// Planned injections per failpoint label over the schedule horizon
+    /// — a pure function of the seed and rate.
+    pub schedule: Vec<(&'static str, u64)>,
     /// Sum of planned injections over the horizon.
     pub schedule_total: u64,
     /// Faults actually injected this run (interleaving-dependent).
     pub injected_total: u64,
-    /// Calls that completed with a verified `ok` reply.
+    /// Load calls answered ok.
     pub oks: u64,
-    /// Calls that failed after retries (gave up or shed).
+    /// Load calls that failed after retries and failover.
     pub failures: u64,
-    /// Merged client resilience tallies.
+    /// Full key-space sweeps run entirely inside each segment: before
+    /// the first kill, then between each kill and respawn boundary.
+    pub sweeps: Vec<u64>,
+    /// Merged client tallies; `corrupt` includes the epoch verifier's.
     pub resilience: ResilienceCounters,
-    /// Server-side panics contained by per-request isolation.
+    /// Calls answered by the key's primary replica.
+    pub routed_primary: u64,
+    /// Attempts that failed over to another replica.
+    pub failovers: u64,
+    /// `not_owner` redirects the routing clients followed.
+    pub redirects_followed: u64,
+    /// Panics contained by per-request isolation.
     pub server_panics: u64,
-    /// Server-side degraded (stale-on-error) replies.
+    /// Degraded (stale-on-error) replies served.
     pub server_degraded: u64,
-    /// Workers respawned after an injected death.
+    /// Event loops respawned after an injected death.
     pub worker_respawns: u64,
-    /// Cache counters: (lookups, hits, misses, coalesced, failed).
-    pub cache: (u64, u64, u64, u64, u64),
-    /// Span chains captured by the trace ring at shutdown.
+    /// Cache counters: lookups, hits, misses, coalesced, failed.
+    pub cache: [u64; 5],
+    /// Node 0's sampled span chains over its lifetime.
     pub chains_sampled: u64,
-    /// Per-loop trace ids of the retained chains, in completion order —
-    /// each list is a subsequence of the loop's deterministic id stream.
+    /// Node 0's retained trace ids per loop, in completion order — each
+    /// list a subset of the loop's seeded id stream.
     pub trace_ids_by_loop: Vec<Vec<u64>>,
-    /// The final `osarch-metrics/1` snapshot document.
+    /// Node 0's final `osarch-metrics/1` snapshot.
     pub metrics_snapshot: String,
-    /// The sampled requests as a Chrome-trace (`osarch-trace/1`) document.
+    /// Node 0's sampled requests as an `osarch-trace/1` Chrome trace.
     pub chrome_trace: String,
+    /// The seeded victim node.
+    pub victim: usize,
+    /// Whether ring membership settled before the first phase.
+    pub converged_before_kill: bool,
+    /// Whether ring membership re-agreed after the last respawn, with
+    /// the victim alive at its new incarnation.
+    pub reconverged: bool,
+    /// Whether every live node converged to the model's final digest.
+    pub spec_converged: bool,
+    /// Activations that committed and survived the probe.
+    pub swaps_committed: u64,
+    /// Activations the injected `admin/corrupt-spec` fault rolled back.
+    pub auto_rollbacks: u64,
+    /// Explicit `spec-rollback` calls.
+    pub explicit_rollbacks: u64,
+    /// Admin replies torn by a fault and recovered (interleaving-
+    /// dependent, like `injected_total`).
+    pub lost_replies: u64,
+    /// Node 0's registry epoch after the last phase.
+    pub final_epoch: u64,
+    /// Node 0's registry digest after the last phase.
+    pub final_digest: String,
+    /// Epoch-tagged `measure spec` samples the verifier captured.
+    pub samples: u64,
+    /// Of those, degraded (stale last-good) replies.
+    pub degraded_samples: u64,
+    /// Per-activation outcomes in order (`true` = rolled back).
+    pub rollback_stream: Vec<bool>,
+    /// One line per admin action, kill and respawn.
+    pub transcript: Vec<String>,
     /// Invariant violations; empty means the soak passed.
     pub violations: Vec<String>,
 }
@@ -143,435 +362,509 @@ impl SoakReport {
     }
 }
 
-/// Run one chaos soak and check every invariant. The report's
-/// `violations` list is the verdict; I/O errors are only returned for
-/// harness failures (e.g. the listener socket itself).
-pub fn run(config: &SoakConfig) -> std::io::Result<SoakReport> {
+/// Run one scenario and check every invariant. The report's
+/// `violations` list is the verdict.
+///
+/// # Errors
+///
+/// I/O errors are returned only when a node fails to start at the
+/// outset; every later failure lands in `violations`.
+pub fn run(scenario: &Scenario) -> std::io::Result<SoakReport> {
     // Injected panics are expected: keep them off stderr, but let any
-    // *unexpected* panic through. The guard also serializes concurrent
-    // fault-injected harnesses (the hook is process-global).
+    // unexpected panic through. The guard also serializes concurrent
+    // soaks (the hook is process-global).
     let _quiet = osarch_chaos::QuietChaosPanics::install();
-
+    let s = scenario;
     let chaos = Arc::new(ChaosController::new(ChaosConfig {
-        seed: config.seed,
-        rate: config.rate,
+        seed: s.seed,
+        rate: s.rate,
         ..ChaosConfig::default()
     }));
+    // The schedule is computed before any thread starts: it depends
+    // only on the seed and rate, never on the run.
+    let mut report = SoakReport {
+        schedule: Failpoint::ALL
+            .iter()
+            .map(|&fp| (fp.label(), chaos.schedule_events(fp)))
+            .collect(),
+        schedule_total: chaos.schedule_total(),
+        ..SoakReport::default()
+    };
 
-    // The schedule is computed before any thread starts: it depends only
-    // on the seed, never on the run.
-    let schedule: Vec<ScheduleEntry> = Failpoint::ALL
+    let mut nodes = Nodes {
+        scenario: s,
+        chaos: (s.rate > 0.0).then(|| Arc::clone(&chaos)),
+        addrs: if s.nodes > 1 {
+            reserve_loopback_addrs(s.nodes)?
+        } else {
+            vec!["127.0.0.1:0".to_string()]
+        },
+        handles: Vec::new(),
+    };
+    for index in 0..s.nodes {
+        let handle = nodes.start(index, 0)?;
+        nodes.handles.push(Some(handle));
+    }
+    // Dial the bound ports from here on (a lone node binds an ephemeral
+    // one); a respawn rebinds its node's port.
+    nodes.addrs = nodes
+        .handles
         .iter()
-        .map(|&fp| ScheduleEntry {
-            label: fp.label(),
-            planned: chaos.schedule_events(fp),
-        })
+        .flatten()
+        .map(|h| h.addr().to_string())
         .collect();
-    let schedule_total = chaos.schedule_total();
+    let admin_addr = nodes.handles[0]
+        .as_ref()
+        .map(ServerHandle::addr)
+        .expect("node 0 started");
 
-    soak_chaos_run(config, &chaos, schedule, schedule_total)
-}
+    // The seeded victim, salted by the node/kill failpoint index the way
+    // the fault schedule salts its draws. A scenario that swaps never
+    // kills node 0, which drives the admin plane.
+    let spare = usize::from(s.swaps() && s.nodes > 1);
+    let salt = (Failpoint::NodeKill.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    report.victim = spare + ChaosRng::new(s.seed ^ salt).range((s.nodes - spare) as u64) as usize;
 
-fn soak_chaos_run(
-    config: &SoakConfig,
-    chaos: &Arc<ChaosController>,
-    schedule: Vec<ScheduleEntry>,
-    schedule_total: u64,
-) -> std::io::Result<SoakReport> {
-    let handle = Server::start(&ServerConfig {
-        workers: config.workers,
-        shards: config.shards,
-        queue_depth: (config.conns as usize * 2).max(64),
-        // Tight deadline: injected compute delays (20–120 ms) overrun it,
-        // exercising the deadline-exceeded error path under chaos.
-        deadline: Duration::from_millis(50),
-        write_timeout: Duration::from_millis(500),
-        chaos: Some(Arc::clone(chaos)),
-        sample_every: config.sample,
-        telemetry_seed: config.seed,
-        metrics_addr: config.metrics_addr.clone(),
-        ..ServerConfig::default()
-    })?;
-    let addr = handle.addr().to_string();
-    let hub = handle.telemetry();
-    let mut violations: Vec<String> = Vec::new();
+    report.converged_before_kill = s.nodes == 1 || wait_until(SETTLE, || settled(&nodes.handles));
+    if !report.converged_before_kill {
+        report
+            .violations
+            .push("CONVERGENCE: membership never settled before the load started".to_string());
+    }
 
-    // Drive the clients. Each reports its tallies over a channel; the
+    // Background load. Each thread reports over the channel; the
     // watchdog receive below is the deadlock detector.
-    let duration = Duration::from_secs_f64(config.secs.max(0.5));
-    let stop_at = Instant::now() + duration;
-    let (tx, rx) = mpsc::channel::<(u32, u64, u64, ClientCounters)>();
+    let segments = 1 + s
+        .phases
+        .iter()
+        .filter(|phase| matches!(phase, Phase::Kill | Phase::Respawn))
+        .count();
+    let load = Arc::new(Load {
+        stop: AtomicBool::new(false),
+        segment: AtomicUsize::new(0),
+        sweeps: (0..segments).map(|_| AtomicU64::new(0)).collect(),
+        failures: (0..segments).map(|_| AtomicU64::new(0)).collect(),
+    });
+    let (tx, rx) = mpsc::channel();
     let mut threads = Vec::new();
-    for conn in 0..config.conns {
-        let tx = tx.clone();
-        let addr = addr.clone();
-        let chaos = Arc::clone(chaos);
-        let seed = config.seed ^ (u64::from(conn) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    for conn in 0..s.conns {
+        let seed = s.seed ^ (u64::from(conn) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut client = ClusterClient::new(&nodes.addrs, s.replicas, &s.client_config(seed));
+        if !s.zero_drops {
+            if let Some(chaos) = &nodes.chaos {
+                client = client.with_chaos(chaos);
+            }
+        }
+        let (tx, load) = (tx.clone(), Arc::clone(&load));
         threads.push(std::thread::spawn(move || {
-            let (oks, failures, counters) = soak_client(&addr, seed, stop_at, &chaos);
             // A dropped receiver means the watchdog already gave up.
-            let _ = tx.send((conn, oks, failures, counters));
+            let _ = tx.send(load_client(client, &load));
         }));
     }
     drop(tx);
+    let verifier = s.swaps().then(|| {
+        let load = Arc::clone(&load);
+        std::thread::spawn(move || swap_verifier(admin_addr, &load.stop))
+    });
 
-    // Mid-run scrape: hit the metrics listener while faults are flying
-    // and hold the document to the schema. The clients keep the server
-    // busy on their own threads while this one sleeps to the midpoint.
-    if let Some(scrape_addr) = handle.metrics_addr() {
-        std::thread::sleep(duration / 2);
-        match scrape_metrics_json(scrape_addr) {
-            Ok(body) => {
-                if let Err(reason) = osarch_core::metrics::validate_metrics_snapshot(&body) {
-                    violations.push(format!("METRICS: mid-run snapshot rejected: {reason}"));
-                }
-            }
-            Err(err) => violations.push(format!("METRICS: mid-run scrape failed: {err}")),
+    let mut admin = Admin {
+        addr: admin_addr,
+        next_id: 1_000_000,
+        model: SwapModel::new(),
+        swaps: 0,
+    };
+    // A kill, a respawn and the end of a run with either first wait for
+    // the segment they end to hold a full sweep, so the zero-drop check
+    // has asked every key in each topology. The segment turns once the
+    // victim is down, and before it is back.
+    let victim = report.victim;
+    let mut incarnation = 0;
+    let outcome = s.phases.iter().try_for_each(|phase| match *phase {
+        Phase::Load(time) => {
+            std::thread::sleep(time);
+            Ok(())
         }
+        Phase::Scrape => nodes.scrape(),
+        Phase::Kill => load.await_full_sweep().map(|()| {
+            if let Some(handle) = nodes.handles[victim].take() {
+                retire(handle, victim, s.workers, &mut report);
+            }
+            load.segment.fetch_add(1, Ordering::SeqCst);
+            report.transcript.push(format!(
+                "kill: node {victim} down at epoch {}",
+                admin.model.active.epoch()
+            ));
+        }),
+        Phase::Respawn => load.await_full_sweep().and_then(|()| {
+            load.segment.fetch_add(1, Ordering::SeqCst);
+            incarnation += 1;
+            nodes.respawn(victim, incarnation, &mut report)
+        }),
+        Phase::Swap => admin.swap(&mut report),
+        Phase::Rollback => admin.rollback(&mut report),
+    });
+    let outcome = outcome.and_then(|()| {
+        if segments > 1 {
+            load.await_full_sweep()
+        } else {
+            Ok(())
+        }
+    });
+    if let Err(violation) = outcome {
+        report.violations.push(violation);
     }
 
-    let mut oks = 0u64;
-    let mut failures = 0u64;
-    let mut resilience = ResilienceCounters::default();
-    let watchdog = duration + Duration::from_secs(30);
-    for _ in 0..config.conns {
-        match rx.recv_timeout(watchdog) {
-            Ok((_, conn_oks, conn_failures, counters)) => {
-                oks += conn_oks;
-                failures += conn_failures;
-                merge(&mut resilience, counters);
+    if s.swaps() {
+        admin.check_final_state(&nodes.handles, &mut report);
+    }
+
+    // Wind down the load and collect its tallies.
+    load.stop.store(true, Ordering::Relaxed);
+    let mut counters = ClientCounters::default();
+    let mut deadlocked = false;
+    for _ in 0..s.conns {
+        match rx.recv_timeout(WATCHDOG) {
+            Ok((conn_counters, routes)) => {
+                counters.accumulate(&conn_counters);
+                report.routed_primary += routes.routed_primary;
+                report.failovers += routes.failovers;
+                report.redirects_followed += routes.redirects_followed;
             }
             Err(_) => {
-                violations.push(format!(
-                    "DEADLOCK: a client thread failed to report within {watchdog:?}"
+                report.violations.push(format!(
+                    "DEADLOCK: a load thread failed to report within {WATCHDOG:?}"
                 ));
+                deadlocked = true;
                 break;
             }
         }
     }
     // Only join what finished; a deadlocked thread would block forever.
-    if violations.is_empty() {
+    if !deadlocked {
         for thread in threads {
             let _ = thread.join();
         }
     }
-
-    // Invariant 3 (first half): every worker alive (deaths respawned).
-    let live_during = hub.workers_live();
-    if live_during != config.workers as u64 {
-        violations.push(format!(
-            "LEAKED WORKER: {live_during} of {} workers live before shutdown",
-            config.workers
-        ));
-    }
-
-    let (hits, misses, coalesced) = handle.cache_stats();
-    let (cache_failed, cache_degraded) = handle.cache_failure_stats();
-    let lookups = handle.cache_lookups();
-    let totals = hub.totals();
-    let server_panics = totals.panics;
-    let server_degraded = totals.degraded;
-    let worker_respawns = totals.worker_respawns;
-    let injected_total = chaos.injected_total();
-
-    // Telemetry exports, taken while the server is still up: the final
-    // snapshot, the sampled chains as a Chrome trace, and the per-loop
-    // trace-id sequences for the replay invariant.
-    let metrics_snapshot = handle.metrics_snapshot_json();
-    let chains = hub.chains();
-    let chains_sampled = hub.chains_sampled();
-    let chrome_trace = osarch_core::metrics::serve_chains_chrome_json(&chains);
-    let mut trace_ids_by_loop: Vec<Vec<u64>> = vec![Vec::new(); config.workers];
-    for chain in &chains {
-        if let Some(ids) = trace_ids_by_loop.get_mut(chain.loop_index) {
-            ids.push(chain.trace_id);
+    let (samples, verifier_corrupt) = match verifier.map(std::thread::JoinHandle::join) {
+        None => (Vec::new(), 0),
+        Some(Ok((samples, degraded, mismatches))) => {
+            report.degraded_samples = degraded;
+            (samples, mismatches)
+        }
+        Some(Err(_)) => {
+            report
+                .violations
+                .push("DEADLOCK: the verifier thread panicked".to_string());
+            (Vec::new(), 0)
+        }
+    };
+    counters.corrupt += verifier_corrupt;
+    report.oks = counters.oks;
+    report.resilience = counters.into();
+    report.sweeps = load
+        .sweeps
+        .iter()
+        .map(|n| n.load(Ordering::Relaxed))
+        .collect();
+    let failures: Vec<u64> = load
+        .failures
+        .iter()
+        .map(|n| n.load(Ordering::Relaxed))
+        .collect();
+    report.failures = failures.iter().sum();
+    report.injected_total = chaos.injected_total();
+    for (index, handle) in nodes.handles.into_iter().enumerate() {
+        if let Some(handle) = handle {
+            retire(handle, index, s.workers, &mut report);
         }
     }
-    handle.stop();
 
-    // Invariant 1: zero client-visible corruption.
-    if resilience.corrupt > 0 {
-        violations.push(format!(
+    let r = &mut report;
+    if r.resilience.corrupt > 0 {
+        r.violations.push(format!(
             "CORRUPTION: {} replies failed verification",
-            resilience.corrupt
+            r.resilience.corrupt
         ));
     }
-    // Invariant 3 (second half): shutdown reaps every worker.
-    let live_after = hub.workers_live();
-    if live_after != 0 {
-        violations.push(format!("LEAKED WORKER: {live_after} live after stop"));
+    // Some stale replies are torn in flight by write faults and never
+    // reach a client, so clients may see fewer than the servers flagged.
+    if r.resilience.degraded > r.server_degraded {
+        r.violations.push(format!(
+            "UNFLAGGED DEGRADATION: clients saw {} degraded replies, servers served {}",
+            r.resilience.degraded, r.server_degraded
+        ));
     }
-    // Invariant 4: every stale reply the client saw was flagged, and the
-    // server flagged at least as many as the clients observed (some are
-    // torn in flight by write faults and never reach a client).
-    if resilience.degraded > server_degraded {
+    if r.oks == 0 {
+        r.violations
+            .push("NO PROGRESS: zero successful requests".to_string());
+    }
+    if s.zero_drops && r.failures > 0 {
+        r.violations.push(format!(
+            "DROPPED REQUESTS: {} calls failed after retries (by segment: {failures:?})",
+            r.failures
+        ));
+    }
+    if s.swaps() {
+        r.samples = samples.len() as u64;
+        check_epochs(&admin.model, &samples, &mut r.violations);
+        // The rollback stream replays from the seed: it must equal a
+        // fresh controller's corrupt-spec decision stream.
+        let fresh = ChaosController::new(ChaosConfig {
+            seed: s.seed,
+            rate: s.rate,
+            ..ChaosConfig::default()
+        });
+        let pure: Vec<bool> = r
+            .rollback_stream
+            .iter()
+            .map(|_| fresh.should_inject(Failpoint::CorruptSpec))
+            .collect();
+        if r.rollback_stream != pure {
+            r.violations.push(format!(
+                "REPLAY: observed rollback stream {:?} != seeded stream {pure:?}",
+                r.rollback_stream
+            ));
+        }
+        // The charter includes the rollback path; a schedule that never
+        // exercises it is a configuration failure, not a pass.
+        if s.rate > 0.0 && r.auto_rollbacks == 0 {
+            r.violations.push(
+                "ROLLBACK PATH UNEXERCISED: the seeded schedule planned no corrupt-spec \
+                 fault; pick another --seed or raise --rate"
+                    .to_string(),
+            );
+        }
+    }
+    Ok(report)
+}
+
+/// State the load threads share with the driving thread.
+struct Load {
+    stop: AtomicBool,
+    /// Index of the running segment; every kill and respawn starts one.
+    /// `SeqCst`: a sweep that reads a new index must start after the
+    /// kill or respawn that preceded the bump.
+    segment: AtomicUsize,
+    /// Full sweeps run inside, and calls failed during, each segment.
+    sweeps: Vec<AtomicU64>,
+    failures: Vec<AtomicU64>,
+}
+
+impl Load {
+    /// Wait until the running segment holds a full sweep.
+    fn await_full_sweep(&self) -> Result<(), String> {
+        let segment = self.segment.load(Ordering::SeqCst);
+        if wait_until(WATCHDOG, || {
+            self.sweeps[segment].load(Ordering::Relaxed) > 0
+        }) {
+            Ok(())
+        } else {
+            Err(format!(
+                "COVERAGE: no full key-space sweep ran in segment {segment} within {WATCHDOG:?}"
+            ))
+        }
+    }
+}
+
+/// One load connection: full sweeps of the measure key space through a
+/// routing client until told to stop. Every reply is JSON/id-verified.
+fn load_client(mut client: ClusterClient, load: &Load) -> (ClientCounters, RouteCounters) {
+    let mut request_id = 0u64;
+    'run: loop {
+        let segment = load.segment.load(Ordering::SeqCst);
+        for (arch, primitive) in key_space() {
+            if load.stop.load(Ordering::Relaxed) {
+                break 'run;
+            }
+            request_id += 1;
+            let id_token = request_id.to_string();
+            let line = format!(
+                "{{\"op\":\"measure\",\"arch\":\"{arch}\",\"primitive\":\"{}\",\"id\":{id_token}}}",
+                primitive.tag()
+            );
+            let key = format!("measure/{arch}/{}", primitive.tag());
+            if client.call(&key, &line, &id_token).is_err() {
+                load.failures[load.segment.load(Ordering::SeqCst)].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        // A sweep counts only where it asked every key in one topology.
+        if load.segment.load(Ordering::SeqCst) == segment {
+            load.sweeps[segment].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    (client.counters(), client.route_counters())
+}
+
+/// The nodes a scenario runs on, and how to start one.
+struct Nodes<'a> {
+    scenario: &'a Scenario,
+    chaos: Option<Arc<ChaosController>>,
+    addrs: Vec<String>,
+    handles: Vec<Option<ServerHandle>>,
+}
+
+impl Nodes<'_> {
+    fn start(&self, index: usize, incarnation: u64) -> std::io::Result<ServerHandle> {
+        let s = self.scenario;
+        // See `Scenario::zero_drops`: a tight deadline and write timeout
+        // exercise the error paths; a patient one must never hard-drop.
+        let patience = Duration::from_millis(if s.zero_drops { 2000 } else { 50 });
+        Server::start(&ServerConfig {
+            addr: self.addrs[index].clone(),
+            workers: s.workers,
+            shards: SHARDS,
+            queue_depth: (s.conns as usize * 4).max(64),
+            deadline: patience,
+            write_timeout: patience.max(Duration::from_millis(500)),
+            sample_every: s.sample,
+            telemetry_seed: s.seed,
+            metrics_addr: (index == 0).then(|| s.metrics_addr.clone()).flatten(),
+            chaos: self.chaos.clone(),
+            cluster: (s.nodes > 1).then(|| ClusterConfig {
+                self_addr: self.addrs[index].clone(),
+                peers: self.addrs.clone(),
+                replicas: s.replicas,
+                incarnation,
+                gossip_interval: GOSSIP,
+                ..ClusterConfig::default()
+            }),
+            admin_token: Some(TOKEN.to_string()),
+            ..ServerConfig::default()
+        })
+    }
+
+    /// Restart the victim at `incarnation` (gossip revives it over any
+    /// `down` rumour) and, in a ring, require membership to re-agree.
+    fn respawn(
+        &mut self,
+        victim: usize,
+        incarnation: u64,
+        report: &mut SoakReport,
+    ) -> Result<(), String> {
+        let handle = self
+            .start(victim, incarnation)
+            .map_err(|err| format!("RESPAWN: node {victim} failed to start: {err}"))?;
+        self.handles[victim] = Some(handle);
+        report.transcript.push(format!(
+            "respawn: node {victim} back at incarnation {incarnation} (fresh registry, epoch 1)"
+        ));
+        if self.scenario.nodes > 1 {
+            report.reconverged = wait_until(SETTLE, || settled(&self.handles))
+                && victim_incarnation(&self.handles, &self.addrs[victim])
+                    .is_some_and(|seen| seen >= incarnation);
+            if !report.reconverged {
+                return Err(format!(
+                    "RECONVERGENCE: membership did not re-agree with node {victim} back at \
+                     incarnation {incarnation}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Hit node 0's scrape listener while faults are flying and hold the
+    /// document to the schema.
+    fn scrape(&self) -> Result<(), String> {
+        let addr = self.handles[0]
+            .as_ref()
+            .and_then(ServerHandle::metrics_addr)
+            .ok_or("METRICS: node 0 is down or has no scrape listener")?;
+        let body = scrape_metrics_json(addr)
+            .map_err(|err| format!("METRICS: mid-run scrape failed: {err}"))?;
+        validate_metrics_snapshot(&body)
+            .map_err(|reason| format!("METRICS: mid-run snapshot rejected: {reason}"))
+    }
+}
+
+/// Stop one node, check its per-node invariants and fold its counts
+/// into the report. Node 0's telemetry exports become the report's.
+fn retire(handle: ServerHandle, node: usize, workers: usize, report: &mut SoakReport) {
+    let (hub, cache) = (handle.telemetry(), handle.cache());
+    let violations = &mut report.violations;
+    let live = hub.workers_live();
+    if live != workers as u64 {
         violations.push(format!(
-            "UNFLAGGED DEGRADATION: clients saw {} degraded replies, server served {}",
-            resilience.degraded, server_degraded
+            "LEAKED WORKER: node {node}: {live} of {workers} workers live before shutdown"
         ));
     }
-    if server_degraded > cache_degraded {
+    let snapshot = handle.metrics_snapshot_json();
+    if let Err(reason) = validate_metrics_snapshot(&snapshot) {
         violations.push(format!(
-            "DEGRADED MISCOUNT: server {server_degraded} > cache {cache_degraded}"
+            "METRICS: node {node} final snapshot rejected: {reason}"
         ));
     }
-    // Invariant 5: single-flight accounting is exact.
+    handle.stop();
+    let live = hub.workers_live();
+    if live != 0 {
+        violations.push(format!(
+            "LEAKED WORKER: node {node}: {live} live after stop"
+        ));
+    }
+    // A stopped node's counts are final, so these identities hold
+    // exactly even for a node killed under load.
+    let (hits, misses, coalesced) = (cache.hits(), cache.misses(), cache.coalesced());
+    let (lookups, failed, cache_degraded) = (cache.lookups(), cache.failed(), cache.degraded());
     if lookups != hits + misses + coalesced {
         violations.push(format!(
-            "SINGLE-FLIGHT ACCOUNTING: {lookups} lookups != {hits} hits + \
+            "SINGLE-FLIGHT ACCOUNTING: node {node}: {lookups} lookups != {hits} hits + \
              {misses} misses + {coalesced} coalesced"
         ));
     }
-    // Sanity: the soak must have actually exercised the system.
-    if oks == 0 {
-        violations.push("NO PROGRESS: zero successful requests".to_string());
+    let totals = hub.totals();
+    if totals.degraded > cache_degraded {
+        violations.push(format!(
+            "DEGRADED MISCOUNT: node {node}: server {} > cache {cache_degraded}",
+            totals.degraded
+        ));
     }
-    // Invariant 6: telemetry replays from the seed. Every retained trace
-    // id must appear, in order, in its loop's pure SplitMix64 stream —
-    // the stream a same-seed rerun regenerates bit-identically.
-    for (loop_index, ids) in trace_ids_by_loop.iter().enumerate() {
+    let chains = hub.chains();
+    let mut ids_by_loop = vec![Vec::new(); workers];
+    for chain in &chains {
+        if let Some(ids) = ids_by_loop.get_mut(chain.loop_index) {
+            ids.push(chain.trace_id);
+        }
+    }
+    for (loop_index, ids) in ids_by_loop.iter().enumerate() {
         if let Some(missing) = first_id_off_stream(&hub, loop_index, ids) {
             violations.push(format!(
-                "TRACE REPLAY: loop {loop_index} id {missing:#018x} is not on the \
-                 seeded id stream"
+                "TRACE REPLAY: node {node} loop {loop_index} id {missing:#018x} is not on \
+                 the seeded id stream"
             ));
         }
     }
-    // Mid-run snapshot was validated live; hold the final one too.
-    if let Err(reason) = osarch_core::metrics::validate_metrics_snapshot(&metrics_snapshot) {
-        violations.push(format!("METRICS: final snapshot rejected: {reason}"));
+    report.server_panics += totals.panics;
+    report.server_degraded += totals.degraded;
+    report.worker_respawns += totals.worker_respawns;
+    for (sum, count) in report
+        .cache
+        .iter_mut()
+        .zip([lookups, hits, misses, coalesced, failed])
+    {
+        *sum += count;
     }
-
-    Ok(SoakReport {
-        schedule,
-        schedule_total,
-        injected_total,
-        oks,
-        failures,
-        resilience,
-        server_panics,
-        server_degraded,
-        worker_respawns,
-        cache: (lookups, hits, misses, coalesced, cache_failed),
-        chains_sampled,
-        trace_ids_by_loop,
-        metrics_snapshot,
-        chrome_trace,
-        violations,
-    })
+    if node == 0 {
+        report.chains_sampled = hub.chains_sampled();
+        report.chrome_trace = osarch_core::metrics::serve_chains_chrome_json(&chains);
+        report.trace_ids_by_loop = ids_by_loop;
+        report.metrics_snapshot = snapshot;
+    }
 }
 
-/// Check every observed trace id against one loop's seeded id stream;
-/// returns an id that falls off the stream (`None` means the replay
-/// invariant holds). Membership, not order: chains complete in reply
-/// order, which pipelining decouples from id-draw order. The scan
-/// horizon is generous — two draws per sampled request, bounded far
-/// above any soak's volume.
-fn first_id_off_stream(
-    hub: &osarch_telemetry::TelemetryHub,
-    loop_index: usize,
-    observed: &[u64],
-) -> Option<u64> {
-    const HORIZON: u64 = 4_000_000;
-    let mut pending: std::collections::HashSet<u64> = observed.iter().copied().collect();
-    if pending.is_empty() {
-        return None;
-    }
-    let mut stream = hub.ids_for(loop_index);
-    for _ in 0..HORIZON {
-        pending.remove(&stream.next_id());
-        if pending.is_empty() {
-            return None;
+/// Poll `done` every 20 ms for up to `patience`.
+fn wait_until(patience: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + patience;
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
         }
+        std::thread::sleep(Duration::from_millis(20));
     }
-    pending.into_iter().next()
+    true
 }
 
-/// One HTTP/1.0 GET against the scrape listener's JSON path, returning
-/// the response body.
-fn scrape_metrics_json(addr: SocketAddr) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.write_all(b"GET /metrics/json HTTP/1.0\r\nConnection: close\r\n\r\n")?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let body = response.split_once("\r\n\r\n").map_or("", |(_, body)| body);
-    if body.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "scrape response carried no body",
-        ));
-    }
-    Ok(body.to_string())
-}
-
-/// One soak client: closed-loop requests over the measure key space with
-/// a fault-injecting resilient client, until the stop time.
-fn soak_client(
-    addr: &str,
-    seed: u64,
-    stop_at: Instant,
-    chaos: &Arc<ChaosController>,
-) -> (u64, u64, ClientCounters) {
-    let mut client = ResilientClient::new(
-        addr,
-        ClientConfig {
-            seed,
-            attempts: 3,
-            attempt_timeout: Duration::from_millis(800),
-            backoff_base: Duration::from_micros(200),
-            backoff_max: Duration::from_millis(10),
-            breaker_threshold: 8,
-            breaker_cooldown: 4,
-        },
-    )
-    .with_chaos(Arc::clone(chaos));
-    let keys = key_space();
-    let mut rng = ChaosRng::new(seed ^ 0x0050_414b);
-    let mut oks = 0u64;
-    let mut failures = 0u64;
-    let mut request_id = 0u64;
-    while Instant::now() < stop_at {
-        let (arch, primitive) = keys[rng.range(keys.len() as u64) as usize];
-        request_id += 1;
-        let id_token = request_id.to_string();
-        let line = format!(
-            "{{\"op\":\"measure\",\"arch\":\"{arch}\",\"primitive\":\"{}\",\"id\":{id_token}}}",
-            primitive.tag()
-        );
-        match client.call(&line, &id_token) {
-            Ok(_) => oks += 1,
-            Err(_) => failures += 1,
-        }
-    }
-    (oks, failures, client.counters())
-}
-
-fn merge(total: &mut ResilienceCounters, c: ClientCounters) {
-    total.retries += c.retries;
-    total.giveups += c.giveups;
-    total.breaker_opens += c.breaker_opens;
-    total.degraded += c.degraded;
-    total.timeouts += c.timeouts;
-    total.conn_resets += c.conn_resets;
-    total.server_errors += c.server_errors;
-    total.breaker_open += c.breaker_shed;
-    total.corrupt += c.corrupt;
-}
-
-// ---------------------------------------------------------------------------
-// Cluster soak: deterministic node kill + respawn
-// ---------------------------------------------------------------------------
-
-/// Cluster soak knobs (`osarch chaos --cluster`).
-#[derive(Debug, Clone)]
-pub struct ClusterSoakConfig {
-    /// Seed for the kill schedule and the router's jitter streams. The
-    /// victim choice is a pure function of `(seed, Failpoint::NodeKill)`
-    /// — two runs with one seed kill the same node at the same phase
-    /// boundary.
-    pub seed: u64,
-    /// Soak duration in seconds, split into three phases: healthy
-    /// sweeps, one-node-dead sweeps, post-respawn sweeps.
-    pub secs: f64,
-    /// Cluster size (node processes, each an in-process server).
-    pub nodes: usize,
-    /// Replication factor R.
-    pub replicas: usize,
-    /// Gossip anti-entropy cadence in milliseconds.
-    pub gossip_ms: u64,
-}
-
-impl Default for ClusterSoakConfig {
-    fn default() -> ClusterSoakConfig {
-        ClusterSoakConfig {
-            seed: 42,
-            secs: 3.0,
-            nodes: 3,
-            replicas: 2,
-            gossip_ms: 50,
-        }
-    }
-}
-
-/// Everything a cluster soak observed.
-#[derive(Debug, Clone)]
-pub struct ClusterSoakReport {
-    /// Node addresses, in start order.
-    pub addrs: Vec<String>,
-    /// The seeded kill decision: which node dies at the 1/3 boundary.
-    pub victim: usize,
-    /// Full key-space sweeps completed per phase: healthy, one node
-    /// dead, after respawn.
-    pub sweeps: [u64; 3],
-    /// Calls answered ok across all phases.
-    pub oks: u64,
-    /// Calls that failed after in-call failover and retries.
-    pub failures: u64,
-    /// Replies that failed JSON/id verification (must be zero).
-    pub corrupt: u64,
-    /// Calls answered by the key's primary replica.
-    pub routed_primary: u64,
-    /// Calls answered by a non-primary replica (failover).
-    pub failovers: u64,
-    /// `not_owner` redirects the router followed.
-    pub redirects_followed: u64,
-    /// Whether membership converged before the kill.
-    pub converged_before_kill: bool,
-    /// Whether membership reconverged after the respawn, with the
-    /// victim alive again at a higher incarnation.
-    pub reconverged: bool,
-    /// The victim's incarnation after respawn (must exceed its first).
-    pub respawn_incarnation: u64,
-    /// Invariant violations; empty means the soak passed.
-    pub violations: Vec<String>,
-}
-
-impl ClusterSoakReport {
-    /// Whether every invariant held.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Reserve `n` distinct loopback ports by binding them all at once,
-/// then freeing them: every node needs every peer's dialable address
-/// before any node starts.
-fn reserve_cluster_addrs(n: usize) -> std::io::Result<Vec<String>> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0"))
-        .collect::<std::io::Result<_>>()?;
-    listeners
-        .iter()
-        .map(|listener| Ok(format!("127.0.0.1:{}", listener.local_addr()?.port())))
-        .collect()
-}
-
-fn start_cluster_node(
-    addrs: &[String],
-    index: usize,
-    config: &ClusterSoakConfig,
-    incarnation: u64,
-) -> std::io::Result<ServerHandle> {
-    Server::start(&ServerConfig {
-        addr: addrs[index].clone(),
-        workers: 2,
-        compute_threads: 2,
-        cluster: Some(ClusterConfig {
-            self_addr: addrs[index].clone(),
-            peers: addrs.to_vec(),
-            replicas: config.replicas,
-            incarnation,
-            gossip_interval: Duration::from_millis(config.gossip_ms.max(10)),
-            ..ClusterConfig::default()
-        }),
-        ..ServerConfig::default()
-    })
-}
-
-/// All live nodes' digests agree and carry no suspect/down rumours.
-fn cluster_settled(handles: &[Option<ServerHandle>]) -> bool {
+/// All live nodes' membership digests agree and carry no suspect/down
+/// rumours.
+fn settled(handles: &[Option<ServerHandle>]) -> bool {
     let digests: Vec<String> = handles
         .iter()
         .flatten()
@@ -583,18 +876,7 @@ fn cluster_settled(handles: &[Option<ServerHandle>]) -> bool {
         && !digests[0].contains("/down")
 }
 
-fn wait_settled(handles: &[Option<ServerHandle>], patience: Duration) -> bool {
-    let deadline = Instant::now() + patience;
-    while Instant::now() < deadline {
-        if cluster_settled(handles) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    cluster_settled(handles)
-}
-
-/// The victim's incarnation as a survivor sees it, when alive.
+/// The victim's incarnation as a live node sees it, when alive.
 fn victim_incarnation(handles: &[Option<ServerHandle>], victim_addr: &str) -> Option<u64> {
     let digest = handles.iter().flatten().next()?.membership_digest()?;
     digest.split(';').find_map(|entry| {
@@ -604,268 +886,45 @@ fn victim_incarnation(handles: &[Option<ServerHandle>], victim_addr: &str) -> Op
     })
 }
 
-/// One full sweep of the measure key space through the routing client.
-/// Returns `(oks, failures)`; every reply is JSON/id-verified.
-fn cluster_sweep(client: &mut ClusterClient, request_id: &mut u64) -> (u64, u64) {
-    let mut oks = 0u64;
-    let mut failures = 0u64;
-    for (arch, primitive) in key_space() {
-        *request_id += 1;
-        let id_token = request_id.to_string();
-        let line = format!(
-            "{{\"op\":\"measure\",\"arch\":\"{arch}\",\"primitive\":\"{}\",\"id\":{id_token}}}",
-            primitive.tag()
-        );
-        let key = format!("measure/{arch}/{}", primitive.tag());
-        match client.call(&key, &line, &id_token) {
-            Ok(_) => oks += 1,
-            Err(_) => failures += 1,
+/// Check every observed trace id against one loop's seeded id stream;
+/// returns an id that falls off the stream (`None` means the replay
+/// invariant holds). Membership, not order: chains complete in reply
+/// order, which pipelining decouples from id-draw order. The scan
+/// horizon is generous — two draws per sampled request, bounded far
+/// above any soak's volume.
+fn first_id_off_stream(hub: &TelemetryHub, loop_index: usize, observed: &[u64]) -> Option<u64> {
+    const HORIZON: u64 = 4_000_000;
+    let mut pending: HashSet<u64> = observed.iter().copied().collect();
+    let mut stream = hub.ids_for(loop_index);
+    for _ in 0..HORIZON {
+        if pending.is_empty() {
+            return None;
         }
+        pending.remove(&stream.next_id());
     }
-    (oks, failures)
+    pending.into_iter().next()
 }
 
-/// Run one cluster soak: three nodes (by default) under a shard-routing
-/// client, with one seeded whole-node kill at the 1/3 mark and a
-/// respawn (incarnation + 1) at the 2/3 mark. Invariants:
-///
-/// 1. **availability** — with R ≥ 2 and one node dead, *every* key
-///    still answers (the dead-phase sweeps must see zero failures);
-/// 2. **no corruption** — every reply parses and echoes its id;
-/// 3. **reconvergence** — after the respawn, every node's membership
-///    digest agrees again and the victim is alive at a higher
-///    incarnation (stale `down` rumours lose to the bumped epoch);
-/// 4. **determinism** — the victim choice is a pure function of the
-///    seed (drawn through [`Failpoint::NodeKill`]'s salted stream), so
-///    a same-seed rerun kills the same node.
-pub fn run_cluster(config: &ClusterSoakConfig) -> std::io::Result<ClusterSoakReport> {
-    let nodes = config.nodes.max(2);
-    let addrs = reserve_cluster_addrs(nodes)?;
-    let mut handles: Vec<Option<ServerHandle>> = (0..nodes)
-        .map(|index| start_cluster_node(&addrs, index, config, 0).map(Some))
-        .collect::<std::io::Result<_>>()?;
-
-    // The seeded kill decision, salted by the NodeKill failpoint index
-    // the same way the connection-level schedule salts its draws.
-    let salt = (Failpoint::NodeKill.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let mut rng = ChaosRng::new(config.seed ^ salt);
-    let victim = rng.range(nodes as u64) as usize;
-
-    let mut violations: Vec<String> = Vec::new();
-    let converged_before_kill = wait_settled(&handles, Duration::from_secs(10));
-    if !converged_before_kill {
-        violations.push("CONVERGENCE: membership never settled before the kill".to_string());
-    }
-
-    let mut client = ClusterClient::new(
-        &addrs,
-        config.replicas,
-        &ClientConfig {
-            seed: config.seed,
-            attempts: 3,
-            attempt_timeout: Duration::from_secs(2),
-            breaker_threshold: 2,
-            breaker_cooldown: 4,
-            ..ClientConfig::default()
-        },
-    );
-
-    let duration = Duration::from_secs_f64(config.secs.max(1.5));
-    let started = Instant::now();
-    let kill_at = started + duration / 3;
-    let respawn_at = started + (duration / 3) * 2;
-    let mut request_id = 0u64;
-    let mut oks = 0u64;
-    let mut failures = 0u64;
-    let mut sweeps = [0u64; 3];
-
-    // Phase 1: healthy cluster. At least one sweep, then until the
-    // kill boundary.
-    loop {
-        let (sweep_oks, sweep_failures) = cluster_sweep(&mut client, &mut request_id);
-        oks += sweep_oks;
-        failures += sweep_failures;
-        sweeps[0] += 1;
-        if sweep_failures > 0 {
-            violations.push(format!(
-                "AVAILABILITY: {sweep_failures} keys unanswered with every node up"
-            ));
-        }
-        if Instant::now() >= kill_at {
-            break;
-        }
-    }
-
-    // Phase 2: kill the victim outright — its listener closes and every
-    // in-flight connection drops. R-way replication must keep 100% of
-    // the key space answerable.
-    if let Some(handle) = handles[victim].take() {
-        handle.stop();
-    }
-    loop {
-        let (sweep_oks, sweep_failures) = cluster_sweep(&mut client, &mut request_id);
-        oks += sweep_oks;
-        failures += sweep_failures;
-        sweeps[1] += 1;
-        if sweep_failures > 0 {
-            violations.push(format!(
-                "AVAILABILITY: {sweep_failures} keys unanswered with node {victim} dead"
-            ));
-        }
-        if Instant::now() >= respawn_at {
-            break;
-        }
-    }
-
-    // Phase 3: respawn the victim with a bumped incarnation so gossip
-    // revives it over any `down` rumour, then require reconvergence.
-    let respawn_incarnation = 1;
-    handles[victim] = Some(start_cluster_node(
-        &addrs,
-        victim,
-        config,
-        respawn_incarnation,
-    )?);
-    let reconverged = wait_settled(&handles, Duration::from_secs(20))
-        && victim_incarnation(&handles, &addrs[victim])
-            .is_some_and(|incarnation| incarnation >= respawn_incarnation);
-    if !reconverged {
-        violations.push(format!(
-            "RECONVERGENCE: membership did not re-agree with node {victim} \
-             back at incarnation {respawn_incarnation}"
-        ));
-    }
-    {
-        let (sweep_oks, sweep_failures) = cluster_sweep(&mut client, &mut request_id);
-        oks += sweep_oks;
-        failures += sweep_failures;
-        sweeps[2] += 1;
-        if sweep_failures > 0 {
-            violations.push(format!(
-                "AVAILABILITY: {sweep_failures} keys unanswered after the respawn"
-            ));
-        }
-    }
-
-    let corrupt = client.counters().corrupt;
-    if corrupt > 0 {
-        violations.push(format!("CORRUPTION: {corrupt} replies failed verification"));
-    }
-    if oks == 0 {
-        violations.push("NO PROGRESS: zero successful requests".to_string());
-    }
-    let routes = client.route_counters();
-    for handle in handles.into_iter().flatten() {
-        handle.stop();
-    }
-
-    Ok(ClusterSoakReport {
-        addrs,
-        victim,
-        sweeps,
-        oks,
-        failures,
-        corrupt,
-        routed_primary: routes.routed_primary,
-        failovers: routes.failovers,
-        redirects_followed: routes.redirects_followed,
-        converged_before_kill,
-        reconverged,
-        respawn_incarnation,
-        violations,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Swap soak: repeated live spec swaps under full fault injection
-// ---------------------------------------------------------------------------
-
-/// The admin token every swap soak runs with (the soak owns both ends
-/// of the connection, so the value only has to be non-empty).
-const SWAP_TOKEN: &str = "swap-soak-admin-token";
-
-/// Per-exchange timeout for raw admin/verifier connections.
-const SWAP_IO_TIMEOUT: Duration = Duration::from_secs(3);
-
-/// Swap soak knobs (`osarch chaos --swap`).
-#[derive(Debug, Clone)]
-pub struct SwapSoakConfig {
-    /// Seed for the fault schedule; the CorruptSpec decision stream —
-    /// which activations roll back — is a pure function of it.
-    pub seed: u64,
-    /// Fault probability per failpoint draw. Kept lower than the plain
-    /// soak's default: the swap soak demands *zero* dropped requests,
-    /// so every injected fault must be absorbable by patient retries.
-    pub rate: f64,
-    /// Live activations to drive through the admin plane.
-    pub swaps: u64,
-    /// Background load connections (builtin measure traffic).
-    pub conns: u32,
-    /// Server worker threads.
-    pub workers: usize,
-}
-
-impl Default for SwapSoakConfig {
-    fn default() -> SwapSoakConfig {
-        SwapSoakConfig {
-            seed: 42,
-            rate: 0.08,
-            swaps: 24,
-            conns: 4,
-            workers: 4,
-        }
+/// One HTTP/1.0 GET against the scrape listener's JSON path, returning
+/// the response body.
+fn scrape_metrics_json(addr: SocketAddr) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect_timeout(&addr, IO_TIMEOUT)?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.write_all(b"GET /metrics/json HTTP/1.0\r\nConnection: close\r\n\r\n")?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response)?;
+    match response.split_once("\r\n\r\n") {
+        Some((_, body)) if !body.is_empty() => Ok(body.to_string()),
+        _ => Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "scrape response carried no body",
+        )),
     }
 }
 
-/// Everything a swap soak observed.
-#[derive(Debug, Clone)]
-pub struct SwapSoakReport {
-    /// Activations driven through the admin plane.
-    pub swaps_attempted: u64,
-    /// Activations that committed and survived the probe.
-    pub swaps_committed: u64,
-    /// Activations the injected `admin/corrupt-spec` fault rolled back.
-    pub auto_rollbacks: u64,
-    /// Explicit `spec-rollback` admin calls issued by the soak.
-    pub explicit_rollbacks: u64,
-    /// Event loops the `swap/mid-swap-loop-death` fault killed (all
-    /// must have respawned with the committed epoch intact).
-    pub loop_deaths: u64,
-    /// The registry epoch after the final swap.
-    pub final_epoch: u64,
-    /// The registry digest after the final swap.
-    pub final_digest: String,
-    /// Background load calls answered ok.
-    pub oks: u64,
-    /// Background load calls dropped after retries — must be zero.
-    pub failures: u64,
-    /// Replies failing JSON/id verification — must be zero.
-    pub corrupt: u64,
-    /// Epoch-tagged `measure spec` samples captured by the verifier.
-    pub samples: u64,
-    /// Of those, degraded (stale-last-good) replies — still checked
-    /// byte-identical to their epoch's emitter.
-    pub degraded_samples: u64,
-    /// Observed per-activation rollback outcomes, in order — must equal
-    /// the pure seeded CorruptSpec decision stream bit for bit.
-    pub rollback_stream: Vec<bool>,
-    /// One line per admin action, for artifact upload.
-    pub transcript: Vec<String>,
-    /// Invariant violations; empty means the soak passed.
-    pub violations: Vec<String>,
-}
-
-impl SwapSoakReport {
-    /// Whether every invariant held.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// The swap-soak candidate document for activation `index`: the first
-/// builtin re-based with a distinct clock, named `hot`. Distinct clocks
-/// give every activation distinct content (and so a distinct digest).
+/// The candidate document for activation `index`: the first builtin
+/// re-based with a distinct clock, named `hot`. Distinct clocks give
+/// every activation distinct content (and so a distinct digest).
 fn swap_doc(index: u64) -> String {
     let mut spec = osarch_cpu::Arch::all()[0].spec();
     spec.clock_mhz = 20.0 + index as f64;
@@ -875,19 +934,18 @@ fn swap_doc(index: u64) -> String {
 /// One request/reply exchange over a fresh connection. Admin traffic is
 /// rare; a fresh dial per op keeps lost-reply recovery simple (there is
 /// never a half-consumed read buffer to reason about).
-fn exchange_once(addr: SocketAddr, line: &str, timeout: Duration) -> std::io::Result<String> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
+fn exchange_once(addr: SocketAddr, line: &str) -> std::io::Result<String> {
+    let stream = TcpStream::connect_timeout(&addr, IO_TIMEOUT)?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream);
-    reader.get_mut().write_all(line.as_bytes())?;
-    reader.get_mut().write_all(b"\n")?;
+    reader.get_mut().write_all(format!("{line}\n").as_bytes())?;
     let mut reply = String::new();
     if reader.read_line(&mut reply)? == 0 || !reply.ends_with('\n') {
         // No reply, or a torn line: the connection died mid-write (a
         // loop-death or connection fault landed between our write and
-        // the server's). Either way the outcome is unknown — the
-        // caller must recover via the authoritative registry state.
+        // the server's). Either way the outcome is unknown — the caller
+        // must recover via the authoritative registry state.
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "connection closed before the full reply",
@@ -913,7 +971,7 @@ fn epoch_and_digest(payload: &Value<'_>) -> Option<(u64, String)> {
     ))
 }
 
-/// A local mirror of the server's registry state-machine: the soak
+/// A local mirror of the server's registry state machine: the soak
 /// replays every admin action against it, so divergence between the
 /// reply digests and the model is itself an invariant violation, and
 /// the model's per-epoch snapshots are the "direct emitter" every
@@ -980,145 +1038,252 @@ impl SwapModel {
     }
 }
 
-/// What a lost-reply recovery concluded actually happened server-side.
-enum LostSwap {
-    /// The request never reached the registry — safe to retry.
-    Nothing,
-    /// The activation committed and survived its probe.
-    Committed,
-    /// The activation committed, the probe died, the registry rolled
-    /// back.
-    RolledBack,
-}
-
-/// Resolve a lost `spec-activate` reply: read the authoritative
-/// `(epoch, digest)` via `spec-list` and match it against the model's
-/// two possible successors. The content hash disambiguates — a digest
-/// is `{epoch}:{content hash}` and the hash is epoch-independent.
-fn resolve_lost_swap(
+/// Node 0's admin plane as the soak drives it, mirrored in the model.
+/// Each action leaves one transcript line, `epoch (digest)`, whether its
+/// reply arrived or was torn and recovered through `spec-list`.
+struct Admin {
     addr: SocketAddr,
-    model: &mut SwapModel,
-    doc: &str,
-    admin_id: &mut u64,
-) -> Result<LostSwap, String> {
-    let (epoch, digest) = spec_list(addr, admin_id)?;
-    let before = model.active.epoch();
-    if epoch == before && digest == model.active.digest() {
-        return Ok(LostSwap::Nothing);
-    }
-    if epoch <= before {
-        return Err(format!(
-            "recovery saw epoch {epoch} at digest {digest}, not newer than {before}"
-        ));
-    }
-    // Epochs the lost swap may have served in passing: accept both the
-    // candidate and the prior content for each.
-    let fill: Vec<u64> = (before + 1..epoch).collect();
-    let candidate = model
-        .active
-        .with_spec(doc, epoch)
-        .map_err(|e| format!("recovery could not rebuild the candidate: {e}"))?;
-    if candidate.digest() == digest {
-        for gap in fill {
-            if let Ok(snap) = model.active.with_spec(doc, gap) {
-                model.note(&snap);
-            }
-            let prior = model.active.at_epoch(gap);
-            model.note(&prior);
-        }
-        model
-            .apply_success(doc, epoch)
-            .map_err(|e| format!("recovery model update failed: {e}"))?;
-        return Ok(LostSwap::Committed);
-    }
-    if model.active.at_epoch(epoch).digest() == digest {
-        for gap in fill {
-            if gap == epoch - 1 {
-                continue; // apply_auto_rollback notes the candidate there
-            }
-            if let Ok(snap) = model.active.with_spec(doc, gap) {
-                model.note(&snap);
-            }
-            let prior = model.active.at_epoch(gap);
-            model.note(&prior);
-        }
-        model
-            .apply_auto_rollback(doc, epoch)
-            .map_err(|e| format!("recovery model update failed: {e}"))?;
-        return Ok(LostSwap::RolledBack);
-    }
-    Err(format!(
-        "recovery saw digest {digest} at epoch {epoch}, matching neither \
-         the candidate nor the prior content"
-    ))
+    next_id: u64,
+    model: SwapModel,
+    /// Activations driven so far.
+    swaps: u64,
 }
 
-/// Authoritative `(epoch, digest)` via `spec-list`, retried through
-/// injected connection faults.
-fn spec_list(addr: SocketAddr, admin_id: &mut u64) -> Result<(u64, String), String> {
-    for _ in 0..100 {
-        *admin_id += 1;
-        let line = format!(
-            "{{\"op\":\"admin\",\"action\":\"spec-list\",\"token\":\"{SWAP_TOKEN}\",\
-             \"id\":{admin_id}}}"
-        );
-        if let Ok(reply) = exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
-            if let Some(state) = epoch_and_digest(&reply_result(&reply)) {
+impl Admin {
+    /// One admin request line; `extra` carries the action's own fields.
+    fn request(&mut self, action: &str, extra: &str) -> String {
+        self.next_id += 1;
+        format!(
+            "{{\"op\":\"admin\",\"action\":\"{action}\",\"token\":\"{TOKEN}\",\"id\":{}{extra}}}",
+            self.next_id
+        )
+    }
+
+    /// The authoritative `(epoch, digest)` via `spec-list`, retried
+    /// through injected connection faults.
+    fn list(&mut self) -> Result<(u64, String), String> {
+        for _ in 0..100 {
+            let line = self.request("spec-list", "");
+            let reply = exchange_once(self.addr, &line).ok();
+            if let Some(state) = reply.and_then(|reply| epoch_and_digest(&reply_result(&reply))) {
                 return Ok(state);
             }
+            std::thread::sleep(Duration::from_millis(10));
         }
-        std::thread::sleep(Duration::from_millis(10));
+        Err("RECOVERY: spec-list never answered through the fault schedule".to_string())
     }
-    Err("spec-list never answered through the fault schedule".to_string())
+
+    /// Stage (idempotent, so a lost reply just retries) and activate the
+    /// next spec, resolving a lost activation reply against `spec-list`.
+    fn swap(&mut self, report: &mut SoakReport) -> Result<(), String> {
+        self.swaps += 1;
+        let swap = self.swaps;
+        let doc = swap_doc(swap);
+        let spec = format!(",\"spec\":\"{}\"", osarch_core::metrics::json_escape(&doc));
+        let mut staged = false;
+        for _ in 0..50 {
+            let line = self.request("spec-load", &spec);
+            match exchange_once(self.addr, &line) {
+                Ok(reply) if reply_result(&reply)["staged"].as_str() == Some("hot") => {
+                    staged = true;
+                    break;
+                }
+                Ok(reply) => return Err(format!("ADMIN: spec-load refused: {}", reply.trim_end())),
+                Err(_) => {
+                    report.lost_replies += 1;
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            }
+        }
+        if !staged {
+            return Err(format!("ADMIN: swap {swap} spec-load never got through"));
+        }
+        for _ in 0..10 {
+            let line = self.request("spec-activate", ",\"name\":\"hot\"");
+            let (rolled_back, epoch, digest) = match exchange_once(self.addr, &line) {
+                Ok(reply) => {
+                    let payload = reply_result(&reply);
+                    let (Some(activated), Some((epoch, digest))) =
+                        (payload["activated"].as_bool(), epoch_and_digest(&payload))
+                    else {
+                        return Err(format!("ADMIN: spec-activate failed: {}", reply.trim_end()));
+                    };
+                    let modelled = if activated {
+                        self.model.apply_success(&doc, epoch)
+                    } else {
+                        self.model.apply_auto_rollback(&doc, epoch)
+                    }
+                    .map_err(|e| format!("MODEL DIVERGENCE: swap {swap} model rejected it: {e}"))?;
+                    if modelled != digest {
+                        return Err(format!(
+                            "MODEL DIVERGENCE: swap {swap} reply digest {digest} != model \
+                             {modelled}"
+                        ));
+                    }
+                    (!activated, epoch, digest)
+                }
+                Err(_) => {
+                    report.lost_replies += 1;
+                    match self.resolve_lost_swap(&doc)? {
+                        Some(outcome) => outcome,
+                        None => continue,
+                    }
+                }
+            };
+            if rolled_back {
+                report.auto_rollbacks += 1;
+            } else {
+                report.swaps_committed += 1;
+            }
+            report.rollback_stream.push(rolled_back);
+            report.transcript.push(format!(
+                "swap {swap}: {} at epoch {epoch} ({digest})",
+                if rolled_back {
+                    "rolled back"
+                } else {
+                    "activated"
+                }
+            ));
+            return Ok(());
+        }
+        Err(format!("ADMIN: swap {swap} never settled"))
+    }
+
+    /// Resolve a lost `spec-activate` reply: match the listed digest
+    /// against the model's two possible successors. The content hash
+    /// disambiguates — a digest is `{epoch}:{content hash}` and the hash
+    /// is epoch-independent. `None` means the request never reached the
+    /// registry; otherwise whether it rolled back, at the listed state.
+    fn resolve_lost_swap(&mut self, doc: &str) -> Result<Option<(bool, u64, String)>, String> {
+        let (epoch, digest) = self.list()?;
+        let model = &mut self.model;
+        let before = model.active.epoch();
+        if epoch == before && digest == model.active.digest() {
+            return Ok(None);
+        }
+        if epoch <= before {
+            return Err(format!(
+                "RECOVERY: saw epoch {epoch} at digest {digest}, not newer than {before}"
+            ));
+        }
+        let committed = model
+            .active
+            .with_spec(doc, epoch)
+            .map_err(|e| format!("RECOVERY: could not rebuild the candidate: {e}"))?
+            .digest()
+            == digest;
+        if !committed && model.active.at_epoch(epoch).digest() != digest {
+            return Err(format!(
+                "RECOVERY: saw digest {digest} at epoch {epoch}, matching neither the \
+                 candidate nor the prior content"
+            ));
+        }
+        // Epochs the lost swap may have served in passing accept both the
+        // candidate and the prior content (a rollback's candidate epoch
+        // is noted by the model update itself).
+        let gaps = before + 1..if committed { epoch } else { epoch - 1 };
+        for gap in gaps {
+            if let Ok(snap) = model.active.with_spec(doc, gap) {
+                model.note(&snap);
+            }
+            let prior = model.active.at_epoch(gap);
+            model.note(&prior);
+        }
+        if committed {
+            model.apply_success(doc, epoch)
+        } else {
+            model.apply_auto_rollback(doc, epoch)
+        }
+        .map_err(|e| format!("RECOVERY: model update failed: {e}"))?;
+        Ok(Some((!committed, epoch, digest)))
+    }
+
+    /// An explicit `spec-rollback`; a lost reply is resolved by whether
+    /// `spec-list` moved past the model's epoch.
+    fn rollback(&mut self, report: &mut SoakReport) -> Result<(), String> {
+        for _ in 0..10 {
+            let line = self.request("spec-rollback", "");
+            let (epoch, digest) = match exchange_once(self.addr, &line) {
+                Ok(reply) => epoch_and_digest(&reply_result(&reply))
+                    .ok_or_else(|| format!("ADMIN: spec-rollback failed: {}", reply.trim_end()))?,
+                Err(_) => {
+                    report.lost_replies += 1;
+                    match self.list()? {
+                        (epoch, _) if epoch <= self.model.active.epoch() => continue,
+                        listed => listed,
+                    }
+                }
+            };
+            let modelled = self.model.apply_explicit_rollback(epoch);
+            if modelled != digest {
+                return Err(format!(
+                    "MODEL DIVERGENCE: explicit rollback digest {digest} != model {modelled}"
+                ));
+            }
+            report.explicit_rollbacks += 1;
+            report.transcript.push(format!(
+                "swap {}+: explicit rollback to epoch {epoch} ({digest})",
+                self.swaps
+            ));
+            return Ok(());
+        }
+        Err("ADMIN: the explicit rollback never settled".to_string())
+    }
+
+    /// The authoritative final state, cross-checked against the model:
+    /// `spec-list` over the wire, every live node's registry (a lagging
+    /// ring node pulls newer epochs through gossip), and node 0's swap
+    /// and rollback counters.
+    fn check_final_state(&mut self, handles: &[Option<ServerHandle>], report: &mut SoakReport) {
+        let expected = self.model.active.digest();
+        (report.final_epoch, report.final_digest) =
+            self.list().unwrap_or((0, "unreachable".to_string()));
+        if report.final_digest != expected {
+            report.violations.push(format!(
+                "MODEL DIVERGENCE: final digest {} != model {expected}",
+                report.final_digest
+            ));
+        }
+        let digests = || -> Vec<String> {
+            handles
+                .iter()
+                .flatten()
+                .map(ServerHandle::registry_digest)
+                .collect()
+        };
+        report.spec_converged = wait_until(SETTLE, || digests().iter().all(|d| *d == expected));
+        if !report.spec_converged {
+            report.violations.push(format!(
+                "SPEC CONVERGENCE: nodes hold digests {:?}, expected {expected} everywhere",
+                digests()
+            ));
+        }
+        if let Some(node0) = &handles[0] {
+            let driven = (
+                report.swaps_committed + 2 * report.auto_rollbacks + report.explicit_rollbacks,
+                report.auto_rollbacks + report.explicit_rollbacks,
+            );
+            let (swaps, rollbacks) = node0.registry_swap_stats();
+            if (swaps, rollbacks) != driven {
+                report.violations.push(format!(
+                    "SWAP ACCOUNTING: registry counted {swaps} swaps / {rollbacks} rollbacks, \
+                     soak drove {} / {}",
+                    driven.0, driven.1
+                ));
+            }
+        }
+    }
 }
 
-/// A patient background load client: no client-side fault injection and
-/// enough retry budget that every server-side fault is absorbed — the
-/// zero-drop invariant charges any give-up to the soak.
-fn swap_load_client(addr: &str, seed: u64, stop: &AtomicBool) -> (u64, u64, ClientCounters) {
-    let mut client = ResilientClient::new(
-        addr,
-        ClientConfig {
-            seed,
-            attempts: 10,
-            attempt_timeout: Duration::from_secs(2),
-            backoff_base: Duration::from_micros(200),
-            backoff_max: Duration::from_millis(20),
-            // Effectively no breaker: shedding would count as a drop.
-            breaker_threshold: 1_000_000,
-            breaker_cooldown: 1,
-        },
-    );
-    let keys = key_space();
-    let mut rng = ChaosRng::new(seed ^ 0x5357_4150);
-    let mut oks = 0u64;
-    let mut failures = 0u64;
-    let mut request_id = 0u64;
-    while !stop.load(Ordering::Relaxed) {
-        let (arch, primitive) = keys[rng.range(keys.len() as u64) as usize];
-        request_id += 1;
-        let id_token = request_id.to_string();
-        let line = format!(
-            "{{\"op\":\"measure\",\"arch\":\"{arch}\",\"primitive\":\"{}\",\"id\":{id_token}}}",
-            primitive.tag()
-        );
-        match client.call(&line, &id_token) {
-            Ok(_) => oks += 1,
-            Err(_) => failures += 1,
-        }
-    }
-    (oks, failures, client.counters())
-}
+/// Epoch-tagged `measure spec` samples: `(epoch, primitive, payload)`.
+type Samples = Vec<(u64, osarch_kernel::Primitive, String)>;
 
-/// The epoch verifier: hammers `measure` on the hot-swapped spec over a
-/// raw connection and records `(epoch, primitive, payload)` for every
-/// ok reply — including degraded ones, whose stale payload is keyed
-/// under the same epoch-scoped prefix and must match it all the same.
-/// Returns the samples, the degraded count, and id-echo mismatches.
-fn swap_verifier(
-    addr: SocketAddr,
-    stop: &AtomicBool,
-) -> (Vec<(u64, osarch_kernel::Primitive, String)>, u64, u64) {
+/// The epoch verifier: hammers `measure` on the hot spec over a raw
+/// connection and records `(epoch, primitive, payload)` for every ok
+/// reply — including degraded ones, whose stale payload is keyed under
+/// the same epoch-scoped prefix and must match it all the same. Returns
+/// the samples, the degraded count, and id-echo mismatches.
+fn swap_verifier(addr: SocketAddr, stop: &AtomicBool) -> (Samples, u64, u64) {
     let primitives = osarch_kernel::Primitive::all();
     let mut samples = Vec::new();
     let mut degraded = 0u64;
@@ -1129,7 +1294,7 @@ fn swap_verifier(
         let Some(reader) = conn.as_mut() else {
             match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
                 Ok(stream) => {
-                    stream.set_read_timeout(Some(SWAP_IO_TIMEOUT)).ok();
+                    stream.set_read_timeout(Some(IO_TIMEOUT)).ok();
                     stream.set_nodelay(true).ok();
                     conn = Some(BufReader::new(stream));
                 }
@@ -1143,21 +1308,14 @@ fn swap_verifier(
             "{{\"op\":\"measure\",\"spec\":\"hot\",\"primitive\":\"{}\",\"id\":{request_id}}}\n",
             primitive.tag()
         );
-        if reader.get_mut().write_all(line.as_bytes()).is_err() {
-            conn = None;
-            continue;
-        }
         let mut reply = String::new();
-        match reader.read_line(&mut reply) {
-            Ok(0) | Err(_) => {
-                conn = None;
-                continue;
-            }
-            Ok(_) => {}
-        }
-        if !reply.ends_with('\n') {
-            // Torn mid-write by an injected fault: not epoch evidence,
-            // not corruption — just a dead connection.
+        // A failed write or read, or a line torn mid-write by an injected
+        // fault, is not epoch evidence and not corruption — just a dead
+        // connection.
+        if reader.get_mut().write_all(line.as_bytes()).is_err()
+            || !matches!(reader.read_line(&mut reply), Ok(n) if n > 0)
+            || !reply.ends_with('\n')
+        {
             conn = None;
             continue;
         }
@@ -1189,392 +1347,34 @@ fn swap_verifier(
     (samples, degraded, mismatches)
 }
 
-/// Run one swap soak: repeated live spec swaps through the admin plane
-/// while background load and an epoch verifier hammer the data plane,
-/// everything under full fault injection. Invariants:
-///
-/// 1. **zero dropped requests** — every background call lands after
-///    retries; give-ups, breaker sheds and watchdog trips all fail;
-/// 2. **zero corruption** — every reply parses and echoes its id;
-/// 3. **epoch identity** — every ok `measure spec` payload (degraded
-///    included) is byte-identical to its reply epoch's direct emitter,
-///    recomputed from the model snapshot for that epoch;
-/// 4. **fault-safe control plane** — every activation either commits or
-///    rolls back to last-good; the reply digests (and the final
-///    registry digest) match the soak's replayed model exactly;
-/// 5. **deterministic replay** — the observed rollback sequence equals
-///    the pure seeded CorruptSpec decision stream, so a same-seed rerun
-///    reproduces it bit-identically;
-/// 6. **no leaked loops** — mid-swap loop deaths respawn in place.
-///
-/// # Errors
-///
-/// I/O errors are returned only for harness failures (the listener
-/// socket itself); every soak-level failure lands in `violations`.
-pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
-    let _quiet = osarch_chaos::QuietChaosPanics::install();
-    let chaos = Arc::new(ChaosController::new(ChaosConfig {
-        seed: config.seed,
-        rate: config.rate,
-        ..ChaosConfig::default()
-    }));
-    let handle = Server::start(&ServerConfig {
-        workers: config.workers,
-        shards: 16,
-        queue_depth: (config.conns as usize * 4).max(64),
-        // Generous deadline: injected compute delays must degrade or
-        // retry, never hard-drop, because this soak demands zero drops.
-        deadline: Duration::from_secs(2),
-        write_timeout: Duration::from_secs(2),
-        chaos: Some(Arc::clone(&chaos)),
-        sample_every: 64,
-        telemetry_seed: config.seed,
-        admin_token: Some(SWAP_TOKEN.to_string()),
-        ..ServerConfig::default()
-    })?;
-    let addr = handle.addr();
-    let addr_text = addr.to_string();
-    let hub = handle.telemetry();
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut violations: Vec<String> = Vec::new();
-    let mut transcript: Vec<String> = Vec::new();
-
-    let (tx, rx) = mpsc::channel::<(u64, u64, ClientCounters)>();
-    let mut load_threads = Vec::new();
-    for conn in 0..config.conns {
-        let tx = tx.clone();
-        let addr = addr_text.clone();
-        let stop = Arc::clone(&stop);
-        let seed = config.seed ^ (u64::from(conn) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        load_threads.push(std::thread::spawn(move || {
-            let _ = tx.send(swap_load_client(&addr, seed, &stop));
-        }));
-    }
-    drop(tx);
-    let verifier = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || swap_verifier(addr, &stop))
-    };
-
-    // The admin sequence, driven synchronously from this thread.
-    let mut model = SwapModel::new();
-    let mut rollback_stream: Vec<bool> = Vec::new();
-    let mut committed = 0u64;
-    let mut auto_rollbacks = 0u64;
-    let mut explicit_rollbacks = 0u64;
-    let mut admin_id = 1_000_000u64;
-    'swaps: for swap in 1..=config.swaps {
-        let doc = swap_doc(swap);
-        // Stage. Idempotent, so a lost reply just retries.
-        let mut staged = false;
-        for _ in 0..50 {
-            admin_id += 1;
-            let line = format!(
-                "{{\"op\":\"admin\",\"action\":\"spec-load\",\"token\":\"{SWAP_TOKEN}\",\
-                 \"id\":{admin_id},\"spec\":\"{}\"}}",
-                osarch_core::metrics::json_escape(&doc)
-            );
-            match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
-                Ok(reply) if reply_result(&reply)["staged"].as_str() == Some("hot") => {
-                    staged = true;
-                    break;
-                }
-                Ok(reply) => {
-                    violations.push(format!("ADMIN: spec-load refused: {}", reply.trim_end()));
-                    break 'swaps;
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
-        if !staged {
-            violations.push(format!("ADMIN: swap {swap} spec-load never got through"));
-            break;
-        }
-        // Activate, resolving lost replies against the authoritative
-        // registry state.
-        let mut settled = false;
-        for _ in 0..10 {
-            admin_id += 1;
-            let line = format!(
-                "{{\"op\":\"admin\",\"action\":\"spec-activate\",\"token\":\"{SWAP_TOKEN}\",\
-                 \"name\":\"hot\",\"id\":{admin_id}}}"
-            );
-            match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
-                Ok(reply) => {
-                    let payload = reply_result(&reply);
-                    if payload == Value::Null {
-                        violations.push(format!(
-                            "ADMIN: spec-activate errored: {}",
-                            reply.trim_end()
-                        ));
-                        break 'swaps;
-                    }
-                    let (Some(activated), Some((epoch, digest))) =
-                        (payload["activated"].as_bool(), epoch_and_digest(&payload))
-                    else {
-                        violations.push(format!(
-                            "ADMIN: spec-activate reply unparsable: {}",
-                            reply.trim_end()
-                        ));
-                        break 'swaps;
-                    };
-                    let modelled = if activated {
-                        committed += 1;
-                        rollback_stream.push(false);
-                        model.apply_success(&doc, epoch)
-                    } else {
-                        auto_rollbacks += 1;
-                        rollback_stream.push(true);
-                        model.apply_auto_rollback(&doc, epoch)
-                    };
-                    match modelled {
-                        Ok(model_digest) if model_digest == digest => transcript.push(format!(
-                            "swap {swap}: {} at epoch {epoch} ({digest})",
-                            if activated {
-                                "activated"
-                            } else {
-                                "rolled back"
-                            }
-                        )),
-                        Ok(model_digest) => violations.push(format!(
-                            "MODEL DIVERGENCE: swap {swap} reply digest {digest} != \
-                             model {model_digest}"
-                        )),
-                        Err(reason) => violations.push(format!(
-                            "MODEL DIVERGENCE: swap {swap} model rejected the doc: {reason}"
-                        )),
-                    }
-                    settled = true;
-                    break;
-                }
-                Err(_) => match resolve_lost_swap(addr, &mut model, &doc, &mut admin_id) {
-                    Ok(LostSwap::Nothing) => {}
-                    Ok(LostSwap::Committed) => {
-                        committed += 1;
-                        rollback_stream.push(false);
-                        transcript.push(format!(
-                            "swap {swap}: activated at epoch {} (reply lost; recovered)",
-                            model.active.epoch()
-                        ));
-                        settled = true;
-                        break;
-                    }
-                    Ok(LostSwap::RolledBack) => {
-                        auto_rollbacks += 1;
-                        rollback_stream.push(true);
-                        transcript.push(format!(
-                            "swap {swap}: rolled back at epoch {} (reply lost; recovered)",
-                            model.active.epoch()
-                        ));
-                        settled = true;
-                        break;
-                    }
-                    Err(reason) => {
-                        violations.push(format!("RECOVERY: swap {swap}: {reason}"));
-                        break 'swaps;
-                    }
-                },
-            }
-        }
-        if !settled {
-            violations.push(format!("ADMIN: swap {swap} never settled"));
-            break;
-        }
-        // Midpoint: one explicit rollback, so the rollback path is
-        // exercised even under a schedule that plans no corrupt-spec
-        // fault.
-        if swap == config.swaps / 2 {
-            let mut rolled = false;
-            for _ in 0..10 {
-                admin_id += 1;
-                let line = format!(
-                    "{{\"op\":\"admin\",\"action\":\"spec-rollback\",\"token\":\"{SWAP_TOKEN}\",\
-                     \"id\":{admin_id}}}"
-                );
-                match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
-                    Ok(reply) => {
-                        if let Some((epoch, digest)) = epoch_and_digest(&reply_result(&reply)) {
-                            let model_digest = model.apply_explicit_rollback(epoch);
-                            if model_digest == digest {
-                                transcript.push(format!(
-                                    "swap {swap}+: explicit rollback to epoch {epoch} \
-                                     ({digest})"
-                                ));
-                            } else {
-                                violations.push(format!(
-                                    "MODEL DIVERGENCE: explicit rollback digest {digest} \
-                                     != model {model_digest}"
-                                ));
-                            }
-                            explicit_rollbacks += 1;
-                            rolled = true;
-                        }
-                        break;
-                    }
-                    Err(_) => {
-                        // Lost reply: check whether the rollback landed.
-                        match spec_list(addr, &mut admin_id) {
-                            Ok((epoch, digest)) if epoch > model.active.epoch() => {
-                                let model_digest = model.apply_explicit_rollback(epoch);
-                                if model_digest != digest {
-                                    violations.push(format!(
-                                        "MODEL DIVERGENCE: lost explicit rollback left \
-                                         digest {digest}, model {model_digest}"
-                                    ));
-                                }
-                                explicit_rollbacks += 1;
-                                rolled = true;
-                                break;
-                            }
-                            Ok(_) => {} // nothing happened; retry
-                            Err(reason) => {
-                                violations.push(format!("RECOVERY: explicit rollback: {reason}"));
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            if !rolled {
-                violations.push("ADMIN: the explicit rollback never settled".to_string());
-            }
-        }
-        // Let the data plane sample this epoch before the next swap.
-        std::thread::sleep(Duration::from_millis(25));
-    }
-
-    // Authoritative final state, cross-checked three ways: spec-list
-    // over the wire, the in-process handle, and the model.
-    let (final_epoch, final_digest) =
-        spec_list(addr, &mut admin_id).unwrap_or((0, String::from("unreachable")));
-    if final_digest != model.active.digest() {
-        violations.push(format!(
-            "MODEL DIVERGENCE: final digest {final_digest} != model {}",
-            model.active.digest()
-        ));
-    }
-    if handle.registry_digest() != model.active.digest() {
-        violations.push(format!(
-            "MODEL DIVERGENCE: handle digest {} != model {}",
-            handle.registry_digest(),
-            model.active.digest()
-        ));
-    }
-    let (registry_swaps, registry_rollbacks) = handle.registry_swap_stats();
-    let expect_swaps = committed + 2 * auto_rollbacks + explicit_rollbacks;
-    let expect_rollbacks = auto_rollbacks + explicit_rollbacks;
-    if (registry_swaps, registry_rollbacks) != (expect_swaps, expect_rollbacks) {
-        violations.push(format!(
-            "SWAP ACCOUNTING: registry counted {registry_swaps} swaps / \
-             {registry_rollbacks} rollbacks, soak drove {expect_swaps} / {expect_rollbacks}"
-        ));
-    }
-
-    // Invariant 6 (first half): every loop alive before shutdown.
-    let live_during = hub.workers_live();
-    if live_during != config.workers as u64 {
-        violations.push(format!(
-            "LEAKED WORKER: {live_during} of {} loops live before shutdown",
-            config.workers
-        ));
-    }
-    let loop_deaths = hub.totals().worker_respawns;
-
-    // Wind down traffic and collect tallies; the receive is the
-    // deadlock watchdog.
-    std::thread::sleep(Duration::from_millis(100));
-    stop.store(true, Ordering::Relaxed);
-    let mut oks = 0u64;
-    let mut failures = 0u64;
-    let mut counters = ClientCounters::default();
-    let watchdog = Duration::from_secs(60);
-    for _ in 0..config.conns {
-        match rx.recv_timeout(watchdog) {
-            Ok((conn_oks, conn_failures, conn_counters)) => {
-                oks += conn_oks;
-                failures += conn_failures;
-                counters.corrupt += conn_counters.corrupt;
-                counters.giveups += conn_counters.giveups;
-                counters.breaker_shed += conn_counters.breaker_shed;
-                counters.degraded += conn_counters.degraded;
-            }
-            Err(_) => {
-                violations.push(format!(
-                    "DEADLOCK: a load thread failed to report within {watchdog:?}"
-                ));
-                break;
-            }
-        }
-    }
-    if violations.iter().all(|v| !v.starts_with("DEADLOCK")) {
-        for thread in load_threads {
-            let _ = thread.join();
-        }
-    }
-    let (samples, degraded_samples, id_mismatches) = match verifier.join() {
-        Ok(result) => result,
-        Err(_) => {
-            violations.push("DEADLOCK: the verifier thread panicked".to_string());
-            (Vec::new(), 0, 0)
-        }
-    };
-    handle.stop();
-
-    // Invariant 1: zero dropped requests.
-    if failures > 0 || counters.giveups > 0 || counters.breaker_shed > 0 {
-        violations.push(format!(
-            "DROPPED REQUESTS: {failures} calls failed ({} give-ups, {} breaker sheds) \
-             across {} live swaps",
-            counters.giveups,
-            counters.breaker_shed,
-            committed + auto_rollbacks
-        ));
-    }
-    if oks == 0 {
-        violations.push("NO PROGRESS: zero successful requests".to_string());
-    }
-    // Invariant 2: zero corruption, either side.
-    if counters.corrupt > 0 || id_mismatches > 0 {
-        violations.push(format!(
-            "CORRUPTION: {} load replies and {id_mismatches} verifier replies failed \
-             verification",
-            counters.corrupt
-        ));
-    }
-    // Invariant 3: epoch identity — every sampled payload byte-identical
-    // to its epoch's direct emitter, recomputed from the model.
-    let mut emitter_memo: HashMap<(String, &'static str), Option<String>> = HashMap::new();
+/// Epoch identity: every sampled payload is byte-identical to its
+/// epoch's direct emitter, recomputed from the model snapshot(s) for
+/// that epoch.
+fn check_epochs(model: &SwapModel, samples: &Samples, violations: &mut Vec<String>) {
+    let mut emitted: HashMap<(String, &'static str), Option<String>> = HashMap::new();
     let mut diverged = 0u64;
-    for (epoch, primitive, payload) in &samples {
-        let Some(snaps) = model.expected.get(epoch) else {
-            diverged += 1;
-            if diverged <= 3 {
-                violations.push(format!(
-                    "EPOCH IDENTITY: a reply carried unknown epoch {epoch}"
-                ));
-            }
-            continue;
-        };
-        let matched = snaps.iter().any(|snap| {
-            let emitted = emitter_memo
-                .entry((snap.digest(), primitive.tag()))
-                .or_insert_with(|| {
-                    snap.spec("hot").is_some().then(|| {
-                        Query::MeasureSpec {
-                            name: "hot".to_string(),
-                            primitive: *primitive,
-                        }
-                        .compute(snap)
-                    })
-                });
-            emitted.as_deref() == Some(payload.as_str())
+    for (epoch, primitive, payload) in samples {
+        let matched = model.expected.get(epoch).is_some_and(|snaps| {
+            snaps.iter().any(|snap| {
+                let expected = emitted
+                    .entry((snap.digest(), primitive.tag()))
+                    .or_insert_with(|| {
+                        snap.spec("hot").is_some().then(|| {
+                            Query::MeasureSpec {
+                                name: "hot".to_string(),
+                                primitive: *primitive,
+                            }
+                            .compute(snap)
+                        })
+                    });
+                expected.as_deref() == Some(payload.as_str())
+            })
         });
         if !matched {
             diverged += 1;
             if diverged <= 3 {
                 violations.push(format!(
-                    "EPOCH IDENTITY: epoch {epoch} {} payload diverged from its direct \
-                     emitter",
+                    "EPOCH IDENTITY: epoch {epoch} {} payload diverged from its direct emitter",
                     primitive.tag()
                 ));
             }
@@ -1588,445 +1388,78 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
     if samples.is_empty() {
         violations.push("NO PROGRESS: the verifier captured zero epoch samples".to_string());
     }
-    // Invariant 5: the rollback sequence replays from the seed.
-    let fresh = ChaosController::new(ChaosConfig {
-        seed: config.seed,
-        rate: config.rate,
-        ..ChaosConfig::default()
-    });
-    let pure: Vec<bool> = rollback_stream
-        .iter()
-        .map(|_| fresh.should_inject(Failpoint::CorruptSpec))
-        .collect();
-    if rollback_stream != pure {
-        violations.push(format!(
-            "REPLAY: observed rollback stream {rollback_stream:?} != seeded stream {pure:?}"
-        ));
-    }
-    // The soak's charter includes the rollback path; a schedule that
-    // never exercises it (possible under an unlucky seed at a low
-    // rate) is a configuration failure, not a pass.
-    if config.rate > 0.0 && auto_rollbacks == 0 {
-        violations.push(
-            "ROLLBACK PATH UNEXERCISED: the seeded schedule planned no corrupt-spec \
-             fault; pick another --seed or raise --rate"
-                .to_string(),
-        );
-    }
-    // Invariant 6 (second half): shutdown reaps every loop.
-    let live_after = hub.workers_live();
-    if live_after != 0 {
-        violations.push(format!("LEAKED WORKER: {live_after} live after stop"));
-    }
-
-    Ok(SwapSoakReport {
-        swaps_attempted: config.swaps,
-        swaps_committed: committed,
-        auto_rollbacks,
-        explicit_rollbacks,
-        loop_deaths,
-        final_epoch,
-        final_digest,
-        oks,
-        failures,
-        corrupt: counters.corrupt + id_mismatches,
-        samples: samples.len() as u64,
-        degraded_samples,
-        rollback_stream,
-        transcript,
-        violations,
-    })
 }
 
-// ---------------------------------------------------------------------------
-// Cluster swap soak: spec convergence through gossip, with a mid-swap kill
-// ---------------------------------------------------------------------------
-
-/// Cluster swap-soak knobs (`osarch chaos --swap --cluster`).
-#[derive(Debug, Clone)]
-pub struct SwapClusterConfig {
-    /// Seed for the victim choice and the router's jitter streams.
-    pub seed: u64,
-    /// Live activations driven through node 0's admin plane.
-    pub swaps: u64,
-    /// Cluster size.
-    pub nodes: usize,
-    /// Replication factor R.
-    pub replicas: usize,
-    /// Gossip anti-entropy cadence in milliseconds — also the spec
-    /// digest propagation path.
-    pub gossip_ms: u64,
+/// Parse one flag's value, or a one-line usage error.
+fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    raw: Option<&String>,
+    expects: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} requires a value"))?;
+    raw.parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| format!("{flag} expects {expects}, got {raw:?}"))
 }
 
-impl Default for SwapClusterConfig {
-    fn default() -> SwapClusterConfig {
-        SwapClusterConfig {
-            seed: 42,
-            swaps: 8,
-            nodes: 3,
-            replicas: 2,
-            gossip_ms: 50,
-        }
-    }
-}
-
-/// Everything a cluster swap soak observed.
-#[derive(Debug, Clone)]
-pub struct SwapClusterReport {
-    /// Node addresses, in start order. Node 0 is the admin node.
-    pub addrs: Vec<String>,
-    /// The seeded victim (never node 0) killed mid-sequence.
-    pub victim: usize,
-    /// Activations that committed on node 0.
-    pub swaps_committed: u64,
-    /// The final epoch every node must converge to.
-    pub final_epoch: u64,
-    /// The final digest every node must converge to.
-    pub final_digest: String,
-    /// Sweep calls answered ok.
-    pub oks: u64,
-    /// Sweep calls that failed — must be zero (R ≥ 2 keeps every key
-    /// answerable even with the victim dead).
-    pub failures: u64,
-    /// Replies failing JSON/id verification — must be zero.
-    pub corrupt: u64,
-    /// Whether membership settled before the kill.
-    pub converged_before_kill: bool,
-    /// Whether every node (victim included, post-respawn) converged to
-    /// the final spec digest.
-    pub spec_converged: bool,
-    /// One line per admin action and lifecycle event.
-    pub transcript: Vec<String>,
-    /// Invariant violations; empty means the soak passed.
-    pub violations: Vec<String>,
-}
-
-impl SwapClusterReport {
-    /// Whether every invariant held.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-fn start_swap_cluster_node(
-    addrs: &[String],
-    index: usize,
-    config: &SwapClusterConfig,
-    incarnation: u64,
-) -> std::io::Result<ServerHandle> {
-    Server::start(&ServerConfig {
-        addr: addrs[index].clone(),
-        workers: 2,
-        compute_threads: 2,
-        admin_token: Some(SWAP_TOKEN.to_string()),
-        cluster: Some(ClusterConfig {
-            self_addr: addrs[index].clone(),
-            peers: addrs.to_vec(),
-            replicas: config.replicas,
-            incarnation,
-            gossip_interval: Duration::from_millis(config.gossip_ms.max(10)),
-            ..ClusterConfig::default()
-        }),
-        ..ServerConfig::default()
-    })
-}
-
-/// Run one cluster swap soak: a ring of nodes, live swaps driven
-/// through node 0, spec digests gossiped on the membership path, a
-/// seeded mid-swap node kill + respawn. Invariants:
-///
-/// 1. **convergence** — every node (the respawned victim included)
-///    ends at the final epoch and digest; a mid-swap kill must not
-///    permanently split the ring across epochs;
-/// 2. **availability** — with R ≥ 2, every sweep answers every key
-///    through all phases;
-/// 3. **no corruption** — every reply parses and echoes its id;
-/// 4. **model fidelity** — node 0's activation digests replay exactly
-///    against the soak's local registry model.
-///
-/// # Errors
-///
-/// I/O errors are returned only for harness failures (reserving node
-/// addresses, starting a node); soak failures land in `violations`.
-pub fn run_swap_cluster(config: &SwapClusterConfig) -> std::io::Result<SwapClusterReport> {
-    let nodes = config.nodes.max(2);
-    let swaps = config.swaps.max(4);
-    let addrs = reserve_cluster_addrs(nodes)?;
-    let mut handles: Vec<Option<ServerHandle>> = (0..nodes)
-        .map(|index| start_swap_cluster_node(&addrs, index, config, 0).map(Some))
-        .collect::<std::io::Result<_>>()?;
-    let admin_addr: SocketAddr = handles[0]
-        .as_ref()
-        .map(ServerHandle::addr)
-        .ok_or_else(|| std::io::Error::other("node 0 did not start"))?;
-
-    // The seeded victim — never node 0, which drives the swaps.
-    let salt = (Failpoint::NodeKill.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let mut rng = ChaosRng::new(config.seed ^ salt);
-    let victim = 1 + rng.range(nodes as u64 - 1) as usize;
-
-    let mut violations: Vec<String> = Vec::new();
-    let mut transcript: Vec<String> = Vec::new();
-    let converged_before_kill = wait_settled(&handles, Duration::from_secs(10));
-    if !converged_before_kill {
-        violations.push("CONVERGENCE: membership never settled before the kill".to_string());
-    }
-
-    let mut client = ClusterClient::new(
-        &addrs,
-        config.replicas,
-        &ClientConfig {
-            seed: config.seed,
-            attempts: 3,
-            attempt_timeout: Duration::from_secs(2),
-            breaker_threshold: 2,
-            breaker_cooldown: 4,
-            ..ClientConfig::default()
-        },
-    );
-
-    let kill_at = swaps / 2;
-    let respawn_at = (kill_at + 2).min(swaps);
-    let mut model = SpecSnapshot::builtins();
-    let mut committed = 0u64;
-    let mut admin_id = 2_000_000u64;
-    let mut request_id = 0u64;
-    let mut oks = 0u64;
-    let mut failures = 0u64;
-    'swaps: for swap in 1..=swaps {
-        let doc = swap_doc(swap);
-        // Stage + activate through node 0 (no fault injection in the
-        // cluster variant: the chaos here is the node kill itself).
-        let mut done = false;
-        for _ in 0..10 {
-            admin_id += 1;
-            let load = format!(
-                "{{\"op\":\"admin\",\"action\":\"spec-load\",\"token\":\"{SWAP_TOKEN}\",\
-                 \"id\":{admin_id},\"spec\":\"{}\"}}",
-                osarch_core::metrics::json_escape(&doc)
-            );
-            if exchange_once(admin_addr, &load, SWAP_IO_TIMEOUT).is_err() {
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-            admin_id += 1;
-            let activate = format!(
-                "{{\"op\":\"admin\",\"action\":\"spec-activate\",\"token\":\"{SWAP_TOKEN}\",\
-                 \"name\":\"hot\",\"id\":{admin_id}}}"
-            );
-            let Ok(reply) = exchange_once(admin_addr, &activate, SWAP_IO_TIMEOUT) else {
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            };
-            let Some((epoch, digest)) = epoch_and_digest(&reply_result(&reply)) else {
-                violations.push(format!(
-                    "ADMIN: spec-activate errored: {}",
-                    reply.trim_end()
-                ));
-                break 'swaps;
-            };
-            match model.with_spec(&doc, epoch) {
-                Ok(next) if next.digest() == digest => {
-                    model = next;
-                    committed += 1;
-                    transcript.push(format!("swap {swap}: epoch {epoch} ({digest}) on node 0"));
-                }
-                Ok(next) => violations.push(format!(
-                    "MODEL DIVERGENCE: swap {swap} digest {digest} != model {}",
-                    next.digest()
-                )),
-                Err(reason) => violations.push(format!(
-                    "MODEL DIVERGENCE: swap {swap} model rejected the doc: {reason}"
-                )),
-            }
-            done = true;
-            break;
-        }
-        if !done {
-            violations.push(format!("ADMIN: swap {swap} never got through node 0"));
-            break;
-        }
-        // The mid-swap kill: immediately after an activation commits on
-        // node 0, before gossip can have propagated it — the victim
-        // dies holding the *previous* epoch.
-        if swap == kill_at {
-            if let Some(handle) = handles[victim].take() {
-                handle.stop();
-            }
-            transcript.push(format!(
-                "kill: node {victim} ({}) down mid-swap at epoch {}",
-                addrs[victim],
-                model.epoch()
-            ));
-        }
-        if swap == respawn_at {
-            handles[victim] = Some(start_swap_cluster_node(&addrs, victim, config, 1)?);
-            transcript.push(format!(
-                "respawn: node {victim} back at incarnation 1 (fresh registry, epoch 1)"
-            ));
-        }
-        // One sweep per swap keeps the data plane hot across every
-        // phase; R ≥ 2 must keep every key answerable.
-        let (sweep_oks, sweep_failures) = cluster_sweep(&mut client, &mut request_id);
-        oks += sweep_oks;
-        failures += sweep_failures;
-        if sweep_failures > 0 {
-            violations.push(format!(
-                "AVAILABILITY: {sweep_failures} keys unanswered at swap {swap}"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(config.gossip_ms.max(10)));
-    }
-
-    // Every node must converge to the final digest — the survivors via
-    // gossip pull, the respawned victim from its fresh epoch 1.
-    let final_digest = model.digest();
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut spec_converged = false;
-    while Instant::now() < deadline {
-        let digests: Vec<String> = handles
-            .iter()
-            .flatten()
-            .map(ServerHandle::registry_digest)
-            .collect();
-        if digests.len() == nodes && digests.iter().all(|d| *d == final_digest) {
-            spec_converged = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    if !spec_converged {
-        let digests: Vec<String> = handles
-            .iter()
-            .flatten()
-            .map(ServerHandle::registry_digest)
-            .collect();
-        violations.push(format!(
-            "SPEC CONVERGENCE: ring split across epochs — digests {digests:?}, \
-             expected {final_digest} everywhere"
-        ));
-    }
-    let corrupt = client.counters().corrupt;
-    if corrupt > 0 {
-        violations.push(format!("CORRUPTION: {corrupt} replies failed verification"));
-    }
-    if oks == 0 {
-        violations.push("NO PROGRESS: zero successful requests".to_string());
-    }
-    for handle in handles.into_iter().flatten() {
-        handle.stop();
-    }
-
-    Ok(SwapClusterReport {
-        addrs,
-        victim,
-        swaps_committed: committed,
-        final_epoch: model.epoch(),
-        final_digest,
-        oks,
-        failures,
-        corrupt,
-        converged_before_kill,
-        spec_converged,
-        transcript,
-        violations,
-    })
-}
-
-/// The `osarch chaos` front end: parse `args`, run the soak, print the
-/// verdict. `Err` carries a one-line usage error (exit 2 at the caller).
-pub fn cli(args: &[String], prog: &str) -> Result<std::process::ExitCode, String> {
-    use std::process::ExitCode;
-    let mut config = SoakConfig::default();
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut cluster = false;
-    let mut cluster_config = ClusterSoakConfig::default();
-    let mut swap = false;
-    let mut swaps: Option<u64> = None;
-    let mut transcript_out: Option<String> = None;
-    // The swap soak's defaults differ (lower rate, fewer conns), so
-    // remember which knobs the user actually set.
-    let mut rate_set = false;
-    let mut conns_set = false;
-    let mut workers_set = false;
+/// The `osarch chaos` front end: parse `args` into a scenario, run it,
+/// print the verdict. `Err` carries a one-line usage error (exit 2 at
+/// the caller), returned before any server starts.
+pub fn cli(args: &[String], prog: &str) -> Result<ExitCode, String> {
+    let (mut cluster, mut swap) = (false, false);
+    let mut seed = 42u64;
+    let (mut rate, mut duration, mut swaps) = (None, None, None);
+    let (mut conns, mut workers, mut nodes, mut replicas) = (None, None, None, None);
+    let (mut sample, mut metrics_addr) = (None, None);
+    let (mut metrics_out, mut trace_out, mut transcript_out) = (None, None, None);
+    let positive = "a positive integer";
     let mut rest = args.iter();
-    let parse = |flag: &str, value: Option<&String>| -> Result<String, String> {
-        value
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--seed" => {
-                config.seed = parse("--seed", rest.next())?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--rate" => {
-                config.rate = parse("--rate", rest.next())?
-                    .parse()
-                    .map_err(|_| "--rate expects a probability in [0,1]".to_string())?;
-                if !(0.0..=1.0).contains(&config.rate) {
-                    return Err("--rate expects a probability in [0,1]".to_string());
-                }
-                rate_set = true;
-            }
-            "--duration" => {
-                config.secs = parse("--duration", rest.next())?
-                    .parse()
-                    .map_err(|_| "--duration expects seconds".to_string())?;
-            }
-            "--conns" => {
-                config.conns = parse("--conns", rest.next())?
-                    .parse()
-                    .map_err(|_| "--conns expects a positive integer".to_string())?;
-                conns_set = true;
-            }
-            "--workers" => {
-                config.workers = parse("--workers", rest.next())?
-                    .parse()
-                    .map_err(|_| "--workers expects a positive integer".to_string())?;
-                workers_set = true;
-            }
-            "--sample" => {
-                config.sample = parse("--sample", rest.next())?
-                    .parse()
-                    .map_err(|_| "--sample expects an integer divisor (0 disables)".to_string())?;
-            }
-            "--metrics-addr" => {
-                config.metrics_addr = Some(parse("--metrics-addr", rest.next())?);
-            }
-            "--metrics-out" => metrics_out = Some(parse("--metrics-out", rest.next())?),
-            "--trace-out" => trace_out = Some(parse("--trace-out", rest.next())?),
+    while let Some(flag) = rest.next() {
+        let any = |_: &String| true;
+        match flag.as_str() {
             "--cluster" => cluster = true,
             "--swap" => swap = true,
-            "--swaps" => {
-                let count: u64 = parse("--swaps", rest.next())?
-                    .parse()
-                    .map_err(|_| "--swaps expects a positive integer".to_string())?;
-                if count == 0 {
-                    return Err("--swaps must be at least 1".to_string());
-                }
-                swaps = Some(count);
+            "--seed" => seed = flag_value(flag, rest.next(), "an integer", |_| true)?,
+            "--rate" => {
+                let valid = |p: &f64| (0.0..=1.0).contains(p);
+                rate = Some(flag_value(
+                    flag,
+                    rest.next(),
+                    "a probability in [0,1]",
+                    valid,
+                )?);
             }
-            "--transcript-out" => transcript_out = Some(parse("--transcript-out", rest.next())?),
+            "--duration" => {
+                // Finite, positive and small enough to be a `Duration`.
+                let valid = |s: &f64| *s > 0.0 && Duration::try_from_secs_f64(*s).is_ok();
+                let secs = flag_value(flag, rest.next(), "finite, positive seconds", valid)?;
+                duration = Some(Duration::from_secs_f64(secs));
+            }
+            "--conns" => conns = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
+            "--workers" => workers = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
             "--nodes" => {
-                cluster_config.nodes = parse("--nodes", rest.next())?
-                    .parse()
-                    .map_err(|_| "--nodes expects a positive integer".to_string())?;
-                if cluster_config.nodes < 2 {
-                    return Err("--nodes must be at least 2".to_string());
-                }
+                nodes = Some(flag_value(
+                    flag,
+                    rest.next(),
+                    "an integer of at least 2",
+                    |n| *n >= 2,
+                )?);
             }
-            "--replicas" => {
-                cluster_config.replicas = parse("--replicas", rest.next())?
-                    .parse()
-                    .map_err(|_| "--replicas expects a positive integer".to_string())?;
-                if cluster_config.replicas == 0 {
-                    return Err("--replicas must be at least 1".to_string());
-                }
+            "--replicas" => replicas = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
+            "--swaps" => swaps = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
+            "--sample" => {
+                let expects = "an integer divisor (0 disables)";
+                sample = Some(flag_value(flag, rest.next(), expects, |_| true)?);
+            }
+            "--metrics-addr" => {
+                metrics_addr = Some(flag_value(flag, rest.next(), "HOST:PORT", any)?);
+            }
+            "--metrics-out" => metrics_out = Some(flag_value(flag, rest.next(), "a path", any)?),
+            "--trace-out" => trace_out = Some(flag_value(flag, rest.next(), "a path", any)?),
+            "--transcript-out" => {
+                transcript_out = Some(flag_value(flag, rest.next(), "a path", any)?);
             }
             other => {
                 return Err(format!(
@@ -2039,305 +1472,221 @@ pub fn cli(args: &[String], prog: &str) -> Result<std::process::ExitCode, String
             }
         }
     }
-    if config.conns == 0 {
-        return Err("--conns must be at least 1".to_string());
-    }
+    // Refuse what the chosen scenario would not read.
     if !swap && (swaps.is_some() || transcript_out.is_some()) {
         return Err("--swaps and --transcript-out require --swap".to_string());
     }
-    if swap {
-        if cluster {
-            let mut swap_cluster_config = SwapClusterConfig {
-                seed: config.seed,
-                nodes: cluster_config.nodes,
-                replicas: cluster_config.replicas,
-                ..SwapClusterConfig::default()
-            };
-            if let Some(count) = swaps {
-                swap_cluster_config.swaps = count;
-            }
-            return swap_cluster_cli(&swap_cluster_config, transcript_out.as_deref());
-        }
-        let mut swap_config = SwapSoakConfig {
-            seed: config.seed,
-            ..SwapSoakConfig::default()
-        };
-        if rate_set {
-            swap_config.rate = config.rate;
-        }
-        if conns_set {
-            swap_config.conns = config.conns;
-        }
-        if workers_set {
-            swap_config.workers = config.workers;
-        }
-        if let Some(count) = swaps {
-            swap_config.swaps = count;
-        }
-        return swap_cli(&swap_config, transcript_out.as_deref());
+    if !cluster && (nodes.is_some() || replicas.is_some()) {
+        return Err("--nodes and --replicas require --cluster".to_string());
     }
-    if cluster {
-        cluster_config.seed = config.seed;
-        cluster_config.secs = config.secs;
-        return cluster_cli(&cluster_config);
+    if swap && duration.is_some() {
+        return Err("--duration does not apply to --swap, which runs --swaps activations".into());
     }
-    let report = match run(&config) {
+    if cluster && (rate.is_some() || conns.is_some() || workers.is_some()) {
+        return Err("--rate, --conns and --workers do not apply to --cluster".into());
+    }
+    let observed =
+        sample.is_some() || metrics_addr.is_some() || metrics_out.is_some() || trace_out.is_some();
+    if (cluster || swap) && observed {
+        let flags = "--sample, --metrics-addr, --metrics-out and --trace-out";
+        return Err(format!(
+            "{flags} apply only to the plain soak (no --cluster or --swap)"
+        ));
+    }
+    let load = duration.unwrap_or(Duration::from_secs(3));
+    let mut scenario = match (cluster, swap) {
+        (false, false) => Scenario::soak(seed, load),
+        (true, false) => Scenario::cluster(seed, load),
+        (false, true) => Scenario::swap(seed, swaps.unwrap_or(24)),
+        (true, true) => Scenario::swap_cluster(seed, swaps.unwrap_or(8)),
+    };
+    scenario.rate = rate.unwrap_or(scenario.rate);
+    scenario.conns = conns.unwrap_or(scenario.conns);
+    scenario.workers = workers.unwrap_or(scenario.workers);
+    scenario.nodes = nodes.unwrap_or(scenario.nodes);
+    scenario.replicas = replicas.unwrap_or(scenario.replicas);
+    scenario.sample = sample.unwrap_or(scenario.sample);
+    scenario.metrics_addr = metrics_addr.or(scenario.metrics_addr);
+
+    let report = match run(&scenario) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("chaos soak failed to start: {err}");
             return Ok(ExitCode::FAILURE);
         }
     };
-    println!(
-        "chaos soak: seed {} rate {} for {:.1}s ({} conns, {} workers)",
-        config.seed, config.rate, config.secs, config.conns, config.workers
-    );
-    println!(
-        "schedule ({} planned events over the horizon):",
-        report.schedule_total
-    );
-    for entry in &report.schedule {
-        println!("  {:<18} {}", entry.label, entry.planned);
+    print_report(&scenario, &report);
+    let mut verdict = String::new();
+    for violation in &report.violations {
+        verdict.push_str(&format!("FAIL: {violation}\n"));
     }
-    let r = &report.resilience;
+    if report.passed() {
+        verdict.push_str("PASS: all invariants held\n");
+    }
+    let transcript = report
+        .transcript
+        .iter()
+        .map(|line| format!("{line}\n"))
+        .collect::<String>();
+    for (path, body, what) in [
+        (
+            &metrics_out,
+            &report.metrics_snapshot,
+            "osarch-metrics/1 snapshot",
+        ),
+        (
+            &trace_out,
+            &report.chrome_trace,
+            "osarch-trace/1 Chrome trace",
+        ),
+        (&transcript_out, &(transcript + &verdict), "swap transcript"),
+    ] {
+        if let Some(path) = path {
+            if let Err(err) = std::fs::write(path, body) {
+                eprintln!("cannot write {path}: {err}");
+                return Ok(ExitCode::FAILURE);
+            }
+            println!("wrote {path} ({what})");
+        }
+    }
+    if report.passed() {
+        print!("{verdict}");
+        Ok(ExitCode::SUCCESS)
+    } else {
+        eprint!("{verdict}");
+        Ok(ExitCode::FAILURE)
+    }
+}
+
+/// The verdict printer: every line that applies to the scenario.
+fn print_report(s: &Scenario, r: &SoakReport) {
+    let ring = s.nodes > 1;
+    let swaps = s.phases.iter().filter(|p| **p == Phase::Swap).count();
+    let kind = match (ring, swaps > 0) {
+        (false, false) => "chaos",
+        (true, false) => "cluster",
+        (false, true) => "swap",
+        (true, true) => "cluster swap",
+    };
+    print!("{kind} soak: seed {} rate {}", s.seed, s.rate);
+    if swaps == 0 {
+        let load: Duration = s
+            .phases
+            .iter()
+            .map(|p| {
+                if let Phase::Load(time) = p {
+                    *time
+                } else {
+                    Duration::ZERO
+                }
+            })
+            .sum();
+        print!(" for {:.1}s", load.as_secs_f64());
+    } else {
+        print!(" across {swaps} live swaps");
+    }
+    print!(" ({} conns, {} workers", s.conns, s.workers);
+    if ring {
+        print!(
+            ", {} nodes, R={}, gossip {}ms",
+            s.nodes,
+            s.replicas,
+            GOSSIP.as_millis()
+        );
+    }
+    println!(")");
+    if s.rate > 0.0 {
+        println!(
+            "schedule ({} planned events over the horizon):",
+            r.schedule_total
+        );
+        for (label, planned) in &r.schedule {
+            println!("  {label:<18} {planned}");
+        }
+    }
+    if s.phases.contains(&Phase::Kill) {
+        println!(
+            "kill schedule (node/kill, seeded): victim node {}",
+            r.victim
+        );
+    }
+    if swaps > 0 {
+        println!(
+            "swaps: {} committed, {} auto-rollbacks (corrupt-spec probe), {} explicit, \
+             {} mid-swap loop deaths (all respawned), {} admin replies lost (recovered)",
+            r.swaps_committed,
+            r.auto_rollbacks,
+            r.explicit_rollbacks,
+            r.worker_respawns,
+            r.lost_replies
+        );
+        // '.' = committed, 'R' = rolled back.
+        let stream: String = r
+            .rollback_stream
+            .iter()
+            .map(|&rb| if rb { 'R' } else { '.' })
+            .collect();
+        println!("replay stream: [{stream}] (pure function of --seed)");
+        println!(
+            "registry: final epoch {} digest {} | spec_digest_all_nodes={} | {} epoch samples \
+             verified byte-identical ({} degraded)",
+            r.final_epoch, r.final_digest, r.spec_converged, r.samples, r.degraded_samples
+        );
+    }
+    // Segments run healthy, then alternate dead (after a kill) and
+    // respawned.
+    let mut sweeps = [0u64; 3];
+    for (segment, count) in r.sweeps.iter().enumerate() {
+        sweeps[if segment == 0 { 0 } else { 2 - segment % 2 }] += count;
+    }
+    let c = &r.resilience;
     println!(
-        "traffic: {} ok, {} failed | {} injected | retries {} giveups {} \
-         breaker_opens {} degraded {}",
-        report.oks,
-        report.failures,
-        report.injected_total,
-        r.retries,
-        r.giveups,
-        r.breaker_opens,
-        r.degraded
+        "traffic: {} ok, {} failed, {} corrupt | sweeps healthy={} dead={} respawned={} | \
+         {} injected | retries {} giveups {} breaker_opens {} degraded {}",
+        r.oks,
+        r.failures,
+        c.corrupt,
+        sweeps[0],
+        sweeps[1],
+        sweeps[2],
+        r.injected_total,
+        c.retries,
+        c.giveups,
+        c.breaker_opens,
+        c.degraded
     );
     println!(
         "error classes: timeout={} conn_reset={} server_error={} breaker_open={}",
-        r.timeouts, r.conn_resets, r.server_errors, r.breaker_open
-    );
-    let (lookups, hits, misses, coalesced, failed) = report.cache;
-    println!(
-        "server: {} panics contained, {} degraded, {} worker respawns | \
-         cache {} lookups = {} hits + {} misses + {} coalesced ({} failed)",
-        report.server_panics,
-        report.server_degraded,
-        report.worker_respawns,
-        lookups,
-        hits,
-        misses,
-        coalesced,
-        failed
-    );
-    println!(
-        "telemetry: sampling {} | {} chains sampled ({} retained) across {} loops",
-        if config.sample == 0 {
-            "off".to_string()
-        } else {
-            format!("1/{}", config.sample)
-        },
-        report.chains_sampled,
-        report.trace_ids_by_loop.iter().map(Vec::len).sum::<usize>(),
-        report.trace_ids_by_loop.len()
-    );
-    if let Some(path) = &metrics_out {
-        if let Err(err) = std::fs::write(path, &report.metrics_snapshot) {
-            eprintln!("cannot write {path}: {err}");
-            return Ok(ExitCode::FAILURE);
-        }
-        println!("wrote {path} (osarch-metrics/1 snapshot)");
-    }
-    if let Some(path) = &trace_out {
-        if let Err(err) = std::fs::write(path, &report.chrome_trace) {
-            eprintln!("cannot write {path}: {err}");
-            return Ok(ExitCode::FAILURE);
-        }
-        println!("wrote {path} (osarch-trace/1 Chrome trace)");
-    }
-    if report.passed() {
-        println!("PASS: all invariants held");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        for violation in &report.violations {
-            eprintln!("FAIL: {violation}");
-        }
-        Ok(ExitCode::FAILURE)
-    }
-}
-
-/// The `osarch chaos --cluster` verdict printer.
-fn cluster_cli(config: &ClusterSoakConfig) -> Result<std::process::ExitCode, String> {
-    use std::process::ExitCode;
-    let report = match run_cluster(config) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("cluster soak failed to start: {err}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
-    println!(
-        "cluster soak: seed {} for {:.1}s ({} nodes, R={}, gossip {}ms)",
-        config.seed, config.secs, config.nodes, config.replicas, config.gossip_ms
-    );
-    println!(
-        "kill schedule (node/kill, seeded): victim node {} ({}) dies at t+1/3, \
-         respawns at t+2/3 with incarnation {}",
-        report.victim, report.addrs[report.victim], report.respawn_incarnation
-    );
-    println!(
-        "traffic: {} ok, {} failed, {} corrupt | sweeps healthy={} dead={} respawned={}",
-        report.oks,
-        report.failures,
-        report.corrupt,
-        report.sweeps[0],
-        report.sweeps[1],
-        report.sweeps[2]
+        c.timeouts, c.conn_resets, c.server_errors, c.breaker_open
     );
     println!(
         "routing: primary={} failovers={} redirects_followed={}",
-        report.routed_primary, report.failovers, report.redirects_followed
+        r.routed_primary, r.failovers, r.redirects_followed
+    );
+    let [lookups, hits, misses, coalesced, failed] = r.cache;
+    println!(
+        "server: {} panics contained, {} degraded, {} worker respawns | cache {lookups} \
+         lookups = {hits} hits + {misses} misses + {coalesced} coalesced ({failed} failed)",
+        r.server_panics, r.server_degraded, r.worker_respawns
     );
     println!(
-        "membership: converged_before_kill={} reconverged_after_respawn={}",
-        report.converged_before_kill, report.reconverged
+        "telemetry: sampling {} | {} chains sampled ({} retained) across {} loops",
+        if s.sample == 0 {
+            "off".to_string()
+        } else {
+            format!("1/{}", s.sample)
+        },
+        r.chains_sampled,
+        r.trace_ids_by_loop.iter().map(Vec::len).sum::<usize>(),
+        r.trace_ids_by_loop.len()
     );
-    if report.passed() {
-        println!("PASS: all invariants held");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        for violation in &report.violations {
-            eprintln!("FAIL: {violation}");
-        }
-        Ok(ExitCode::FAILURE)
+    if ring {
+        println!(
+            "membership: converged_before_kill={} reconverged_after_respawn={}",
+            r.converged_before_kill, r.reconverged
+        );
     }
-}
-
-/// Write the swap transcript (one admin action per line) for artifact
-/// upload, with the verdict appended so the file is self-contained.
-fn write_transcript(
-    path: &str,
-    transcript: &[String],
-    violations: &[String],
-) -> Result<(), String> {
-    let mut text = transcript.join("\n");
-    text.push('\n');
-    if violations.is_empty() {
-        text.push_str("PASS: all invariants held\n");
-    } else {
-        for violation in violations {
-            text.push_str(&format!("FAIL: {violation}\n"));
-        }
-    }
-    std::fs::write(path, text).map_err(|err| format!("cannot write {path}: {err}"))
-}
-
-/// The `osarch chaos --swap` verdict printer.
-fn swap_cli(
-    config: &SwapSoakConfig,
-    transcript_out: Option<&str>,
-) -> Result<std::process::ExitCode, String> {
-    use std::process::ExitCode;
-    let report = match run_swap(config) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("swap soak failed to start: {err}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
-    println!(
-        "swap soak: seed {} rate {} across {} live swaps ({} conns, {} workers)",
-        config.seed, config.rate, config.swaps, config.conns, config.workers
-    );
-    println!(
-        "swaps: {} committed, {} auto-rollbacks (corrupt-spec probe), {} explicit, \
-         {} mid-swap loop deaths (all respawned)",
-        report.swaps_committed,
-        report.auto_rollbacks,
-        report.explicit_rollbacks,
-        report.loop_deaths
-    );
-    // '.' = committed, 'R' = rolled back — bit-identical on a same-seed
-    // rerun, because the stream is a pure function of the seed.
-    let stream: String = report
-        .rollback_stream
-        .iter()
-        .map(|rolled| if *rolled { 'R' } else { '.' })
-        .collect();
-    println!("replay stream: [{stream}] (pure function of --seed)");
-    println!(
-        "registry: final epoch {} digest {}",
-        report.final_epoch, report.final_digest
-    );
-    println!(
-        "traffic: {} ok, {} dropped, {} corrupt | {} epoch samples verified \
-         byte-identical ({} degraded)",
-        report.oks, report.failures, report.corrupt, report.samples, report.degraded_samples
-    );
-    for line in &report.transcript {
+    for line in &r.transcript {
         println!("  {line}");
-    }
-    if let Some(path) = transcript_out {
-        write_transcript(path, &report.transcript, &report.violations)?;
-        println!("wrote {path} (swap transcript)");
-    }
-    if report.passed() {
-        println!("PASS: all invariants held");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        for violation in &report.violations {
-            eprintln!("FAIL: {violation}");
-        }
-        Ok(ExitCode::FAILURE)
-    }
-}
-
-/// The `osarch chaos --swap --cluster` verdict printer.
-fn swap_cluster_cli(
-    config: &SwapClusterConfig,
-    transcript_out: Option<&str>,
-) -> Result<std::process::ExitCode, String> {
-    use std::process::ExitCode;
-    let report = match run_swap_cluster(config) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("cluster swap soak failed to start: {err}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
-    println!(
-        "cluster swap soak: seed {} across {} live swaps ({} nodes, R={}, gossip {}ms)",
-        config.seed, config.swaps, config.nodes, config.replicas, config.gossip_ms
-    );
-    println!(
-        "kill schedule (seeded): victim node {} ({}) dies mid-swap, respawns with a \
-         fresh registry two swaps later",
-        report.victim, report.addrs[report.victim]
-    );
-    println!(
-        "swaps: {} committed via node 0 | registry: final epoch {} digest {}",
-        report.swaps_committed, report.final_epoch, report.final_digest
-    );
-    println!(
-        "traffic: {} ok, {} failed, {} corrupt",
-        report.oks, report.failures, report.corrupt
-    );
-    println!(
-        "convergence: membership_before_kill={} spec_digest_all_nodes={}",
-        report.converged_before_kill, report.spec_converged
-    );
-    for line in &report.transcript {
-        println!("  {line}");
-    }
-    if let Some(path) = transcript_out {
-        write_transcript(path, &report.transcript, &report.violations)?;
-        println!("wrote {path} (swap transcript)");
-    }
-    if report.passed() {
-        println!("PASS: all invariants held");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        for violation in &report.violations {
-            eprintln!("FAIL: {violation}");
-        }
-        Ok(ExitCode::FAILURE)
     }
 }

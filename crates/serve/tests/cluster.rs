@@ -4,30 +4,14 @@
 //! routing client failing over when a replica dies.
 
 use osarch_serve::protocol::parse_request;
+use osarch_serve::server::reserve_loopback_addrs;
+use osarch_serve::soak::{self, Scenario};
 use osarch_serve::{
-    run_cluster_soak, ClientConfig, ClusterClient, ClusterConfig, ClusterSoakConfig, Server,
-    ServerConfig, ServerHandle,
+    ClientConfig, ClusterClient, ClusterConfig, Server, ServerConfig, ServerHandle,
 };
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
-
-/// Reserve `n` distinct loopback ports by binding them all at once,
-/// then freeing them: every cluster node must know every peer's
-/// dialable address before any node starts, so the usual `:0`
-/// ephemeral-port trick cannot work here.
-fn reserve_addrs(n: usize) -> Vec<String> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("reserve port"))
-        .collect();
-    listeners
-        .iter()
-        .map(|listener| {
-            let port = listener.local_addr().expect("local addr").port();
-            format!("127.0.0.1:{port}")
-        })
-        .collect()
-}
 
 fn start_cluster(
     addrs: &[String],
@@ -105,7 +89,7 @@ fn key_of(line: &str) -> String {
 
 #[test]
 fn every_key_answers_through_one_node_with_proxying() {
-    let addrs = reserve_addrs(3);
+    let addrs = reserve_loopback_addrs(3).expect("reserve loopback ports");
     let handles = start_cluster(&addrs, 1, true, Duration::from_millis(200));
 
     // R=1: node 0 owns ~1/3 of the keys, so most of these must be
@@ -150,7 +134,7 @@ fn every_key_answers_through_one_node_with_proxying() {
 
 #[test]
 fn non_replica_redirects_with_not_owner_when_proxying_is_off() {
-    let addrs = reserve_addrs(3);
+    let addrs = reserve_loopback_addrs(3).expect("reserve loopback ports");
     let handles = start_cluster(&addrs, 1, false, Duration::from_millis(200));
     let ring = osarch_cluster::Ring::new(&addrs, osarch_cluster::DEFAULT_VNODES);
 
@@ -192,7 +176,7 @@ fn non_replica_redirects_with_not_owner_when_proxying_is_off() {
 
 #[test]
 fn gossip_converges_and_marks_a_killed_node_down() {
-    let addrs = reserve_addrs(3);
+    let addrs = reserve_loopback_addrs(3).expect("reserve loopback ports");
     let mut handles = start_cluster(&addrs, 2, true, Duration::from_millis(50));
 
     // Phase 1: every node's digest names all three peers alive, and all
@@ -245,31 +229,27 @@ fn gossip_converges_and_marks_a_killed_node_down() {
 
 #[test]
 fn cluster_soak_kill_and_respawn_passes_and_replays_its_schedule() {
-    let config = ClusterSoakConfig {
-        seed: 7,
-        secs: 2.0,
-        ..ClusterSoakConfig::default()
-    };
-    let report = run_cluster_soak(&config).expect("cluster soak starts");
+    let scenario = Scenario::cluster(7, Duration::from_secs(2));
+    let report = soak::run(&scenario).expect("cluster soak starts");
     assert!(
         report.passed(),
         "cluster soak violations: {:?}",
         report.violations
     );
-    assert_eq!(report.corrupt, 0);
+    assert_eq!(report.resilience.corrupt, 0);
     assert!(report.oks > 0);
     assert!(report.converged_before_kill);
     assert!(report.reconverged);
 
     // Same seed, same victim: the kill decision is a pure function of
     // the seed, never of the run.
-    let replay = run_cluster_soak(&config).expect("cluster soak replays");
+    let replay = soak::run(&scenario).expect("cluster soak replays");
     assert_eq!(replay.victim, report.victim, "kill schedule must replay");
 }
 
 #[test]
 fn cluster_client_fails_over_when_a_replica_dies() {
-    let addrs = reserve_addrs(3);
+    let addrs = reserve_loopback_addrs(3).expect("reserve loopback ports");
     let mut handles = start_cluster(&addrs, 2, true, Duration::from_millis(50));
     let mut client = ClusterClient::new(
         &addrs,

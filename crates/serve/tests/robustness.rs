@@ -8,7 +8,8 @@
 
 use osarch_core::metrics;
 use osarch_serve::cache::Fetched;
-use osarch_serve::{protocol, Server, ServerConfig, ShardedCache, SoakConfig};
+use osarch_serve::soak::{self, Scenario};
+use osarch_serve::{protocol, Server, ServerConfig, ShardedCache};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -263,15 +264,13 @@ fn health_probe_reports_liveness() {
 /// injected counts are interleaving-dependent; the schedule is not).
 #[test]
 fn chaos_soak_invariants_hold_and_schedule_replays() {
-    let config = SoakConfig {
-        seed: 42,
+    let scenario = Scenario {
         rate: 0.2,
-        secs: 1.0,
         conns: 4,
         workers: 2,
-        ..SoakConfig::default()
+        ..Scenario::soak(42, Duration::from_secs(1))
     };
-    let first = osarch_serve::run_soak(&config).expect("soak");
+    let first = soak::run(&scenario).expect("soak");
     assert!(
         first.passed(),
         "soak invariants violated: {:?}",
@@ -283,7 +282,7 @@ fn chaos_soak_invariants_hold_and_schedule_replays() {
         "rate 0.2 must actually inject faults"
     );
 
-    let second = osarch_serve::run_soak(&config).expect("soak rerun");
+    let second = soak::run(&scenario).expect("soak rerun");
     assert!(second.passed(), "{:?}", second.violations);
     assert_eq!(
         first.schedule, second.schedule,
@@ -292,11 +291,94 @@ fn chaos_soak_invariants_hold_and_schedule_replays() {
     assert_eq!(first.schedule_total, second.schedule_total);
 
     // A different seed plans a different schedule.
-    let other = osarch_serve::run_soak(&SoakConfig {
-        seed: 43,
-        secs: 0.5,
-        ..config
-    })
-    .expect("soak seed 43");
+    let other = Scenario {
+        conns: 4,
+        workers: 2,
+        ..Scenario::soak(43, Duration::from_millis(500))
+    };
+    let other = soak::run(&other).expect("soak seed 43");
     assert_ne!(first.schedule, other.schedule);
+}
+
+/// Run `osarch chaos` with `args`, which it must refuse with a one-line
+/// usage error before any server starts.
+fn refused(args: &[&str]) -> String {
+    let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+    match soak::cli(&args, "osarch chaos") {
+        Err(message) => {
+            assert!(!message.contains('\n'), "not one line: {message}");
+            message
+        }
+        Ok(code) => panic!("{args:?} ran a soak ({code:?}) instead of refusing"),
+    }
+}
+
+#[test]
+fn chaos_cli_refuses_an_infinite_duration() {
+    assert!(refused(&["--duration", "inf"]).contains("--duration"));
+}
+
+#[test]
+fn chaos_cli_refuses_a_duration_too_long_to_represent() {
+    assert!(refused(&["--duration", "1e300"]).contains("--duration"));
+}
+
+#[test]
+fn chaos_cli_refuses_an_infinite_cluster_duration() {
+    assert!(refused(&["--cluster", "--duration", "inf"]).contains("--duration"));
+}
+
+#[test]
+fn chaos_cli_refuses_a_nan_duration() {
+    assert!(refused(&["--duration", "NaN"]).contains("--duration"));
+}
+
+#[test]
+fn chaos_cli_refuses_a_negative_duration() {
+    assert!(refused(&["--duration", "-5"]).contains("--duration"));
+}
+
+#[test]
+fn chaos_cli_refuses_zero_workers() {
+    assert!(refused(&["--workers", "0"]).contains("--workers"));
+}
+
+#[test]
+fn chaos_cli_refuses_nodes_without_cluster() {
+    assert!(refused(&["--nodes", "3"]).contains("--cluster"));
+}
+
+#[test]
+fn chaos_cli_refuses_replicas_without_cluster() {
+    assert!(refused(&["--replicas", "2"]).contains("--cluster"));
+}
+
+#[test]
+fn chaos_cli_refuses_a_duration_for_the_swap_soak() {
+    assert!(refused(&["--swap", "--duration", "5"]).contains("--swaps"));
+}
+
+#[test]
+fn chaos_cli_refuses_load_flags_for_the_ring_soaks() {
+    for mode in [&["--cluster"][..], &["--swap", "--cluster"]] {
+        for flag in [["--rate", "0.2"], ["--conns", "2"], ["--workers", "2"]] {
+            let args = [mode, &flag[..]].concat();
+            assert!(refused(&args).contains(flag[0]), "{args:?}");
+        }
+    }
+}
+
+#[test]
+fn chaos_cli_refuses_telemetry_flags_outside_the_plain_soak() {
+    for mode in [&["--cluster"][..], &["--swap"], &["--swap", "--cluster"]] {
+        for flag in [
+            ["--sample", "2"],
+            ["--metrics-addr", "127.0.0.1:0"],
+            ["--metrics-out", "METRICS_refused.json"],
+            ["--trace-out", "TRACE_refused.json"],
+        ] {
+            let args = [mode, &flag[..]].concat();
+            assert!(refused(&args).contains(flag[0]), "{args:?}");
+        }
+    }
 }

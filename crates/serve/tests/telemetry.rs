@@ -4,7 +4,8 @@
 //! same-seed replay of soak telemetry, and a concurrent stress over the
 //! windowed-histogram hub.
 
-use osarch_serve::{run_soak, Server, ServerConfig, SoakConfig};
+use osarch_serve::soak::{self, Scenario};
+use osarch_serve::{Server, ServerConfig};
 use osarch_telemetry::TraceIdGen;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -217,18 +218,16 @@ fn health_reports_derived_gauges() {
 
 #[test]
 fn same_seed_soaks_replay_telemetry_from_the_seed() {
-    let config = SoakConfig {
-        seed: 0x7e1e_417a,
+    let scenario = Scenario {
         rate: 0.15,
-        secs: 1.0,
         conns: 4,
         workers: 2,
-        shards: 8,
         sample: 2,
         metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..Scenario::soak(0x7e1e_417a, Duration::from_secs(1))
     };
-    let first = run_soak(&config).expect("first soak");
-    let second = run_soak(&config).expect("second soak");
+    let first = soak::run(&scenario).expect("first soak");
+    let second = soak::run(&scenario).expect("second soak");
     for (label, report) in [("first", &first), ("second", &second)] {
         assert!(
             report.passed(),
@@ -247,7 +246,7 @@ fn same_seed_soaks_replay_telemetry_from_the_seed() {
     for report in [&first, &second] {
         for (loop_index, ids) in report.trace_ids_by_loop.iter().enumerate() {
             assert!(
-                on_stream(config.seed, loop_index, ids),
+                on_stream(scenario.seed, loop_index, ids),
                 "loop {loop_index} ids fell off the seeded stream"
             );
         }
