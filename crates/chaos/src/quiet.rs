@@ -8,9 +8,8 @@
 //! the previous hook on drop.
 //!
 //! The panic hook is process-global state, so the guard also holds a
-//! global lock: two fault-injected harnesses (say, a soak and a faulted
-//! loadgen under `cargo test`) serialize instead of clobbering each
-//! other's hooks.
+//! global lock: two fault-injected harnesses (say, two soaks under
+//! `cargo test`) serialize instead of clobbering each other's hooks.
 
 use std::panic::PanicHookInfo;
 use std::sync::{Mutex, MutexGuard};

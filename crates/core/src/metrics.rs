@@ -175,7 +175,7 @@ pub fn measure_spec_json(name: &str, spec: &osarch_cpu::ArchSpec, primitive: Pri
     )
 }
 
-/// One `osarch-loadgen` run, ready to serialize as `BENCH_serve.json`.
+/// One `osarch loadgen` run, ready to serialize as `BENCH_serve.json`.
 ///
 /// Latency fields are microseconds of client-observed request round-trip
 /// time; the cache counters are deltas of the server's `metrics` totals
@@ -185,20 +185,22 @@ pub fn measure_spec_json(name: &str, spec: &osarch_cpu::ArchSpec, primitive: Pri
 pub struct ServeBenchReport {
     /// Key distribution (`uniform` or `skewed`).
     pub workload: String,
-    /// Loop discipline (`closed` or `open`).
+    /// Loop discipline: `open` when rounds are paced (`--rate`), else
+    /// `pipelined` when more than one request rides each write, else
+    /// `closed`.
     pub mode: String,
     /// Concurrent client connections.
     pub conns: u32,
     /// Requests kept in flight per connection (`1` = strict
     /// request/reply; `>1` exercises server-side pipelining).
     pub pipeline_depth: u32,
-    /// Client driver threads multiplexing the connections. Equal to
-    /// `conns` in the thread-per-connection driver; far smaller in the
-    /// multiplexed driver used at connection scale.
+    /// Client driver threads sharing the connections: `min(conns, 32)`,
+    /// so up to 32 connections each get a thread of their own.
     pub driver_threads: u32,
-    /// Server worker threads.
+    /// Server worker threads, from the server's `metrics` gauges.
     pub workers: u32,
-    /// Cache shards.
+    /// Cache shards of a self-hosted server (the `metrics` reply does
+    /// not carry an external server's count).
     pub shards: u32,
     /// Measured wall-clock seconds.
     pub secs: f64,
@@ -220,8 +222,9 @@ pub struct ServeBenchReport {
     pub misses: u64,
     /// Requests that coalesced onto another request's computation.
     pub coalesced: u64,
-    /// Client-side resilience tallies (retries, giveups, breaker
-    /// transitions, per-error-class counts).
+    /// Client-side resilience tallies. The load generator's driver
+    /// never retries, so it fills only `corrupt`, `server_errors`,
+    /// `timeouts` and `conn_resets`.
     pub resilience: ResilienceCounters,
 }
 
@@ -1169,12 +1172,11 @@ mod tests {
     fn metrics_snapshot_document_is_valid() {
         let hub = osarch_telemetry::TelemetryHub::new(2, &["ping", "measure"], 64, 7);
         for us in [120u64, 250, 4000] {
-            hub.record_op(0, 1, us, 0);
+            hub.record_served(0, 1, us, None, 0);
         }
         hub.record_loop_lag(1, 35, 0);
         hub.record_queue_depth(0, 4, 0);
         hub.record_arena(0, 9, 0);
-        hub.bump(0, osarch_telemetry::COUNTER_REQUESTS, 3, 0);
         let snap = hub.snapshot(
             5_000_000,
             osarch_telemetry::Gauges {

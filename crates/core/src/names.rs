@@ -2,11 +2,12 @@
 //! spellings to [`Arch`], [`Primitive`] and report names, and renders the
 //! one-line "valid names" errors every front end prints on a bad name.
 //!
-//! The `osarch` binary, the `repro_tables` binary and the `osarch-serve`
-//! protocol all parse the same spellings through these functions, so an
-//! unknown name fails loudly and identically everywhere: nonzero exit (or
-//! an error envelope) plus a single line listing every accepted name,
-//! including the `mips-r2000` / `mips-r3000` vendor aliases.
+//! The `osarch` binary (`osarch tables` among its commands) and the
+//! `osarch-serve` protocol both parse the same spellings through these
+//! functions, so an unknown name fails loudly and identically everywhere:
+//! nonzero exit (or an error envelope) plus a single line listing every
+//! accepted name, including the `mips-r2000` / `mips-r3000` vendor
+//! aliases.
 
 use osarch_cpu::Arch;
 use osarch_kernel::Primitive;

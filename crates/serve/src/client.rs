@@ -1,9 +1,9 @@
 //! The resilient protocol client.
 //!
-//! Everything that drives a server from this repo — the load generator,
-//! the chaos soak, the CLI — goes through [`ResilientClient`], which
+//! The chaos soak drives its servers through [`ResilientClient`], which
 //! turns the raw line protocol into a request loop that survives a
-//! misbehaving server or network:
+//! misbehaving server or network. (The load generator does not retry:
+//! its driver counts a lost socket as an error and re-dials it.)
 //!
 //! * **per-attempt timeouts** — every attempt reads under a deadline, so
 //!   a stalled response costs one attempt, not the whole run;
@@ -116,7 +116,7 @@ pub struct CallError {
     pub detail: String,
 }
 
-/// Per-client tallies, for the loadgen / soak reports.
+/// Per-client tallies, for the soak and loadgen reports.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ClientCounters {
     /// Calls that succeeded.

@@ -28,13 +28,15 @@
 //!   arenas, a compute-offload pool for cache misses, a global
 //!   open-connection budget with backpressure, progress-based idle and
 //!   write timeouts, per-request deadlines, and graceful shutdown;
-//! * [`loadgen`] — open-/closed-loop and multiplexed-pipelined workload
-//!   driver emitting `BENCH_serve.json` (`osarch-serve-bench/2`) — the
-//!   pipelined driver holds 10 000 connections from a handful of client
-//!   threads;
-//! * [`client`] — the resilient protocol client: per-attempt timeouts,
-//!   bounded retries with deterministic backoff jitter, and a
-//!   closed/open/half-open circuit breaker;
+//! * [`loadgen`] — the load generator, one lockstep driver for closed,
+//!   open (paced) and pipelined runs from 1 to 10 000 connections on at
+//!   most 32 client threads, emitting `BENCH_serve.json`
+//!   (`osarch-serve-bench/2`), plus the cluster weak-scaling bench
+//!   (`BENCH_cluster.json`);
+//! * [`client`] — the resilient protocol client the soak drives its
+//!   servers with: per-attempt timeouts, bounded retries with
+//!   deterministic backoff jitter, and a closed/open/half-open circuit
+//!   breaker;
 //! * [`soak`] — the chaos soak runner (`osarch chaos`): one runner over
 //!   [`Scenario`] values (seed, fault rate, nodes, load, and a phase list
 //!   of loads, node kills and respawns, spec swaps and rollbacks) that
@@ -111,3 +113,18 @@ pub use osarch_core::names::OP_NAMES;
 pub use protocol::{Frame, FrameBuf, Query, Request, MAX_REQUEST_BYTES};
 pub use registry::{SpecRegistry, SpecSnapshot};
 pub use server::{ClusterConfig, Server, ServerConfig, ServerHandle};
+
+/// Parse one flag's value, or a one-line usage error: the flag parser of
+/// the `osarch loadgen` and `osarch chaos` front ends.
+pub(crate) fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    raw: Option<&String>,
+    expects: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} requires a value"))?;
+    raw.parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| format!("{flag} expects {expects}, got {raw:?}"))
+}

@@ -54,10 +54,10 @@
 //! replies depend on thread interleaving and vary run to run.
 
 use crate::client::{ClientConfig, ClientCounters, ClusterClient, RouteCounters};
-use crate::loadgen::key_space;
 use crate::protocol::Query;
 use crate::registry::SpecSnapshot;
 use crate::server::{reserve_loopback_addrs, ClusterConfig, Server, ServerConfig, ServerHandle};
+use crate::{flag_value, loadgen::key_space};
 use osarch_chaos::{ChaosConfig, ChaosController, ChaosRng, Failpoint};
 use osarch_core::json::{self, Value};
 use osarch_core::metrics::{validate_metrics_snapshot, ResilienceCounters};
@@ -1388,20 +1388,6 @@ fn check_epochs(model: &SwapModel, samples: &Samples, violations: &mut Vec<Strin
     if samples.is_empty() {
         violations.push("NO PROGRESS: the verifier captured zero epoch samples".to_string());
     }
-}
-
-/// Parse one flag's value, or a one-line usage error.
-fn flag_value<T: std::str::FromStr>(
-    flag: &str,
-    raw: Option<&String>,
-    expects: &str,
-    valid: impl Fn(&T) -> bool,
-) -> Result<T, String> {
-    let raw = raw.ok_or_else(|| format!("{flag} requires a value"))?;
-    raw.parse()
-        .ok()
-        .filter(valid)
-        .ok_or_else(|| format!("{flag} expects {expects}, got {raw:?}"))
 }
 
 /// The `osarch chaos` front end: parse `args` into a scenario, run it,

@@ -365,11 +365,10 @@ mod tests {
         // A real snapshot out of the real emitter, so the scraper and
         // the producer cannot drift apart silently.
         let hub = osarch_telemetry::TelemetryHub::new(2, &crate::OP_NAMES, 64, 7);
-        hub.record_op(0, 1, 150, 3);
-        hub.record_op(0, 1, 950, 3);
-        hub.record_op(1, 0, 40, 3);
+        hub.record_served(0, 1, 150, None, 3);
+        hub.record_served(0, 1, 950, None, 3);
+        hub.record_served(1, 0, 40, None, 3);
         hub.record_loop_lag(0, 90, 3);
-        hub.bump(0, osarch_telemetry::COUNTER_REQUESTS, 3, 3);
         let snapshot = hub.snapshot(
             4_500_000,
             osarch_telemetry::Gauges {

@@ -248,9 +248,32 @@ fn loadgen_reports_validate_and_every_loop_serves() {
     assert!(report.requests > 0, "no requests completed");
     assert!(report.throughput_rps > 0.0);
     assert_eq!(report.workload, "skewed");
+    assert_eq!((report.mode.as_str(), report.driver_threads), ("closed", 4));
     assert!(
         report.hits + report.coalesced >= report.misses,
         "skewed traffic should mostly hit the cache: {report:?}"
+    );
+
+    // A paced pipelined run honours the rate: 4 connections offering 20
+    // requests/second each for one second, two requests per write. Rounds
+    // fire every 0.1 s from the run's start, so 10 rounds of 4 × 2 land,
+    // with one round of slack; pacing rounds (not requests) at the rate
+    // would land twice as many.
+    let report = osarch_serve::run_loadgen(&LoadgenConfig {
+        conns: 4,
+        pipeline: 2,
+        rate: Some(20.0),
+        secs: 1.0,
+        workers: 2,
+        ..LoadgenConfig::default()
+    })
+    .expect("paced loadgen");
+    assert_eq!(report.mode, "open");
+    assert_eq!(report.driver_threads, 4);
+    assert!(
+        (80..=88).contains(&report.requests),
+        "a paced run must not outrun its rate: {} requests",
+        report.requests
     );
 
     // Scaling premise that holds on any core count: the accept thread
@@ -273,6 +296,11 @@ fn loadgen_reports_validate_and_every_loop_serves() {
     })
     .expect("loadgen");
     assert!(report.requests > 0, "no requests completed");
+    assert_eq!(
+        report.driver_threads, 8,
+        "one thread per connection up to 32"
+    );
+    assert_eq!(report.workers, 4, "the external server's worker count");
     let loops: std::collections::BTreeSet<usize> = server
         .telemetry()
         .chains()

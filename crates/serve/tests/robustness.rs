@@ -3,15 +3,17 @@
 //! Protocol framing under adversarial segmentation (one byte per write,
 //! two requests per segment), the stalled-client shutdown race, cache
 //! poisoning by a panicking leader under real concurrency, the `health`
-//! probe, and the chaos soak itself — run twice to prove the fault
-//! schedule replays bit-identically from its seed.
+//! probe, the chaos soak itself — run twice to prove the fault schedule
+//! replays bit-identically from its seed — and the `osarch chaos` and
+//! `osarch loadgen` front ends refusing arguments they cannot run.
 
 use osarch_core::metrics;
 use osarch_serve::cache::Fetched;
 use osarch_serve::soak::{self, Scenario};
-use osarch_serve::{protocol, Server, ServerConfig, ShardedCache};
+use osarch_serve::{loadgen, protocol, Server, ServerConfig, ShardedCache};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
@@ -300,62 +302,65 @@ fn chaos_soak_invariants_hold_and_schedule_replays() {
     assert_ne!(first.schedule, other.schedule);
 }
 
-/// Run `osarch chaos` with `args`, which it must refuse with a one-line
-/// usage error before any server starts.
-fn refused(args: &[&str]) -> String {
+/// A CLI front end: `osarch chaos` or `osarch loadgen`.
+type Cli = fn(&[String], &str) -> Result<ExitCode, String>;
+
+/// Run `cli` with `args`, which it must refuse with a one-line usage
+/// error before any server starts.
+fn refused(cli: Cli, args: &[&str]) -> String {
     let args: Vec<String> = args.iter().map(ToString::to_string).collect();
-    match soak::cli(&args, "osarch chaos") {
+    match cli(&args, "osarch") {
         Err(message) => {
             assert!(!message.contains('\n'), "not one line: {message}");
             message
         }
-        Ok(code) => panic!("{args:?} ran a soak ({code:?}) instead of refusing"),
+        Ok(code) => panic!("{args:?} ran ({code:?}) instead of refusing"),
     }
 }
 
 #[test]
 fn chaos_cli_refuses_an_infinite_duration() {
-    assert!(refused(&["--duration", "inf"]).contains("--duration"));
+    assert!(refused(soak::cli, &["--duration", "inf"]).contains("--duration"));
 }
 
 #[test]
 fn chaos_cli_refuses_a_duration_too_long_to_represent() {
-    assert!(refused(&["--duration", "1e300"]).contains("--duration"));
+    assert!(refused(soak::cli, &["--duration", "1e300"]).contains("--duration"));
 }
 
 #[test]
 fn chaos_cli_refuses_an_infinite_cluster_duration() {
-    assert!(refused(&["--cluster", "--duration", "inf"]).contains("--duration"));
+    assert!(refused(soak::cli, &["--cluster", "--duration", "inf"]).contains("--duration"));
 }
 
 #[test]
 fn chaos_cli_refuses_a_nan_duration() {
-    assert!(refused(&["--duration", "NaN"]).contains("--duration"));
+    assert!(refused(soak::cli, &["--duration", "NaN"]).contains("--duration"));
 }
 
 #[test]
 fn chaos_cli_refuses_a_negative_duration() {
-    assert!(refused(&["--duration", "-5"]).contains("--duration"));
+    assert!(refused(soak::cli, &["--duration", "-5"]).contains("--duration"));
 }
 
 #[test]
 fn chaos_cli_refuses_zero_workers() {
-    assert!(refused(&["--workers", "0"]).contains("--workers"));
+    assert!(refused(soak::cli, &["--workers", "0"]).contains("--workers"));
 }
 
 #[test]
 fn chaos_cli_refuses_nodes_without_cluster() {
-    assert!(refused(&["--nodes", "3"]).contains("--cluster"));
+    assert!(refused(soak::cli, &["--nodes", "3"]).contains("--cluster"));
 }
 
 #[test]
 fn chaos_cli_refuses_replicas_without_cluster() {
-    assert!(refused(&["--replicas", "2"]).contains("--cluster"));
+    assert!(refused(soak::cli, &["--replicas", "2"]).contains("--cluster"));
 }
 
 #[test]
 fn chaos_cli_refuses_a_duration_for_the_swap_soak() {
-    assert!(refused(&["--swap", "--duration", "5"]).contains("--swaps"));
+    assert!(refused(soak::cli, &["--swap", "--duration", "5"]).contains("--swaps"));
 }
 
 #[test]
@@ -363,7 +368,7 @@ fn chaos_cli_refuses_load_flags_for_the_ring_soaks() {
     for mode in [&["--cluster"][..], &["--swap", "--cluster"]] {
         for flag in [["--rate", "0.2"], ["--conns", "2"], ["--workers", "2"]] {
             let args = [mode, &flag[..]].concat();
-            assert!(refused(&args).contains(flag[0]), "{args:?}");
+            assert!(refused(soak::cli, &args).contains(flag[0]), "{args:?}");
         }
     }
 }
@@ -378,7 +383,40 @@ fn chaos_cli_refuses_telemetry_flags_outside_the_plain_soak() {
             ["--trace-out", "TRACE_refused.json"],
         ] {
             let args = [mode, &flag[..]].concat();
-            assert!(refused(&args).contains(flag[0]), "{args:?}");
+            assert!(refused(soak::cli, &args).contains(flag[0]), "{args:?}");
         }
+    }
+}
+
+#[test]
+fn loadgen_cli_refuses_what_it_cannot_run_or_would_not_read() {
+    for (args, named) in [
+        (&["--secs", "inf"][..], "--secs"),
+        (&["--secs", "1e300"], "--secs"),
+        (&["--secs", "NaN"], "--secs"),
+        (&["--secs", "-3"], "--secs"),
+        (&["--rate", "0"], "--rate"),
+        (&["--rate", "-5"], "--rate"),
+        (&["--rate", "NaN"], "--rate"),
+        (&["--rate", "1e-300"], "--rate"),
+        (&["--cluster", "--node-rate", "1e-300"], "--node-rate"),
+        (&["--cluster", "--node-rate", "-1"], "--node-rate"),
+        (&["--nodes", "3"], "--cluster"),
+        (&["--replicas", "2"], "--cluster"),
+        (&["--node-rate", "0"], "--cluster"),
+        (
+            &["--cluster", "--addr", "127.0.0.1:1", "--rate", "5"],
+            "--cluster",
+        ),
+        (&["--cluster", "--addr", "127.0.0.1:1"], "--addr"),
+        (&["--cluster", "--rate", "5"], "--rate"),
+        (&["--cluster", "--workers", "2"], "--workers"),
+        (&["--cluster", "--sample", "2"], "--sample"),
+        (&["--addr", "127.0.0.1:1", "--workers", "2"], "--workers"),
+        (&["--addr", "127.0.0.1:1", "--sample", "2"], "--sample"),
+        (&["--faults", "0.1"], "--faults"),
+        (&["--shards", "4"], "--shards"),
+    ] {
+        assert!(refused(loadgen::cli, args).contains(named), "{args:?}");
     }
 }

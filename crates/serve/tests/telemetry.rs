@@ -276,15 +276,14 @@ fn hub_survives_concurrent_record_merge_and_rotation() {
                 // rotation and retention pruning.
                 for i in 0..PHASE1 {
                     let now_s = i / 100; // 200 epochs deep, > retention
-                    hub.record_op(loop_index, 1, (i % 997) + 1, now_s);
-                    hub.bump(loop_index, osarch_telemetry::COUNTER_REQUESTS, 1, now_s);
+                    hub.record_served(loop_index, 1, (i % 997) + 1, None, now_s);
                     hub.record_loop_lag(loop_index, i % 53, now_s);
                 }
                 // Phase 2: a fixed epoch far past phase 1, so rotation
                 // prunes every phase-1 window and the final merged count
                 // is exact.
                 for i in 0..PHASE2 {
-                    hub.record_op(loop_index, 2, (i % 89) + 1, 10_000);
+                    hub.record_served(loop_index, 2, (i % 89) + 1, None, 10_000);
                 }
             });
         }
@@ -305,7 +304,7 @@ fn hub_survives_concurrent_record_merge_and_rotation() {
     // Roll every shard to the final epoch, then count: phase-2 records
     // all landed on op slot 2 ("table") and nothing was lost.
     for loop_index in 0..LOOPS {
-        hub.record_op(loop_index, 2, 1, 10_000);
+        hub.record_served(loop_index, 2, 1, None, 10_000);
     }
     let snap = hub.snapshot(
         1_000_000,

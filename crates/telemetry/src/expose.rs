@@ -168,7 +168,7 @@ mod tests {
     fn exposition_carries_counters_quantiles_and_labels() {
         let hub = TelemetryHub::new(1, &OPS, 64, 0);
         for us in [100u64, 200, 300, 4000] {
-            hub.record_op(0, 1, us, 0);
+            hub.record_served(0, 1, us, None, 0);
         }
         hub.record_loop_lag(0, 50, 0);
         let snap = hub.snapshot(
@@ -200,7 +200,7 @@ mod tests {
         );
         // The op with no records is omitted entirely.
         assert!(!text.contains("op=\"ping\""), "{text}");
-        assert!(text.contains("osarch_window_requests_total 0"), "{text}");
+        assert!(text.contains("osarch_window_requests_total 4"), "{text}");
         for typed in [
             "osarch_requests_total counter",
             "osarch_cache_hit_ratio gauge",

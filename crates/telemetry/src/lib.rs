@@ -405,21 +405,6 @@ impl TelemetryHub {
         self.workers_live.load(Ordering::SeqCst)
     }
 
-    /// Record one service time under op slot `op` in the window only —
-    /// no counter moves ([`TelemetryHub::record_served`] is the serving
-    /// path's call).
-    pub fn record_op(&self, loop_index: usize, op: usize, service_us: u64, now_s: u64) {
-        self.shard(loop_index)
-            .windows
-            .record_op(op, service_us, now_s);
-    }
-
-    /// Bump a window counter on a shard; the lifetime totals do not
-    /// move ([`TelemetryHub::tally`] is the serving path's call).
-    pub fn bump(&self, loop_index: usize, counter: usize, n: u64, now_s: u64) {
-        self.shard(loop_index).windows.bump(counter, n, now_s);
-    }
-
     /// Record one event-loop iteration's busy time.
     pub fn record_loop_lag(&self, loop_index: usize, busy_us: u64, now_s: u64) {
         self.shard(loop_index)
@@ -536,8 +521,7 @@ mod tests {
                         // Spread records over several window epochs so
                         // rotation happens concurrently with merging.
                         let now_s = i / (PER_WRITER / 4).max(1);
-                        hub.record_op(shard, (i % 3) as usize, i % 5_000, now_s);
-                        hub.bump(shard, COUNTER_REQUESTS, 1, now_s);
+                        hub.record_served(shard, (i % 3) as usize, i % 5_000, None, now_s);
                         if i % 64 == 0 {
                             hub.record_loop_lag(shard, i % 300, now_s);
                         }
@@ -579,7 +563,7 @@ mod tests {
     #[test]
     fn snapshot_carries_gauges_totals_and_ratio() {
         let hub = TelemetryHub::new(2, &OPS, 64, 5);
-        hub.record_op(0, 1, 150, 0);
+        hub.record_served(0, 1, 150, None, 0);
         hub.record_queue_depth(1, 3, 0);
         hub.record_arena(0, 7, 0);
         let totals = Totals {

@@ -86,18 +86,18 @@ fn usage() -> ExitCode {
          \x20                         plane does not exist; --cluster joins a consistent-\n\
          \x20                         hash ring over the --peers seed list)\n\
          \x20 loadgen [--addr A] [--conns N] [--pipeline N] [--secs S] [--skew] [--rate R]\n\
-         \x20         [--workers N] [--shards N] [--seed N] [--faults P] [--sample N]\n\
-         \x20         [--out PATH] [--force] [--cluster [--nodes N] [--replicas R]]\n\
+         \x20         [--workers N] [--seed N] [--sample N] [--out PATH] [--force]\n\
+         \x20         [--cluster [--nodes N] [--replicas R] [--node-rate RPS]]\n\
          \x20                         drive a server (self-hosted without --addr) and\n\
-         \x20                         write BENCH_serve.json; large --conns or --pipeline\n\
-         \x20                         engage the multiplexed pipelined driver; --cluster\n\
-         \x20                         benches an N-node ring against a single-node\n\
-         \x20                         baseline and writes BENCH_cluster.json\n\
+         \x20                         write BENCH_serve.json; --rate R offers R req/s\n\
+         \x20                         per connection; --cluster benches an N-node ring\n\
+         \x20                         against a single-node baseline and writes\n\
+         \x20                         BENCH_cluster.json\n\
          \x20 chaos [--seed N] [--rate P] [--duration S] [--conns N] [--workers N]\n\
          \x20       [--sample N] [--metrics-addr A] [--metrics-out PATH] [--trace-out PATH]\n\
          \x20       [--cluster [--nodes N] [--replicas R]]\n\
          \x20       [--swap [--swaps N] [--transcript-out PATH]]\n\
-         \x20                         deterministic fault-injection soak: loadgen vs a\n\
+         \x20                         deterministic fault-injection soak: clients vs a\n\
          \x20                         chaos server, asserting resilience invariants\n\
          \x20                         (telemetry on; exports validated metrics + trace);\n\
          \x20                         --cluster soaks an N-node ring through a seeded\n\
