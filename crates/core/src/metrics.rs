@@ -40,8 +40,11 @@ pub const SERVE_SCHEMA: &str = "osarch-serve/1";
 
 /// The schema tag stamped into every `BENCH_serve.json` load report.
 /// `/2` added tail-fidelity latency fields (`p999`, `samples`,
-/// `sampled`) and the raw `latency_hist` bucket export.
-pub const SERVE_BENCH_SCHEMA: &str = "osarch-serve-bench/2";
+/// `sampled`) and the raw `latency_hist` bucket export; `/3` dropped
+/// `shards` and the resilience columns a load generator that never
+/// retries cannot fill (`retries`, `giveups`, `breaker_opens`,
+/// `degraded`, `error_classes.breaker_open`).
+pub const SERVE_BENCH_SCHEMA: &str = "osarch-serve-bench/3";
 
 /// The schema tag stamped into every telemetry snapshot (the `metrics`
 /// protocol op and the `--metrics-addr` scrape listener's JSON form).
@@ -199,9 +202,6 @@ pub struct ServeBenchReport {
     pub driver_threads: u32,
     /// Server worker threads, from the server's `metrics` gauges.
     pub workers: u32,
-    /// Cache shards of a self-hosted server (the `metrics` reply does
-    /// not carry an external server's count).
-    pub shards: u32,
     /// Measured wall-clock seconds.
     pub secs: f64,
     /// Requests completed with an `ok` envelope.
@@ -222,36 +222,15 @@ pub struct ServeBenchReport {
     pub misses: u64,
     /// Requests that coalesced onto another request's computation.
     pub coalesced: u64,
-    /// Client-side resilience tallies. The load generator's driver
-    /// never retries, so it fills only `corrupt`, `server_errors`,
-    /// `timeouts` and `conn_resets`.
-    pub resilience: ResilienceCounters,
-}
-
-/// Client-side resilience tallies for one load-generator run: how often
-/// the resilient client retried, gave up, tripped its circuit breaker,
-/// and what failure class each failed attempt fell into.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilienceCounters {
-    /// Retry attempts beyond each call's first try.
-    pub retries: u64,
-    /// Calls abandoned after exhausting every attempt.
-    pub giveups: u64,
-    /// Times a client breaker transitioned closed → open.
-    pub breaker_opens: u64,
-    /// Replies flagged `"degraded":true` (stale-on-error).
-    pub degraded: u64,
-    /// Attempts that hit the per-attempt deadline.
-    pub timeouts: u64,
-    /// Attempts that lost the connection or read a torn reply.
-    pub conn_resets: u64,
-    /// Attempts answered with an error envelope.
-    pub server_errors: u64,
-    /// Calls shed without touching the network (breaker open).
-    pub breaker_open: u64,
-    /// Replies that failed verification (bad JSON or id mismatch).
-    /// Anything nonzero is client-visible corruption.
+    /// Replies that failed verification (bad JSON or an id echoed out of
+    /// order). Anything nonzero is client-visible corruption.
     pub corrupt: u64,
+    /// Of `errors`, the replies that were error envelopes.
+    pub server_errors: u64,
+    /// Sockets lost to a read that timed out.
+    pub timeouts: u64,
+    /// Sockets lost to a reset, an EOF or a failed write.
+    pub conn_resets: u64,
 }
 
 /// A [`crate::stats::LatencySummary`] as a JSON object body.
@@ -283,22 +262,20 @@ fn sparse_buckets_json(buckets: &[(usize, u64)]) -> String {
     format!("[{}]", pairs.join(","))
 }
 
-/// A load-generator report as an `osarch-serve-bench/2` JSON document.
+/// A load-generator report as an `osarch-serve-bench/3` JSON document.
 #[must_use]
 pub fn serve_bench_json(report: &ServeBenchReport) -> String {
     format!(
         concat!(
             "{{\"schema\":\"{}\",\"workload\":\"{}\",\"mode\":\"{}\",",
             "\"conns\":{},\"pipeline_depth\":{},\"driver_threads\":{},",
-            "\"workers\":{},\"shards\":{},\"secs\":{},",
+            "\"workers\":{},\"secs\":{},",
             "\"requests\":{},\"errors\":{},\"throughput_rps\":{},",
             "\"latency_us\":{},",
             "\"latency_hist\":{{\"sub_bits\":{},\"max_exp\":{},\"buckets\":{}}},",
             "\"cache\":{{\"hits\":{},\"misses\":{},\"coalesced\":{}}},",
-            "\"resilience\":{{\"retries\":{},\"giveups\":{},\"breaker_opens\":{},",
-            "\"degraded\":{},\"corrupt\":{},",
-            "\"error_classes\":{{\"timeout\":{},\"conn_reset\":{},",
-            "\"server_error\":{},\"breaker_open\":{}}}}}}}\n"
+            "\"resilience\":{{\"corrupt\":{},\"error_classes\":{{",
+            "\"timeout\":{},\"conn_reset\":{},\"server_error\":{}}}}}}}\n"
         ),
         SERVE_BENCH_SCHEMA,
         json_escape(&report.workload),
@@ -307,7 +284,6 @@ pub fn serve_bench_json(report: &ServeBenchReport) -> String {
         report.pipeline_depth,
         report.driver_threads,
         report.workers,
-        report.shards,
         json_number(report.secs),
         report.requests,
         report.errors,
@@ -319,19 +295,14 @@ pub fn serve_bench_json(report: &ServeBenchReport) -> String {
         report.hits,
         report.misses,
         report.coalesced,
-        report.resilience.retries,
-        report.resilience.giveups,
-        report.resilience.breaker_opens,
-        report.resilience.degraded,
-        report.resilience.corrupt,
-        report.resilience.timeouts,
-        report.resilience.conn_resets,
-        report.resilience.server_errors,
-        report.resilience.breaker_open,
+        report.corrupt,
+        report.timeouts,
+        report.conn_resets,
+        report.server_errors,
     )
 }
 
-/// Every key an `osarch-serve-bench/2` document must carry, as a path
+/// Every key an `osarch-serve-bench/3` document must carry, as a path
 /// from the root (`a.b` for a member of a member, `a[].b` for a member
 /// of every element of an array). The loadgen validates its own output
 /// against this list before writing it, so a report missing a column
@@ -344,7 +315,6 @@ pub const SERVE_BENCH_REQUIRED_KEYS: &[&str] = &[
     "pipeline_depth",
     "driver_threads",
     "workers",
-    "shards",
     "secs",
     "requests",
     "errors",
@@ -359,19 +329,14 @@ pub const SERVE_BENCH_REQUIRED_KEYS: &[&str] = &[
     "latency_hist.buckets",
     "cache",
     "resilience",
-    "resilience.retries",
-    "resilience.giveups",
-    "resilience.breaker_opens",
-    "resilience.degraded",
     "resilience.corrupt",
     "resilience.error_classes",
     "resilience.error_classes.timeout",
     "resilience.error_classes.conn_reset",
     "resilience.error_classes.server_error",
-    "resilience.error_classes.breaker_open",
 ];
 
-/// Validate an `osarch-serve-bench/2` document: well-formed JSON *and*
+/// Validate an `osarch-serve-bench/3` document: well-formed JSON *and*
 /// every required key present. Returns the first missing key on failure.
 pub fn validate_serve_bench(doc: &str) -> Result<(), String> {
     validate_json_schema(doc, SERVE_BENCH_SCHEMA, SERVE_BENCH_REQUIRED_KEYS)
@@ -1120,7 +1085,6 @@ mod tests {
             pipeline_depth: 4,
             driver_threads: 8,
             workers: 4,
-            shards: 16,
             secs: 3.0,
             requests: 1200,
             errors: 0,
@@ -1130,17 +1094,10 @@ mod tests {
             hits: 1172,
             misses: 28,
             coalesced: 3,
-            resilience: ResilienceCounters {
-                retries: 5,
-                giveups: 1,
-                breaker_opens: 1,
-                degraded: 2,
-                timeouts: 3,
-                conn_resets: 2,
-                server_errors: 1,
-                breaker_open: 4,
-                corrupt: 0,
-            },
+            corrupt: 0,
+            server_errors: 1,
+            timeouts: 3,
+            conn_resets: 2,
         };
         let doc = serve_bench_json(&report);
         assert_eq!(validate_json(&doc), Ok(()));
@@ -1155,10 +1112,11 @@ mod tests {
             osarch_telemetry::SUB_BITS,
             osarch_telemetry::MAX_EXP
         )));
-        assert!(doc.contains("\"resilience\":{\"retries\":5,\"giveups\":1"));
-        assert!(doc.contains("\"error_classes\":{\"timeout\":3,\"conn_reset\":2"));
+        assert!(doc.contains(
+            "\"resilience\":{\"corrupt\":0,\"error_classes\":{\"timeout\":3,\"conn_reset\":2,\"server_error\":1}}"
+        ));
         // The extended validator rejects a document missing a column.
-        let truncated = doc.replace("\"giveups\":1,", "");
+        let truncated = doc.replace("\"conn_reset\":2,", "");
         assert!(validate_serve_bench(&truncated).is_err());
         // Non-finite throughput (a zero-second run) must degrade to null.
         let mut broken = report;
@@ -1304,7 +1262,7 @@ mod tests {
         let truncated = doc.replace("\"baseline_rps\":400,", "");
         assert!(validate_cluster_bench(&truncated).is_err());
         // A serve-bench document does not pass as a cluster bench.
-        assert!(validate_cluster_bench("{\"schema\":\"osarch-serve-bench/2\"}").is_err());
+        assert!(validate_cluster_bench("{\"schema\":\"osarch-serve-bench/3\"}").is_err());
     }
 
     #[test]

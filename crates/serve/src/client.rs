@@ -28,7 +28,6 @@
 
 use osarch_chaos::{ChaosController, ChaosRng, Failpoint};
 use osarch_core::json;
-use osarch_core::metrics::ResilienceCounters;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -155,22 +154,6 @@ impl ClientCounters {
         self.server_errors += other.server_errors;
         self.degraded += other.degraded;
         self.corrupt += other.corrupt;
-    }
-}
-
-impl From<ClientCounters> for ResilienceCounters {
-    fn from(c: ClientCounters) -> ResilienceCounters {
-        ResilienceCounters {
-            retries: c.retries,
-            giveups: c.giveups,
-            breaker_opens: c.breaker_opens,
-            degraded: c.degraded,
-            timeouts: c.timeouts,
-            conn_resets: c.conn_resets,
-            server_errors: c.server_errors,
-            breaker_open: c.breaker_shed,
-            corrupt: c.corrupt,
-        }
     }
 }
 

@@ -31,7 +31,7 @@
 //! * [`loadgen`] — the load generator, one lockstep driver for closed,
 //!   open (paced) and pipelined runs from 1 to 10 000 connections on at
 //!   most 32 client threads, emitting `BENCH_serve.json`
-//!   (`osarch-serve-bench/2`), plus the cluster weak-scaling bench
+//!   (`osarch-serve-bench/3`), plus the cluster weak-scaling bench
 //!   (`BENCH_cluster.json`);
 //! * [`client`] — the resilient protocol client the soak drives its
 //!   servers with: per-attempt timeouts, bounded retries with

@@ -3,7 +3,7 @@
 //! Drives a running `osarch-serve` instance (or self-hosts one) over the
 //! full 7 × 4 architecture × primitive key space, under a uniform or
 //! hot-key-skewed draw, and reports throughput plus client-observed
-//! latency percentiles as an `osarch-serve-bench/2` document
+//! latency percentiles as an `osarch-serve-bench/3` document
 //! (`BENCH_serve.json`). Latency is tallied into a log-linear
 //! [`Histogram`] per driver thread and merged exactly, so the tail
 //! percentiles (through p99.9) survive any request count, and the merged
@@ -38,6 +38,7 @@
 
 use crate::client::ClientCounters;
 use crate::flag_value;
+use crate::protocol::exchange_line;
 use crate::server::{reserve_loopback_addrs, ClusterConfig, Server, ServerConfig, ServerHandle};
 use osarch_core::json::{self, Value};
 use osarch_core::metrics::{self, ClusterBenchReport, ServeBenchReport};
@@ -48,7 +49,7 @@ use osarch_telemetry::Histogram;
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -273,8 +274,6 @@ fn measure(
         pipeline_depth: pipeline,
         driver_threads: threads,
         workers: after.workers as u32,
-        // Not in the metrics reply: a self-hosted server's count.
-        shards: ServerConfig::default().shards as u32,
         secs,
         requests: counters.oks,
         errors,
@@ -284,7 +283,10 @@ fn measure(
         hits: after.hits.saturating_sub(before.hits),
         misses: after.misses.saturating_sub(before.misses),
         coalesced: after.coalesced.saturating_sub(before.coalesced),
-        resilience: counters.into(),
+        corrupt: counters.corrupt,
+        server_errors: counters.server_errors,
+        timeouts: counters.timeouts,
+        conn_resets: counters.conn_resets,
     })
 }
 
@@ -480,14 +482,8 @@ fn drive(
 /// Issue one out-of-band `metrics` query on a fresh connection and read
 /// the server's counters from it.
 fn query_metrics(addr: &str) -> std::io::Result<ServerCounters> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    writeln!(writer, "{{\"op\":\"metrics\"}}")?;
-    writer.flush()?;
-    let mut reply = String::new();
-    reader.read_line(&mut reply)?;
+    let timeout = Duration::from_secs(10);
+    let reply = exchange_line(addr, "{\"op\":\"metrics\"}", timeout, timeout)?;
     Ok(server_counters(&json::parse(&reply).unwrap_or(Value::Null)))
 }
 
@@ -849,7 +845,7 @@ pub fn cli(args: &[String], prog: &str) -> Result<ExitCode, String> {
                 r.coalesced
             );
             let valid = metrics::validate_serve_bench(&doc);
-            (doc, valid, summary, r.resilience.corrupt, r.requests)
+            (doc, valid, summary, r.corrupt, r.requests)
         })
     };
     let (doc, valid, summary, corrupt, requests) = match measured {

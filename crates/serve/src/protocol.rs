@@ -558,6 +558,59 @@ pub fn not_owner_envelope(id: &str, key: &str, owner: &str, replicas: &[&str]) -
     )
 }
 
+/// One request/reply exchange on a fresh connection: dial `addr` (each
+/// address it resolves to in turn) within `connect_timeout`, send `line`,
+/// and read one reply line, returned without its newline, with every
+/// read and write bounded by `io_timeout`. An EOF before the newline is
+/// a torn reply and an error, and so is a reply longer than eight request
+/// budgets. For threads that may block: the cluster relay, gossip and spec
+/// pull, the soak's admin ops, `osarch top` and the loadgen's `metrics`
+/// reads — never an event loop.
+pub(crate) fn exchange_line(
+    addr: impl std::net::ToSocketAddrs,
+    line: &str,
+    connect_timeout: std::time::Duration,
+    io_timeout: std::time::Duration,
+) -> std::io::Result<String> {
+    use std::io::{Error, ErrorKind, Read, Write};
+    let mut dialed = Err(Error::new(ErrorKind::InvalidInput, "unresolvable address"));
+    for addr in addr.to_socket_addrs()? {
+        dialed = std::net::TcpStream::connect_timeout(&addr, connect_timeout);
+        if dialed.is_ok() {
+            break;
+        }
+    }
+    let mut stream = dialed?;
+    let _ = stream.set_nodelay(true);
+    stream.set_write_timeout(Some(io_timeout))?;
+    stream.set_read_timeout(Some(io_timeout))?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
+    let mut reply = Vec::with_capacity(1024);
+    let mut chunk = [0u8; 4096];
+    loop {
+        let count = stream.read(&mut chunk)?;
+        if count == 0 {
+            return Err(Error::new(
+                ErrorKind::UnexpectedEof,
+                "peer closed before a full reply",
+            ));
+        }
+        let read = &chunk[..count];
+        if let Some(at) = read.iter().position(|&b| b == b'\n') {
+            reply.extend_from_slice(&read[..at]);
+            break;
+        }
+        reply.extend_from_slice(read);
+        if reply.len() > MAX_REQUEST_BYTES * 8 {
+            return Err(Error::new(
+                ErrorKind::InvalidData,
+                "peer reply exceeds frame budget",
+            ));
+        }
+    }
+    String::from_utf8(reply).map_err(|_| Error::new(ErrorKind::InvalidData, "non-UTF-8 reply"))
+}
+
 // ---------------------------------------------------------------------------
 // Incremental line framing
 // ---------------------------------------------------------------------------

@@ -23,6 +23,19 @@
 //!   per connection keep pipelined responses in request order even when
 //!   computations finish out of order.
 //!
+//! Every answer takes one reply path. A parsed request carries an
+//! `Origin` (echoed id, op, start instants, reply epoch, sampled trace)
+//! and ends as one `Reply`: a payload with what the cache said, a stale
+//! `Degraded` payload, a replica's `Relayed` envelope, or a `Refused`
+//! error envelope with the event it counts as. Data queries pass one
+//! admission step (routing key, spec existence, cluster routing) first.
+//! `finish` turns `Origin` plus `Reply` into the connection's ticket, on
+//! the loop, whether the reply came from the loop itself or the pool: it
+//! is the one place a reply is checked against the deadline, counted
+//! (`record_served` or a tally), marked ready on its trace and rendered.
+//! `refused` builds every error ticket, those of requests that never
+//! parsed included.
+//!
 //! The server is built to survive misbehaviour, injected or real:
 //!
 //! * request handling runs under `catch_unwind` — a panicking handler
@@ -95,9 +108,6 @@ pub struct ServerConfig {
     /// draining its socket is disconnected instead of wedging the loop
     /// (and, with it, shutdown).
     pub write_timeout: Duration,
-    /// Compute-pool threads for offloaded data queries (`0` = one per
-    /// event loop).
-    pub compute_threads: usize,
     /// Trace-sampling rate: every Nth request per loop carries a full
     /// per-stage trace (`0` disables tracing). The decision is a counter
     /// check made *before* parse, so unsampled requests never allocate
@@ -195,7 +205,6 @@ impl Default for ServerConfig {
             deadline: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(5),
-            compute_threads: 0,
             sample_every: 64,
             telemetry_seed: 0,
             metrics_addr: None,
@@ -305,23 +314,19 @@ struct Job {
     seq: u64,
     key: String,
     query: Query,
-    id: String,
-    op: &'static str,
-    started: Instant,
-    start_us: u64,
     /// The registry snapshot captured at admission: the computation and
     /// the reply's `epoch` field both resolve against it, so in-flight
     /// work finishes on the spec version it started under even when the
     /// registry swaps mid-flight.
     snapshot: Arc<SpecSnapshot>,
-    /// Sampled request's trace, marked at enqueue time — the pool closes
-    /// the `queue` stage when it pops the job.
-    trace: Option<Box<PendingTrace>>,
     /// Cluster relay: forward the original line (with the `fwd` marker)
     /// to this replica instead of computing locally. On any relay
     /// failure the pool records the miss against the peer and falls
     /// back to a local computation — availability over placement.
     relay: Option<Relay>,
+    /// The request the reply answers. Its trace was marked at enqueue
+    /// time — the pool closes the `queue` stage when it pops the job.
+    origin: Origin,
 }
 
 /// A pending cluster relay: the target replica and the re-framed
@@ -331,28 +336,42 @@ struct Relay {
     line: String,
 }
 
-/// What the pool produced for a job: a local cache fetch, or a raw
-/// reply envelope relayed verbatim from the owning replica (the remote
-/// answered under the same request id, so it passes through untouched).
-enum Outcome {
-    Fetched(Fetched),
-    Relayed(String),
-}
-
 /// A finished computation on its way back to the owning loop.
 struct Completion {
     token: Token,
     gen: u64,
     seq: u64,
+    origin: Origin,
+    reply: Reply,
+}
+
+/// What a reply answers, carried from parse to the write batch: the
+/// echoed request id, the op, when the request started, the registry
+/// epoch its envelope reports, and the sampled trace.
+struct Origin {
     id: String,
     op: &'static str,
     started: Instant,
     start_us: u64,
-    /// The epoch the job's snapshot was captured at; the reply envelope
-    /// carries it.
     epoch: u64,
-    outcome: Outcome,
     trace: Option<Box<PendingTrace>>,
+}
+
+/// How a request ended. [`finish`] turns an [`Origin`] and its `Reply`
+/// into the ticket the connection writes.
+enum Reply {
+    /// The payload, plus what the cache said: a hit (`Some(true)`), a
+    /// fresh computation (`Some(false)`), or nothing for a reply that
+    /// never touched the cache (`None`).
+    Ok(Arc<str>, Option<bool>),
+    /// A failed recomputation served its stale last-good payload; the
+    /// string is the failure.
+    Degraded(Arc<str>, String),
+    /// A replica answered under the request's own id: its envelope
+    /// passes through verbatim.
+    Relayed(String),
+    /// An error envelope, counted as the given event.
+    Refused(Tally, String),
 }
 
 /// Per-loop shared state: the accept handoff, the completion mailbox,
@@ -650,11 +669,6 @@ impl Server {
                 backlog_ms: AtomicU64::new(0),
             });
         }
-        let compute_threads = if config.compute_threads == 0 {
-            workers
-        } else {
-            config.compute_threads
-        };
         let metrics_listener = match &config.metrics_addr {
             Some(scrape_addr) => Some(TcpListener::bind(scrape_addr)?),
             None => None,
@@ -688,7 +702,7 @@ impl Server {
             registry: SpecRegistry::new(),
             admin_token: config.admin_token.clone(),
         });
-        let mut threads = Vec::with_capacity(workers + compute_threads + 2);
+        let mut threads = Vec::with_capacity(2 * workers + 2);
         for (index, wake_rx) in wake_rxs.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
             // Live from the moment `start` returns: a probe answered before
@@ -700,7 +714,8 @@ impl Server {
                     .spawn(move || loop_main(&shared, index, &wake_rx))?,
             );
         }
-        for index in 0..compute_threads {
+        // The compute pool: one thread per event loop.
+        for index in 0..workers {
             let shared = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
@@ -909,24 +924,11 @@ fn initiate_shutdown(shared: &Shared) {
 
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
     let mut next_loop = 0usize;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return; // the poke connection (or a straggler) — drop it
-        }
+    accept_until_shutdown(listener, shared, |stream| {
         if shared.inject(next_loop, Failpoint::AcceptDrop) {
             // Chaos: the listener sheds this connection without a word;
             // the peer sees an immediate close.
-            drop(stream);
-            continue;
+            return;
         }
         // Admission: reserve a budget slot optimistically, back out on
         // overflow. The Permit returns the slot wherever the connection
@@ -935,7 +937,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         if open >= shared.conn_budget {
             shared.open_conns.fetch_sub(1, Ordering::SeqCst);
             reject_busy(shared, next_loop, stream);
-            continue;
+            return;
         }
         shared.tally(next_loop, Tally::ConnOpened);
         let item = (stream, Permit(Arc::clone(&shared.open_conns)));
@@ -943,6 +945,31 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             // Every handoff is full (or closed): shed the connection.
             drop(permit);
             reject_busy(shared, next_loop, stream);
+        }
+    });
+}
+
+/// How long a listener thread waits after a failed `accept` before it
+/// tries again. Out of file descriptors, with connections waiting in the
+/// backlog, `accept` fails at once; retrying at once would spin a core.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
+
+/// The one accept loop behind both listeners: hand each accepted
+/// connection to `serve` until shutdown. The shutdown poke (or a
+/// straggler) that wakes a blocked `accept` is dropped unserved.
+fn accept_until_shutdown(
+    listener: &TcpListener,
+    shared: &Shared,
+    mut serve: impl FnMut(TcpStream),
+) {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => serve(stream),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY_PAUSE),
         }
     }
 }
@@ -995,21 +1022,7 @@ fn reject_busy(shared: &Shared, loop_index: usize, mut stream: TcpStream) {
 /// scrapes are ~1 Hz, so no event loop is warranted, and a stuck scraper
 /// can at worst wedge this one thread, never the serve path.
 fn metrics_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return; // the shutdown poke (or a straggler)
-        }
-        serve_scrape(shared, stream);
-    }
+    accept_until_shutdown(listener, shared, |stream| serve_scrape(shared, stream));
 }
 
 fn serve_scrape(shared: &Shared, mut stream: TcpStream) {
@@ -1066,48 +1079,37 @@ fn serve_scrape(shared: &Shared, mut stream: TcpStream) {
 fn pool_main(shared: &Shared) {
     while let Some(mut job) = shared.jobs.pop() {
         // Queue stage: enqueue (marked by the loop) to pool pickup.
-        if let Some(trace) = job.trace.as_mut() {
+        if let Some(trace) = job.origin.trace.as_mut() {
             trace.stage_from_mark("queue", shared.uptime_us());
         }
         // A cluster relay tries the owning replica first; any failure
         // records the miss against the peer and degrades to the local
         // compute path below — availability over placement.
-        let mut relayed: Option<String> = None;
-        if let Some(relay) = job.relay.take() {
+        let relayed = job.relay.take().and_then(|relay| {
             let read_timeout = shared.deadline.min(RELAY_READ_TIMEOUT_CAP);
-            match exchange_line(
+            let reply = protocol::exchange_line(
                 &relay.target,
                 &relay.line,
                 RELAY_CONNECT_TIMEOUT,
                 read_timeout,
-            ) {
-                Ok(reply) => {
-                    if let Some(cluster) = &shared.cluster {
-                        lock(&cluster.membership).record_success(&relay.target);
-                    }
-                    relayed = Some(reply);
-                }
-                Err(_) => {
-                    if let Some(cluster) = &shared.cluster {
-                        lock(&cluster.membership).record_failure(&relay.target);
-                    }
+            );
+            if let Some(cluster) = &shared.cluster {
+                let mut membership = lock(&cluster.membership);
+                match reply {
+                    Ok(_) => membership.record_success(&relay.target),
+                    Err(_) => membership.record_failure(&relay.target),
                 }
             }
-        }
-        let outcome = match relayed {
-            Some(reply) => {
-                if let Some(trace) = job.trace.as_mut() {
-                    // The relay round trip stands in for the cache stage.
-                    trace.stage_from_mark("cache", shared.uptime_us());
-                }
-                Outcome::Relayed(reply)
-            }
+            reply.ok()
+        });
+        let mut compute_span: Option<(u64, u64)> = None;
+        let reply = match relayed {
+            Some(envelope) => Reply::Relayed(envelope),
             None => {
                 // The cache contains computation panics itself; this
                 // outer guard is for everything unexpected, so a
                 // completion is *always* posted and no ticket waits
                 // forever.
-                let mut compute_span: Option<(u64, u64)> = None;
                 let fetched = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     compute_job(
                         shared,
@@ -1121,31 +1123,37 @@ fn pool_main(shared: &Shared) {
                 .unwrap_or_else(|_| {
                     Fetched::Failed("internal error: compute worker panicked".to_string())
                 });
-                if let Some(trace) = job.trace.as_mut() {
-                    // Cache stage: the whole single-flight path (including
-                    // any wait coalesced onto another flight's
-                    // computation)…
-                    trace.stage_from_mark("cache", shared.uptime_us());
-                    // …with the leader's own computation as a nested span.
-                    if let Some((start_us, dur_us)) = compute_span {
-                        trace.stage("compute", start_us, dur_us);
-                    }
+                match fetched {
+                    Fetched::Computed(payload) => Reply::Ok(payload, Some(false)),
+                    Fetched::Cached(payload) => Reply::Ok(payload, Some(true)),
+                    Fetched::Degraded(payload, error) => Reply::Degraded(payload, error),
+                    Fetched::Failed(error) => Reply::Refused(
+                        Tally::PanicError,
+                        protocol::err_envelope(
+                            &job.origin.id,
+                            &format!("{} failed: {error}", job.origin.op),
+                        ),
+                    ),
                 }
-                Outcome::Fetched(fetched)
             }
         };
+        if let Some(trace) = job.origin.trace.as_mut() {
+            // Cache stage: the relay round trip, or the whole single-flight
+            // path (including any wait coalesced onto another flight's
+            // computation)…
+            trace.stage_from_mark("cache", shared.uptime_us());
+            // …with the leader's own computation as a nested span.
+            if let Some((start_us, dur_us)) = compute_span {
+                trace.stage("compute", start_us, dur_us);
+            }
+        }
         let target = &shared.loops[job.loop_index];
         lock(&target.completions).push(Completion {
             token: job.token,
             gen: job.gen,
             seq: job.seq,
-            id: job.id,
-            op: job.op,
-            started: job.started,
-            start_us: job.start_us,
-            epoch: job.snapshot.epoch(),
-            outcome,
-            trace: job.trace,
+            origin: job.origin,
+            reply,
         });
         target.waker.wake();
     }
@@ -1205,53 +1213,6 @@ const RELAY_READ_TIMEOUT_CAP: Duration = Duration::from_secs(10);
 /// one gossip interval's order of magnitude.
 const GOSSIP_TIMEOUT: Duration = Duration::from_millis(300);
 
-/// One blocking request/reply exchange with a peer: dial, send the
-/// line, read exactly one newline-terminated reply. Used by the relay
-/// path (on pool threads) and the gossip prober (on its own thread) —
-/// never by an event loop.
-fn exchange_line(
-    target: &str,
-    line: &str,
-    connect_timeout: Duration,
-    read_timeout: Duration,
-) -> std::io::Result<String> {
-    use std::net::ToSocketAddrs;
-    let addr = target
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "unresolvable"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_write_timeout(Some(read_timeout))?;
-    stream.set_read_timeout(Some(read_timeout))?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    let mut reply = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    loop {
-        let count = stream.read(&mut chunk)?;
-        if count == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "peer closed before a full reply",
-            ));
-        }
-        reply.extend_from_slice(&chunk[..count]);
-        if let Some(at) = reply.iter().position(|&b| b == b'\n') {
-            reply.truncate(at);
-            break;
-        }
-        if reply.len() > protocol::MAX_REQUEST_BYTES * 8 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "peer reply exceeds frame budget",
-            ));
-        }
-    }
-    String::from_utf8(reply)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 reply"))
-}
-
 /// Cluster spec convergence, pull side: when a probed peer advertises a
 /// strictly newer registry epoch, fetch its spec set (`spec-fetch`) and
 /// adopt it at the *remote* epoch, so converged nodes share one digest.
@@ -1268,7 +1229,7 @@ fn maybe_pull_specs(shared: &Shared, target: &str, remote_digest: &str) {
     if remote_epoch <= local.epoch() {
         return;
     }
-    let Ok(reply) = exchange_line(
+    let Ok(reply) = protocol::exchange_line(
         target,
         "{\"op\":\"spec-fetch\",\"id\":\"spec-pull\"}",
         RELAY_CONNECT_TIMEOUT,
@@ -1321,7 +1282,7 @@ fn gossip_loop(shared: &Shared) {
             "{{\"op\":\"health\",\"id\":\"gossip\",\"gossip\":\"{}\"}}",
             osarch_core::metrics::json_escape(&digest)
         );
-        match exchange_line(target, &line, GOSSIP_TIMEOUT, GOSSIP_TIMEOUT) {
+        match protocol::exchange_line(target, &line, GOSSIP_TIMEOUT, GOSSIP_TIMEOUT) {
             Ok(reply) => {
                 // The peer's `health` payload carries its membership digest
                 // (`addr=inc/status;…`) and its spec-registry digest.
@@ -1566,13 +1527,8 @@ fn sweep_conn(shared: &Shared, loop_index: usize, conn: &mut Conn, now: Instant)
     // posts a completion, even for panics).
     if let Some(Ticket::Waiting { queued_at, id, .. }) = conn.pending.front() {
         if now.duration_since(*queued_at) >= shared.deadline + LOST_JOB_GRACE {
-            shared.tally(loop_index, Tally::Error);
             let envelope = protocol::err_envelope(id, "internal error: compute result lost");
-            conn.pending[0] = Ticket::Done {
-                envelope,
-                chaos: false,
-                trace: None,
-            };
+            conn.pending[0] = refused(shared, loop_index, Tally::Error, envelope);
         }
     }
 }
@@ -1745,7 +1701,6 @@ fn process_frames(shared: &Shared, loop_index: usize, conn: &mut Conn, ltrace: &
         match conn.frames.next_frame() {
             Frame::None => return,
             Frame::Oversized => {
-                shared.tally(loop_index, Tally::Error);
                 let envelope = protocol::err_envelope(
                     "null",
                     &format!(
@@ -1753,11 +1708,8 @@ fn process_frames(shared: &Shared, loop_index: usize, conn: &mut Conn, ltrace: &
                         protocol::MAX_REQUEST_BYTES
                     ),
                 );
-                conn.pending.push_back(Ticket::Done {
-                    envelope,
-                    chaos: false,
-                    trace: None,
-                });
+                conn.pending
+                    .push_back(refused(shared, loop_index, Tally::Error, envelope));
             }
             Frame::Line { start, end } => {
                 dispatch_line(shared, loop_index, conn, ltrace, start, end);
@@ -1800,12 +1752,9 @@ fn dispatch_line(
         );
     }));
     if outcome.is_err() {
-        shared.tally(loop_index, Tally::PanicError);
-        conn.pending.push_back(Ticket::Done {
-            envelope: protocol::err_envelope("null", "internal error: request handler panicked"),
-            chaos: false,
-            trace: None,
-        });
+        let envelope = protocol::err_envelope("null", "internal error: request handler panicked");
+        conn.pending
+            .push_back(refused(shared, loop_index, Tally::PanicError, envelope));
         // The connection state is unknown after a panic — answer, flush,
         // hang up.
         conn.poisoned = true;
@@ -1870,16 +1819,11 @@ fn handle_request(
         Err((message, id)) => {
             // A line that fails to parse has no op to trace: the sampled
             // slot is spent (ids stay deterministic), the trace dropped.
-            shared.tally(loop_index, Tally::Error);
-            pending.push_back(Ticket::Done {
-                envelope: protocol::err_envelope(&id, &message),
-                chaos: false,
-                trace: None,
-            });
+            let envelope = protocol::err_envelope(&id, &message);
+            pending.push_back(refused(shared, loop_index, Tally::Error, envelope));
             return;
         }
     };
-    let id = request.id;
     let op = op_name(&request.query);
     if let Some(trace) = trace.as_mut() {
         trace.op = op;
@@ -1890,20 +1834,30 @@ fn handle_request(
     // resolve against it, so a swap mid-request changes nothing for
     // work already admitted.
     let snapshot = shared.registry.snapshot();
-    let mut reply_epoch = snapshot.epoch();
-    let (payload, cached) = match &request.query {
-        Query::Ping => ("{\"pong\":true}".to_string(), false),
-        Query::Spans => (
-            osarch_core::metrics::serve_chains_chrome_json(&shared.hub.chains())
-                .trim_end()
-                .to_string(),
-            false,
+    let mut origin = Origin {
+        id: request.id,
+        op,
+        started,
+        start_us,
+        epoch: snapshot.epoch(),
+        trace,
+    };
+    let refuse =
+        |message: &str| Reply::Refused(Tally::Error, protocol::err_envelope(&origin.id, message));
+    let reply = match &request.query {
+        Query::Ping => Reply::Ok(Arc::from("{\"pong\":true}"), None),
+        Query::Spans => Reply::Ok(
+            Arc::from(
+                osarch_core::metrics::serve_chains_chrome_json(&shared.hub.chains()).trim_end(),
+            ),
+            None,
         ),
-        Query::Metrics => (
-            osarch_core::metrics::metrics_snapshot_json(&shared.telemetry_snapshot())
-                .trim_end()
-                .to_string(),
-            false,
+        Query::Metrics => Reply::Ok(
+            Arc::from(
+                osarch_core::metrics::metrics_snapshot_json(&shared.telemetry_snapshot())
+                    .trim_end(),
+            ),
+            None,
         ),
         Query::Health { gossip } => {
             let (gauges, totals) = shared.gauges_and_totals();
@@ -1927,27 +1881,19 @@ fn handle_request(
                     snapshot.digest()
                 ));
             }
-            (payload, false)
+            Reply::Ok(payload.into(), None)
         }
         Query::Cluster => match &shared.cluster {
-            Some(cluster) => (cluster.status_payload(), false),
-            None => {
-                shared.tally(loop_index, Tally::Error);
-                pending.push_back(Ticket::Done {
-                    envelope: protocol::err_envelope(&id, "cluster: not running in cluster mode"),
-                    chaos: false,
-                    trace: None,
-                });
-                return;
-            }
+            Some(cluster) => Reply::Ok(cluster.status_payload().into(), None),
+            None => refuse("cluster: not running in cluster mode"),
         },
         Query::Shutdown => {
             // Initiate before replying: shutdown must happen even when
             // the client hangs up without reading the acknowledgement.
             initiate_shutdown(shared);
-            ("{\"shutting_down\":true}".to_string(), false)
+            Reply::Ok(Arc::from("{\"shutting_down\":true}"), None)
         }
-        Query::SpecFetch => (snapshot.fetch_payload(), false),
+        Query::SpecFetch => Reply::Ok(snapshot.fetch_payload().into(), None),
         Query::Admin {
             action,
             token,
@@ -1964,121 +1910,24 @@ fn handle_request(
             Ok(payload) => {
                 // Admin replies report the post-action epoch: an
                 // activation's envelope carries the epoch it created.
-                reply_epoch = shared.registry.snapshot().epoch();
-                (payload, false)
+                origin.epoch = shared.registry.snapshot().epoch();
+                Reply::Ok(payload.into(), None)
             }
-            Err(message) => {
-                shared.tally(loop_index, Tally::Error);
-                pending.push_back(Ticket::Done {
-                    envelope: protocol::err_envelope(&id, &message),
-                    chaos: false,
-                    trace: None,
-                });
-                return;
-            }
+            Err(message) => refuse(&message),
         },
-        query => {
-            // Data query. A query kind with no cache key would once have
-            // panicked the worker here; now it is a clean error envelope.
-            let Some(routing_key) = query.routing_key() else {
-                shared.tally(loop_index, Tally::Error);
-                pending.push_back(Ticket::Done {
-                    envelope: protocol::err_envelope(
-                        &id,
-                        &format!("internal error: {op} query has no cache key"),
-                    ),
-                    chaos: false,
-                    trace: None,
-                });
-                return;
-            };
-            // A spec measurement must name a spec the captured snapshot
-            // actually holds — resolved here, before any offload, so the
-            // compute path can rely on existence.
-            if let Query::MeasureSpec { name, .. } = query {
-                if snapshot.spec(name).is_none() {
-                    shared.tally(loop_index, Tally::Error);
-                    let loaded: Vec<&str> =
-                        snapshot.entries().iter().map(|e| e.name.as_str()).collect();
-                    pending.push_back(Ticket::Done {
-                        envelope: protocol::err_envelope(
-                            &id,
-                            &format!(
-                                "unknown spec {name:?} at epoch {}; loaded specs: [{}]",
-                                snapshot.epoch(),
-                                loaded.join(", ")
-                            ),
-                        ),
-                        chaos: false,
-                        trace: None,
-                    });
-                    return;
-                }
-            }
-            // The epoch-free routing key places the request on the ring
-            // (ownership must not move on a swap); the snapshot-scoped
-            // cache key isolates cached replies per epoch.
-            let key = format!("{}{routing_key}", snapshot.key_prefix());
-            // Cluster routing: a key this node does not replicate is
-            // relayed to a replica (proxy mode) or answered with a
-            // `not_owner` redirect. A forwarded request is never
-            // re-forwarded (loop guard on the `fwd` marker), and with
-            // every replica written off the key is computed locally —
-            // availability over placement, since any node can compute
-            // any key.
-            let mut relay: Option<Relay> = None;
-            if let Some(cluster) = &shared.cluster {
-                let replicas = cluster.ring.replicas(&routing_key, cluster.replicas);
-                let mine = replicas.iter().any(|addr| *addr == cluster.self_addr);
-                if mine {
-                    if request.forwarded {
-                        cluster.proxied.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else if request.forwarded || !cluster.proxy {
-                    cluster.redirected.fetch_add(1, Ordering::Relaxed);
-                    shared.tally(loop_index, Tally::Error);
-                    let owner = replicas.first().copied().unwrap_or("");
-                    pending.push_back(Ticket::Done {
-                        envelope: protocol::not_owner_envelope(&id, &routing_key, owner, &replicas),
-                        chaos: false,
-                        trace: None,
-                    });
-                    return;
-                } else {
-                    let target = {
-                        let membership = lock(&cluster.membership);
-                        replicas
-                            .iter()
-                            .find(|addr| !membership.is_down(addr))
-                            .map(|addr| (*addr).to_string())
-                    };
-                    if let Some(target) = target {
-                        cluster.forwarded.fetch_add(1, Ordering::Relaxed);
-                        // Re-frame the original flat line with the relay
-                        // marker; the peer answers under the same id, so
-                        // its envelope passes through verbatim.
-                        let mut fwd_line = line.to_string();
-                        fwd_line.truncate(fwd_line.len() - 1);
-                        fwd_line.push_str(",\"fwd\":\"1\"}");
-                        relay = Some(Relay {
-                            target,
-                            line: fwd_line,
-                        });
-                    }
-                }
-            }
-            let hit = if relay.is_none() {
-                shared.cache.try_get(&key)
-            } else {
-                None
-            };
-            match hit {
+        query => match admit(shared, query, request.forwarded, line, &snapshot, &origin) {
+            Err(refusal) => refusal,
+            Ok((key, relay)) => match relay
+                .is_none()
+                .then(|| shared.cache.try_get(&key))
+                .flatten()
+            {
                 Some(hit) => {
-                    if let Some(trace) = trace.as_mut() {
+                    if let Some(trace) = origin.trace.as_mut() {
                         // Inline hit: the whole cache stage is the lookup.
                         trace.stage_from_mark("cache", shared.uptime_us());
                     }
-                    (hit.to_string(), true)
+                    Reply::Ok(hit, Some(true))
                 }
                 None => {
                     // Miss (or in flight, or a relay): offload. The
@@ -2086,10 +1935,11 @@ fn handle_request(
                     // valve.
                     let seq = *next_seq;
                     *next_seq += 1;
-                    if let Some(trace) = trace.as_mut() {
+                    if let Some(trace) = origin.trace.as_mut() {
                         // The pool closes this as the `queue` stage.
                         trace.mark(shared.uptime_us());
                     }
+                    let id = origin.id.clone();
                     let job = Job {
                         loop_index,
                         token,
@@ -2097,48 +1947,113 @@ fn handle_request(
                         seq,
                         key,
                         query: query.clone(),
-                        id: id.clone(),
-                        op,
-                        started,
-                        start_us,
                         snapshot: Arc::clone(&snapshot),
-                        trace,
                         relay,
+                        origin,
                     };
-                    if shared.jobs.try_push(job).is_err() {
-                        shared.tally(loop_index, Tally::Error);
-                        pending.push_back(Ticket::Done {
-                            envelope: protocol::err_envelope(
-                                &id,
-                                "server busy: compute queue full",
-                            ),
-                            chaos: false,
-                            trace: None,
-                        });
-                    } else {
-                        pending.push_back(Ticket::Waiting {
+                    pending.push_back(match shared.jobs.try_push(job) {
+                        Ok(()) => Ticket::Waiting {
                             seq,
                             id,
                             queued_at: started,
-                        });
-                    }
+                        },
+                        Err(_) => {
+                            let envelope =
+                                protocol::err_envelope(&id, "server busy: compute queue full");
+                            refused(shared, loop_index, Tally::Error, envelope)
+                        }
+                    });
                     return;
                 }
-            }
-        }
+            },
+        },
     };
-    pending.push_back(finish_now(
-        shared,
-        loop_index,
-        &id,
-        op,
-        &payload,
-        cached,
-        reply_epoch,
-        started,
-        start_us,
-        trace,
-    ));
+    pending.push_back(finish(shared, loop_index, origin, reply));
+}
+
+/// Admit a data query: the snapshot-scoped cache key it is served under
+/// and, in cluster mode, the replica to relay it to — or the refusal
+/// that answers it instead.
+fn admit(
+    shared: &Shared,
+    query: &Query,
+    forwarded: bool,
+    line: &str,
+    snapshot: &SpecSnapshot,
+    origin: &Origin,
+) -> Result<(String, Option<Relay>), Reply> {
+    let refuse = |envelope: String| Err(Reply::Refused(Tally::Error, envelope));
+    // A query kind with no cache key would once have panicked the worker
+    // here; now it is a clean error envelope.
+    let Some(routing_key) = query.routing_key() else {
+        let message = format!("internal error: {} query has no cache key", origin.op);
+        return refuse(protocol::err_envelope(&origin.id, &message));
+    };
+    // A spec measurement must name a spec the captured snapshot actually
+    // holds — resolved here, before any offload, so the compute path can
+    // rely on existence.
+    if let Query::MeasureSpec { name, .. } = query {
+        if snapshot.spec(name).is_none() {
+            let loaded: Vec<&str> = snapshot.entries().iter().map(|e| e.name.as_str()).collect();
+            let message = format!(
+                "unknown spec {name:?} at epoch {}; loaded specs: [{}]",
+                snapshot.epoch(),
+                loaded.join(", ")
+            );
+            return refuse(protocol::err_envelope(&origin.id, &message));
+        }
+    }
+    // The epoch-free routing key places the request on the ring
+    // (ownership must not move on a swap); the snapshot-scoped cache key
+    // isolates cached replies per epoch.
+    let key = format!("{}{routing_key}", snapshot.key_prefix());
+    // Cluster routing: a key this node does not replicate is relayed to a
+    // replica (proxy mode) or answered with a `not_owner` redirect. A
+    // forwarded request is never re-forwarded (loop guard on the `fwd`
+    // marker), and with every replica written off the key is computed
+    // locally — availability over placement, since any node can compute
+    // any key.
+    let Some(cluster) = &shared.cluster else {
+        return Ok((key, None));
+    };
+    let replicas = cluster.ring.replicas(&routing_key, cluster.replicas);
+    if replicas.iter().any(|addr| *addr == cluster.self_addr) {
+        if forwarded {
+            cluster.proxied.fetch_add(1, Ordering::Relaxed);
+        }
+        return Ok((key, None));
+    }
+    if forwarded || !cluster.proxy {
+        cluster.redirected.fetch_add(1, Ordering::Relaxed);
+        let owner = replicas.first().copied().unwrap_or("");
+        return refuse(protocol::not_owner_envelope(
+            &origin.id,
+            &routing_key,
+            owner,
+            &replicas,
+        ));
+    }
+    let target = {
+        let membership = lock(&cluster.membership);
+        replicas
+            .iter()
+            .find(|addr| !membership.is_down(addr))
+            .map(|addr| (*addr).to_string())
+    };
+    let relay = target.map(|target| {
+        cluster.forwarded.fetch_add(1, Ordering::Relaxed);
+        // Re-frame the original flat line with the relay marker; the
+        // peer answers under the same id, so its envelope passes through
+        // verbatim.
+        let mut fwd_line = line.to_string();
+        fwd_line.truncate(fwd_line.len() - 1);
+        fwd_line.push_str(",\"fwd\":\"1\"}");
+        Relay {
+            target,
+            line: fwd_line,
+        }
+    });
+    Ok((key, relay))
 }
 
 /// The `health` payload: liveness in one line, a view over the same
@@ -2366,56 +2281,72 @@ fn activate_spec(shared: &Shared, loop_index: usize, name: &str) -> Result<Strin
     }
 }
 
-/// Render an inline (non-offloaded) reply, deadline-checked and counted
-/// exactly as the old blocking core did. A sampled trace gets its ready
-/// mark set here; the write stage closes when the envelope is batched.
-#[allow(clippy::too_many_arguments)]
-fn finish_now(
-    shared: &Shared,
-    loop_index: usize,
-    id: &str,
-    op: &'static str,
-    payload: &str,
-    cached: bool,
-    epoch: u64,
-    started: Instant,
-    start_us: u64,
-    mut trace: Option<Box<PendingTrace>>,
-) -> Ticket {
+/// The one reply path: every request that parsed ends here, with its
+/// [`Origin`] and [`Reply`]. A refusal is counted and delivered as is.
+/// Anything else is checked against the deadline, counted once (a
+/// degraded reply twice if it also misses), marked ready on its trace
+/// (from here to batching is the `write` stage) and rendered into an
+/// envelope that write-path chaos may stall or tear.
+fn finish(shared: &Shared, loop_index: usize, origin: Origin, reply: Reply) -> Ticket {
+    let Origin {
+        id,
+        op,
+        started,
+        start_us,
+        epoch,
+        mut trace,
+    } = origin;
     let service = started.elapsed();
     let service_us = service.as_micros() as u64;
-    let now_s = start_us / 1_000_000;
+    let (hit, envelope) = match reply {
+        Reply::Ok(payload, hit) => (
+            hit,
+            protocol::ok_envelope(&id, hit == Some(true), epoch, service_us, &payload),
+        ),
+        Reply::Degraded(payload, error) => {
+            shared.tally(loop_index, Tally::Degraded);
+            (
+                Some(true),
+                protocol::degraded_envelope(&id, epoch, service_us, &payload, &error),
+            )
+        }
+        // Served, but not a local cache event.
+        Reply::Relayed(envelope) => (None, envelope),
+        Reply::Refused(tally, envelope) => return refused(shared, loop_index, tally, envelope),
+    };
     if service > shared.deadline {
-        shared.tally(loop_index, Tally::DeadlineMiss);
-        return Ticket::Done {
-            envelope: protocol::err_envelope(
-                id,
-                &format!(
-                    "deadline exceeded: served in {service_us} us, deadline {} us",
-                    shared.deadline.as_micros()
-                ),
-            ),
-            chaos: false,
-            trace: None,
-        };
+        let message = format!(
+            "deadline exceeded: served in {service_us} us, deadline {} us",
+            shared.deadline.as_micros()
+        );
+        let envelope = protocol::err_envelope(&id, &message);
+        return refused(shared, loop_index, Tally::DeadlineMiss, envelope);
     }
-    // Inline replies never miss: a landed cache entry is a hit, a
-    // control op never touched the cache.
     shared.hub.record_served(
         loop_index,
         op_slot(op),
         service_us,
-        cached.then_some(true),
-        now_s,
+        hit,
+        start_us / 1_000_000,
     );
     if let Some(trace) = trace.as_mut() {
-        // Response ready: everything from here to batching is `write`.
         trace.mark(shared.uptime_us());
     }
     Ticket::Done {
-        envelope: protocol::ok_envelope(id, cached, epoch, service_us, payload),
+        envelope,
         chaos: true,
         trace,
+    }
+}
+
+/// An error ticket: count `tally` and deliver `envelope` faithfully — no
+/// write-path chaos, no trace.
+fn refused(shared: &Shared, loop_index: usize, tally: Tally, envelope: String) -> Ticket {
+    shared.tally(loop_index, tally);
+    Ticket::Done {
+        envelope,
+        chaos: false,
+        trace: None,
     }
 }
 
@@ -2433,114 +2364,7 @@ fn settle_ticket(shared: &Shared, loop_index: usize, conn: &mut Conn, completion
     else {
         return;
     };
-    conn.pending[position] = render_completion(shared, loop_index, completion);
-}
-
-fn render_completion(shared: &Shared, loop_index: usize, completion: Completion) -> Ticket {
-    let now_s = completion.start_us / 1_000_000;
-    let mut trace = completion.trace;
-    let fetched = match completion.outcome {
-        Outcome::Fetched(fetched) => fetched,
-        Outcome::Relayed(envelope) => {
-            // A replica answered on our behalf: its envelope carries the
-            // request's own id, so it passes through verbatim. Counted
-            // as a served request but not as a local cache event.
-            let service = completion.started.elapsed();
-            let service_us = service.as_micros() as u64;
-            if service > shared.deadline {
-                shared.tally(loop_index, Tally::DeadlineMiss);
-                return Ticket::Done {
-                    envelope: protocol::err_envelope(
-                        &completion.id,
-                        &format!(
-                            "deadline exceeded: served in {service_us} us, deadline {} us",
-                            shared.deadline.as_micros()
-                        ),
-                    ),
-                    chaos: false,
-                    trace: None,
-                };
-            }
-            shared
-                .hub
-                .record_served(loop_index, op_slot(completion.op), service_us, None, now_s);
-            if let Some(trace) = trace.as_mut() {
-                trace.mark(shared.uptime_us());
-            }
-            return Ticket::Done {
-                envelope,
-                chaos: true,
-                trace,
-            };
-        }
-    };
-    let (payload, cached, degraded) = match &fetched {
-        Fetched::Computed(payload) => (payload, false, None),
-        Fetched::Cached(payload) => (payload, true, None),
-        Fetched::Degraded(payload, error) => {
-            shared.tally(loop_index, Tally::Degraded);
-            (payload, true, Some(error.clone()))
-        }
-        Fetched::Failed(error) => {
-            shared.tally(loop_index, Tally::PanicError);
-            return Ticket::Done {
-                envelope: protocol::err_envelope(
-                    &completion.id,
-                    &format!("{} failed: {error}", completion.op),
-                ),
-                chaos: false,
-                trace: None,
-            };
-        }
-    };
-    let service = completion.started.elapsed();
-    let service_us = service.as_micros() as u64;
-    if service > shared.deadline {
-        shared.tally(loop_index, Tally::DeadlineMiss);
-        return Ticket::Done {
-            envelope: protocol::err_envelope(
-                &completion.id,
-                &format!(
-                    "deadline exceeded: served in {service_us} us, deadline {} us",
-                    shared.deadline.as_micros()
-                ),
-            ),
-            chaos: false,
-            trace: None,
-        };
-    }
-    shared.hub.record_served(
-        loop_index,
-        op_slot(completion.op),
-        service_us,
-        Some(cached),
-        now_s,
-    );
-    let envelope = match degraded {
-        Some(error) => protocol::degraded_envelope(
-            &completion.id,
-            completion.epoch,
-            service_us,
-            payload,
-            &error,
-        ),
-        None => protocol::ok_envelope(
-            &completion.id,
-            cached,
-            completion.epoch,
-            service_us,
-            payload,
-        ),
-    };
-    if let Some(trace) = trace.as_mut() {
-        // Response ready: everything from here to batching is `write`.
-        trace.mark(shared.uptime_us());
-    }
-    Ticket::Done {
-        envelope,
-        chaos: true,
-        trace,
-    }
+    conn.pending[position] = finish(shared, loop_index, completion.origin, completion.reply);
 }
 
 /// Move the completed reply prefix into the write buffer (one batched

@@ -54,13 +54,13 @@
 //! replies depend on thread interleaving and vary run to run.
 
 use crate::client::{ClientConfig, ClientCounters, ClusterClient, RouteCounters};
-use crate::protocol::Query;
+use crate::protocol::{exchange_line, Query};
 use crate::registry::SpecSnapshot;
 use crate::server::{reserve_loopback_addrs, ClusterConfig, Server, ServerConfig, ServerHandle};
 use crate::{flag_value, loadgen::key_space};
 use osarch_chaos::{ChaosConfig, ChaosController, ChaosRng, Failpoint};
 use osarch_core::json::{self, Value};
-use osarch_core::metrics::{validate_metrics_snapshot, ResilienceCounters};
+use osarch_core::metrics::validate_metrics_snapshot;
 use osarch_telemetry::TelemetryHub;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -296,7 +296,7 @@ pub struct SoakReport {
     /// the first kill, then between each kill and respawn boundary.
     pub sweeps: Vec<u64>,
     /// Merged client tallies; `corrupt` includes the epoch verifier's.
-    pub resilience: ResilienceCounters,
+    pub resilience: ClientCounters,
     /// Calls answered by the key's primary replica.
     pub routed_primary: u64,
     /// Attempts that failed over to another replica.
@@ -560,7 +560,7 @@ pub fn run(scenario: &Scenario) -> std::io::Result<SoakReport> {
     };
     counters.corrupt += verifier_corrupt;
     report.oks = counters.oks;
-    report.resilience = counters.into();
+    report.resilience = counters;
     report.sweeps = load
         .sweeps
         .iter()
@@ -931,29 +931,6 @@ fn swap_doc(index: u64) -> String {
     spec.to_json("hot")
 }
 
-/// One request/reply exchange over a fresh connection. Admin traffic is
-/// rare; a fresh dial per op keeps lost-reply recovery simple (there is
-/// never a half-consumed read buffer to reason about).
-fn exchange_once(addr: SocketAddr, line: &str) -> std::io::Result<String> {
-    let stream = TcpStream::connect_timeout(&addr, IO_TIMEOUT)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream);
-    reader.get_mut().write_all(format!("{line}\n").as_bytes())?;
-    let mut reply = String::new();
-    if reader.read_line(&mut reply)? == 0 || !reply.ends_with('\n') {
-        // No reply, or a torn line: the connection died mid-write (a
-        // loop-death or connection fault landed between our write and
-        // the server's). Either way the outcome is unknown — the caller
-        // must recover via the authoritative registry state.
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed before the full reply",
-        ));
-    }
-    Ok(reply)
-}
-
 /// The `result` payload of a reply envelope; `null` when the reply does
 /// not parse or carries none (an error envelope).
 fn reply_result(reply: &str) -> Value<'_> {
@@ -1040,7 +1017,9 @@ impl SwapModel {
 
 /// Node 0's admin plane as the soak drives it, mirrored in the model.
 /// Each action leaves one transcript line, `epoch (digest)`, whether its
-/// reply arrived or was torn and recovered through `spec-list`.
+/// reply arrived or was torn and recovered through `spec-list`. Every
+/// action dials afresh, so a lost reply never leaves a half-read buffer
+/// behind: its outcome is unknown, and the registry state settles it.
 struct Admin {
     addr: SocketAddr,
     next_id: u64,
@@ -1064,7 +1043,7 @@ impl Admin {
     fn list(&mut self) -> Result<(u64, String), String> {
         for _ in 0..100 {
             let line = self.request("spec-list", "");
-            let reply = exchange_once(self.addr, &line).ok();
+            let reply = exchange_line(self.addr, &line, IO_TIMEOUT, IO_TIMEOUT).ok();
             if let Some(state) = reply.and_then(|reply| epoch_and_digest(&reply_result(&reply))) {
                 return Ok(state);
             }
@@ -1083,7 +1062,7 @@ impl Admin {
         let mut staged = false;
         for _ in 0..50 {
             let line = self.request("spec-load", &spec);
-            match exchange_once(self.addr, &line) {
+            match exchange_line(self.addr, &line, IO_TIMEOUT, IO_TIMEOUT) {
                 Ok(reply) if reply_result(&reply)["staged"].as_str() == Some("hot") => {
                     staged = true;
                     break;
@@ -1100,7 +1079,8 @@ impl Admin {
         }
         for _ in 0..10 {
             let line = self.request("spec-activate", ",\"name\":\"hot\"");
-            let (rolled_back, epoch, digest) = match exchange_once(self.addr, &line) {
+            let reply = exchange_line(self.addr, &line, IO_TIMEOUT, IO_TIMEOUT);
+            let (rolled_back, epoch, digest) = match reply {
                 Ok(reply) => {
                     let payload = reply_result(&reply);
                     let (Some(activated), Some((epoch, digest))) =
@@ -1203,7 +1183,7 @@ impl Admin {
     fn rollback(&mut self, report: &mut SoakReport) -> Result<(), String> {
         for _ in 0..10 {
             let line = self.request("spec-rollback", "");
-            let (epoch, digest) = match exchange_once(self.addr, &line) {
+            let (epoch, digest) = match exchange_line(self.addr, &line, IO_TIMEOUT, IO_TIMEOUT) {
                 Ok(reply) => epoch_and_digest(&reply_result(&reply))
                     .ok_or_else(|| format!("ADMIN: spec-rollback failed: {}", reply.trim_end()))?,
                 Err(_) => {
@@ -1643,7 +1623,7 @@ fn print_report(s: &Scenario, r: &SoakReport) {
     );
     println!(
         "error classes: timeout={} conn_reset={} server_error={} breaker_open={}",
-        c.timeouts, c.conn_resets, c.server_errors, c.breaker_open
+        c.timeouts, c.conn_resets, c.server_errors, c.breaker_shed
     );
     println!(
         "routing: primary={} failovers={} redirects_followed={}",

@@ -19,9 +19,9 @@
 //! has been unreachable for `--retry-secs` (default 120, `0` restores
 //! fail-fast). `--once` always fails fast — it exists for scripts.
 
+use crate::protocol::exchange_line;
 use osarch_core::json::{self, Value};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::Duration;
 
 /// One parsed refresh of the `metrics` snapshot — just the fields the
@@ -207,24 +207,8 @@ pub fn render(addr: &str, prev: Option<&TopSnapshot>, cur: &TopSnapshot, elapsed
     out
 }
 
-/// Issue one `metrics` query on a fresh connection and return the reply
-/// line (envelope included).
-fn fetch(addr: &str) -> std::io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut writer = stream.try_clone()?;
-    writeln!(writer, "{{\"op\":\"metrics\",\"id\":0}}")?;
-    writer.flush()?;
-    let mut reply = String::new();
-    BufReader::new(stream).read_line(&mut reply)?;
-    if reply.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed the connection before replying",
-        ));
-    }
-    Ok(reply)
-}
+/// Connect and read budget of one scrape.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// First pause after a failed scrape; doubles up to [`BACKOFF_MAX`].
 const BACKOFF_START: Duration = Duration::from_millis(500);
@@ -294,7 +278,8 @@ pub fn cli(args: &[String], prog: &str) -> Result<std::process::ExitCode, String
     let mut down_since: Option<std::time::Instant> = None;
     let mut backoff = BACKOFF_START;
     loop {
-        let reply = match fetch(&addr) {
+        let metrics = "{\"op\":\"metrics\",\"id\":0}";
+        let reply = match exchange_line(addr.as_str(), metrics, SCRAPE_TIMEOUT, SCRAPE_TIMEOUT) {
             Ok(reply) => reply,
             Err(err) => {
                 let since = *down_since.get_or_insert_with(std::time::Instant::now);
@@ -513,7 +498,6 @@ mod tests {
             crate::server::Server::start(&crate::server::ServerConfig {
                 addr: spawn_addr,
                 workers: 1,
-                compute_threads: 1,
                 ..crate::server::ServerConfig::default()
             })
             .expect("late server starts")

@@ -25,7 +25,6 @@ fn start_cluster(
             Server::start(&ServerConfig {
                 addr: addr.clone(),
                 workers: 2,
-                compute_threads: 2,
                 cluster: Some(ClusterConfig {
                     self_addr: addr.clone(),
                     peers: addrs.to_vec(),

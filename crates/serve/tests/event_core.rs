@@ -155,7 +155,7 @@ fn multiplexed_driver_holds_hundreds_of_connections_without_corruption() {
     assert_eq!(report.mode, "pipelined");
     assert_eq!(report.pipeline_depth, 4);
     assert_eq!(report.driver_threads, 32, "300 conns share 32 threads");
-    assert_eq!(report.resilience.corrupt, 0, "no corrupt replies");
+    assert_eq!(report.corrupt, 0, "no corrupt replies");
     assert!(report.requests > 0, "the run made progress");
     let doc = osarch_core::metrics::serve_bench_json(&report);
     osarch_core::metrics::validate_serve_bench(&doc).expect("bench document validates");

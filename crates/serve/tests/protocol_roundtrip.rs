@@ -184,11 +184,32 @@ fn deadline_overrun_yields_clean_error_envelope() {
     })
     .expect("start");
     let mut client = Client::connect(server.addr());
-    let reply =
-        client.round_trip("{\"op\":\"measure\",\"arch\":\"CVAX\",\"primitive\":\"pte\",\"id\":1}");
-    assert_eq!(metrics::validate_json(&reply), Ok(()), "{reply}");
-    assert!(reply.contains("deadline exceeded"), "{reply}");
-    assert!(reply.contains("\"ok\":false"), "{reply}");
+    // Every reply origin misses a zero deadline: an offloaded miss, an
+    // inline control op, and the same key again, now a landed hit
+    // answered inline.
+    for (id, request) in [
+        (
+            1,
+            "{\"op\":\"measure\",\"arch\":\"CVAX\",\"primitive\":\"pte\",\"id\":1}",
+        ),
+        (2, "{\"op\":\"ping\",\"id\":2}"),
+        (
+            3,
+            "{\"op\":\"measure\",\"arch\":\"CVAX\",\"primitive\":\"pte\",\"id\":3}",
+        ),
+    ] {
+        let reply = client.round_trip(request);
+        assert_eq!(metrics::validate_json(&reply), Ok(()), "{reply}");
+        assert!(reply.contains("deadline exceeded"), "{reply}");
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        assert!(reply.contains(&format!("\"id\":{id},")), "{reply}");
+    }
+    let totals = server.telemetry().totals();
+    assert_eq!(
+        (totals.deadline_exceeded, totals.errors, totals.requests),
+        (3, 3, 0),
+        "{totals:?}"
+    );
     server.stop();
 }
 
