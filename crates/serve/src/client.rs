@@ -786,7 +786,11 @@ mod tests {
             "127.0.0.1:4103".to_string(),
         ];
         let client = ClusterClient::new(&addrs, 2, &ClientConfig::default());
-        let server_ring = osarch_cluster::Ring::new(&addrs, osarch_cluster::DEFAULT_VNODES);
+        let server_ring = crate::server::ring_of(&crate::ClusterConfig {
+            self_addr: addrs[0].clone(),
+            peers: addrs[1..].to_vec(),
+            ..crate::ClusterConfig::default()
+        });
         for key in ["measure/R3000/trap", "table/2", "analyze/all", "lint/CVAX"] {
             assert_eq!(client.addr_for(key), server_ring.owner(key), "{key}");
         }

@@ -27,10 +27,13 @@
 //!   pipelined requests with strictly ordered replies, per-loop buffer
 //!   arenas, a compute-offload pool for cache misses, a global
 //!   open-connection budget with backpressure, progress-based idle and
-//!   write timeouts, per-request deadlines, and graceful shutdown;
+//!   write timeouts, per-request deadlines, and graceful shutdown that
+//!   answers every request already accepted. [`Server::start`] is the one
+//!   validator of server settings;
 //! * [`loadgen`] — the load generator, one lockstep driver for closed,
 //!   open (paced) and pipelined runs from 1 to 10 000 connections on at
-//!   most 32 client threads, emitting `BENCH_serve.json`
+//!   most 32 client threads, its clock started once every socket is
+//!   dialed, emitting `BENCH_serve.json`
 //!   (`osarch-serve-bench/3`), plus the cluster weak-scaling bench
 //!   (`BENCH_cluster.json`);
 //! * [`client`] — the resilient protocol client the soak drives its
@@ -55,6 +58,15 @@
 //!   plain-ANSI view over the `metrics` op's `osarch-metrics/1`
 //!   snapshot: throughput, per-op tail percentiles, loop lag, cache and
 //!   resilience counters.
+//!
+//! The `osarch serve`, `loadgen`, `chaos` and `top` front ends
+//! ([`server::cli`], [`loadgen::cli`], [`soak::cli`], [`top::cli`]) read
+//! their arguments through the one reader in `osarch_core::names`, each
+//! over its `SYNOPSIS`, and return a one-line refusal for the caller to
+//! print before exiting 2. The refusal comes before any server starts:
+//! an argument nobody reads, a flag the chosen mode would not read, or a
+//! setting that [`Server::start`] or [`loadgen::run`] refuses as
+//! `InvalidInput`.
 //!
 //! Request telemetry threads through all of it (the `osarch-telemetry`
 //! crate's hub is the server's only recorder): sampled requests carry a
@@ -114,17 +126,11 @@ pub use protocol::{Frame, FrameBuf, Query, Request, MAX_REQUEST_BYTES};
 pub use registry::{SpecRegistry, SpecSnapshot};
 pub use server::{ClusterConfig, Server, ServerConfig, ServerHandle};
 
-/// Parse one flag's value, or a one-line usage error: the flag parser of
-/// the `osarch loadgen` and `osarch chaos` front ends.
-pub(crate) fn flag_value<T: std::str::FromStr>(
-    flag: &str,
-    raw: Option<&String>,
-    expects: &str,
-    valid: impl Fn(&T) -> bool,
-) -> Result<T, String> {
-    let raw = raw.ok_or_else(|| format!("{flag} requires a value"))?;
-    raw.parse()
-        .ok()
-        .filter(valid)
-        .ok_or_else(|| format!("{flag} expects {expects}, got {raw:?}"))
+/// The `InvalidInput` error for a setting no run can use, naming the
+/// `osarch` flag that sets it: what [`Server::start`] and
+/// [`loadgen::run`] return before anything starts, and what their front
+/// ends refuse with exit 2.
+pub(crate) fn invalid(flag: &str, expects: &str, value: impl std::fmt::Debug) -> std::io::Error {
+    let reason = format!("{flag} expects {expects}, got {value:?}");
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, reason)
 }

@@ -10,8 +10,10 @@
 //! sparse buckets ship in the report's `latency_hist` field for offline
 //! re-aggregation.
 //!
-//! There is one driver. `conns.min(32)` threads share the connections,
-//! and each runs rounds over its sockets: write a batch of `pipeline`
+//! There is one driver. `conns.min(32)` threads share the connections.
+//! Each dials its sockets first; the clock starts once every thread has
+//! dialed, so `secs` covers the run and not the connect storm. Then each
+//! runs rounds over its sockets: write a batch of `pipeline`
 //! requests to every socket, then read every batch back, checking that
 //! the replies echo their ids **in order** (anything else is counted as
 //! corruption). A socket lost mid-run is re-dialed once per round. The
@@ -37,11 +39,12 @@
 //! serving cost is the fixed per-request envelope, not the simulation.
 
 use crate::client::ClientCounters;
-use crate::flag_value;
-use crate::protocol::exchange_line;
+use crate::invalid;
+use crate::protocol::{exchange_line, Query};
 use crate::server::{reserve_loopback_addrs, ClusterConfig, Server, ServerConfig, ServerHandle};
 use osarch_core::json::{self, Value};
 use osarch_core::metrics::{self, ClusterBenchReport, ServeBenchReport};
+use osarch_core::names::{Args, Synopsis};
 use osarch_core::stats::LatencySummary;
 use osarch_cpu::Arch;
 use osarch_kernel::Primitive;
@@ -52,6 +55,7 @@ use rand::SeedableRng;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
+use std::sync::{Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Load-generator knobs.
@@ -165,13 +169,6 @@ fn seconds(secs: f64) -> Option<Duration> {
 /// requests/second on each connection, when it is representable.
 fn round_interval(pipeline: u32, rate: f64) -> Option<Duration> {
     seconds(f64::from(pipeline) / rate)
-}
-
-/// The `InvalidInput` error for a setting no run can use, naming the
-/// `osarch loadgen` flag that sets it.
-fn invalid(flag: &str, expects: &str, value: impl std::fmt::Debug) -> std::io::Error {
-    let reason = format!("{flag} expects {expects}, got {value:?}");
-    std::io::Error::new(ErrorKind::InvalidInput, reason)
 }
 
 /// What `--secs` must be, in both the workload and the cluster bench.
@@ -299,10 +296,16 @@ struct Target<'a> {
     conns: usize,
 }
 
+/// How long a driver keeps dialing its sockets before it gives up on
+/// the ones still refused.
+const DIAL_DEADLINE: Duration = Duration::from_secs(30);
+
 /// Run one driver thread per target for `duration`, each on its own
-/// stream derived from `seed`. Returns each target's tally, in order,
-/// and the measured wall-clock seconds (the drivers return at the run's
-/// end, so never less than `duration`).
+/// stream derived from `seed`. Every driver dials its sockets first; the
+/// clock starts when all of them have passed one barrier, so the connect
+/// storm stays outside the window. Returns each target's tally, in
+/// order, and the measured wall-clock seconds from that start (the
+/// drivers return at the run's end, so never less than `duration`).
 fn fan_out(
     targets: &[Target<'_>],
     seed: u64,
@@ -311,15 +314,27 @@ fn fan_out(
     duration: Duration,
     interval: Option<Duration>,
 ) -> (Vec<Tally>, f64) {
-    let started = Instant::now();
-    let stop_at = started + duration;
+    let dialed = Barrier::new(targets.len());
+    let clock = OnceLock::new();
     let tallies = std::thread::scope(|scope| {
         let handles: Vec<_> = targets
             .iter()
             .enumerate()
             .map(|(thread, target)| {
                 let seed = seed ^ (thread as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                scope.spawn(move || drive(target, seed, skew, pipeline, started, stop_at, interval))
+                let (dialed, clock) = (&dialed, &clock);
+                scope.spawn(move || {
+                    let deadline = Instant::now() + DIAL_DEADLINE;
+                    let socks = (0..target.conns)
+                        .map(|_| connect_with_retry(target.addr, deadline))
+                        .collect();
+                    dialed.wait();
+                    let started = *clock.get_or_init(Instant::now);
+                    let stop_at = started + duration;
+                    drive(
+                        target, socks, seed, skew, pipeline, started, stop_at, interval,
+                    )
+                })
             })
             .collect();
         handles
@@ -327,7 +342,10 @@ fn fan_out(
             .map(|h| h.join().expect("loadgen driver thread panicked"))
             .collect()
     });
-    (tallies, started.elapsed().as_secs_f64())
+    let secs = clock
+        .get()
+        .map_or(0.0, |started| started.elapsed().as_secs_f64());
+    (tallies, secs)
 }
 
 /// One connection: a buffered reader over the socket (writes go straight
@@ -359,7 +377,8 @@ fn connect_with_retry(addr: &str, deadline: Instant) -> Option<Conn> {
     }
 }
 
-/// One driver thread's loop over its target's sockets. Each round writes
+/// One driver thread's loop over the sockets it dialed for its target
+/// (`None` where a dial failed). Each round writes
 /// a batch of `pipeline` requests to *every* socket (so the whole round
 /// is in flight at once), then reads each socket's replies back and
 /// checks the ids echo **in order** — a reply out of order or
@@ -371,8 +390,10 @@ fn connect_with_retry(addr: &str, deadline: Instant) -> Option<Conn> {
 /// offered load is a property of the config rather than of how fast the
 /// host happens to be. A late round fires at once, and no sleep runs past
 /// `stop_at`.
+#[allow(clippy::too_many_arguments)]
 fn drive(
     target: &Target<'_>,
+    mut socks: Vec<Option<Conn>>,
     seed: u64,
     skew: bool,
     pipeline: u32,
@@ -394,10 +415,6 @@ fn drive(
     };
     let keys = key_space();
     let mut rng = StdRng::seed_from_u64(seed);
-    let connect_deadline = (Instant::now() + Duration::from_secs(30)).min(stop_at);
-    let mut socks: Vec<Option<Conn>> = (0..target.conns)
-        .map(|_| connect_with_retry(target.addr, connect_deadline))
-        .collect();
     let mut line = String::new();
     let mut batch = String::new();
     let mut sent: Vec<(u64, Instant)> = Vec::with_capacity(target.conns);
@@ -638,20 +655,7 @@ pub fn run_cluster_bench(config: &ClusterLoadConfig) -> std::io::Result<ClusterB
     let handles: Vec<ServerHandle> = (0..nodes)
         .map(|index| Server::start(&node_config(Some((&addrs, index)))))
         .collect::<std::io::Result<_>>()?;
-    let ring = osarch_cluster::Ring::new(&addrs, osarch_cluster::DEFAULT_VNODES);
-    let node_ranks: Vec<Vec<usize>> = addrs
-        .iter()
-        .map(|addr| {
-            (0..keys.len())
-                .filter(|&rank| {
-                    let (arch, primitive) = keys[rank];
-                    let key = format!("measure/{arch}/{}", primitive.tag());
-                    ring.replicas(&key, config.replicas)
-                        .contains(&addr.as_str())
-                })
-                .collect()
-        })
-        .collect();
+    let node_ranks = node_slices(&addrs, config.replicas);
     let targets: Vec<Target<'_>> = addrs
         .iter()
         .zip(&node_ranks)
@@ -698,6 +702,33 @@ pub fn run_cluster_bench(config: &ClusterLoadConfig) -> std::io::Result<ClusterB
     })
 }
 
+/// The ranks (indices into [`key_space`]) each node of a ring over
+/// `addrs` replicates at factor `replicas`, in `addrs` order: the keys
+/// whose replica set, on the ring every server and client builds, holds
+/// the node, placed by the server's own routing key.
+fn node_slices(addrs: &[String], replicas: usize) -> Vec<Vec<usize>> {
+    let ring = osarch_cluster::Ring::new(addrs, osarch_cluster::DEFAULT_VNODES);
+    let keys: Vec<String> = key_space()
+        .into_iter()
+        .map(|(arch, primitive)| {
+            Query::Measure { arch, primitive }
+                .routing_key()
+                .expect("a measure query has a routing key")
+        })
+        .collect();
+    addrs
+        .iter()
+        .map(|addr| {
+            (0..keys.len())
+                .filter(|&rank| {
+                    ring.replicas(&keys[rank], replicas)
+                        .contains(&addr.as_str())
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Refuse to clobber a bench artifact whose schema version predates the
 /// current one unless forced: a stale document is evidence of the old
 /// format until someone explicitly chooses to regenerate it.
@@ -732,53 +763,55 @@ fn schema_overwrite_guard(path: &str, schema: &str, force: bool) -> Result<(), S
     }
 }
 
-/// The `osarch loadgen` front end: parse `args`, run the workload (or,
+/// `osarch loadgen`'s synopsis: its usage-text entry and the tail of
+/// its refusal lines.
+pub const SYNOPSIS: Synopsis = Synopsis {
+    command: "loadgen",
+    grammar: &[
+        "[--addr A] [--conns N] [--pipeline N] [--secs S] [--skew] [--rate R]",
+        "[--workers N] [--seed N] [--sample N] [--out PATH] [--force]",
+        "[--cluster [--nodes N] [--replicas R] [--node-rate RPS]]",
+    ],
+    about: &[
+        "drive a server (self-hosted without --addr) and",
+        "write BENCH_serve.json; --rate R offers R req/s",
+        "per connection; --cluster benches an N-node ring",
+        "against a single-node baseline and writes",
+        "BENCH_cluster.json",
+    ],
+};
+
+/// The `osarch loadgen` front end: read `args`, run the workload (or,
 /// with `--cluster`, the cluster bench) and write its report. `Err`
 /// carries a one-line usage error (exit 2 at the caller), returned
-/// before any server starts: a malformed or unread flag here, a value no
-/// run can use from [`run`] or [`run_cluster_bench`].
-pub fn cli(args: &[String], prog: &str) -> Result<ExitCode, String> {
+/// before any server starts: an argument the reader refuses, a flag the
+/// chosen mode would not read, a value no run can use from [`run`] or
+/// [`run_cluster_bench`].
+pub fn cli(args: &[String]) -> Result<ExitCode, String> {
+    let mut args = Args::new(&SYNOPSIS, args);
     let mut config = LoadgenConfig::default();
     let mut bench = ClusterLoadConfig::default();
-    let (mut out, mut force, mut cluster) = (None, false, false);
-    let (mut conns, mut pipeline, mut workers, mut sample) = (None, None, None, None);
-    let (mut nodes, mut replicas, mut node_rate) = (None, None, None);
-    let (positive, rps) = ("a positive integer", "requests/second");
-    let mut rest = args.iter();
-    while let Some(flag) = rest.next() {
-        let any = |_: &String| true;
-        match flag.as_str() {
-            "--addr" => config.addr = Some(flag_value(flag, rest.next(), "HOST:PORT", any)?),
-            "--conns" => conns = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
-            "--pipeline" => pipeline = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
-            "--secs" => config.secs = flag_value(flag, rest.next(), "seconds", |_| true)?,
-            "--skew" => config.skew = true,
-            "--rate" => config.rate = Some(flag_value(flag, rest.next(), rps, |_| true)?),
-            "--workers" => workers = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
-            "--seed" => config.seed = flag_value(flag, rest.next(), "an integer", |_| true)?,
-            "--sample" => {
-                let expects = "an integer divisor (0 disables)";
-                sample = Some(flag_value(flag, rest.next(), expects, |_| true)?);
-            }
-            "--out" => out = Some(flag_value(flag, rest.next(), "a path", any)?),
-            "--force" => force = true,
-            "--cluster" => cluster = true,
-            "--nodes" => {
-                let expects = "an integer of at least 2";
-                nodes = Some(flag_value(flag, rest.next(), expects, |n| *n >= 2)?);
-            }
-            "--replicas" => replicas = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
-            "--node-rate" => node_rate = Some(flag_value(flag, rest.next(), rps, |_| true)?),
-            other => {
-                return Err(format!(
-                    "unknown argument {other:?}; usage: {prog} [--addr HOST:PORT] [--conns N] \
-                     [--pipeline N] [--secs S] [--skew] [--rate R] [--workers N] [--seed N] \
-                     [--sample N] [--out PATH] [--force] \
-                     [--cluster [--nodes N] [--replicas R] [--node-rate RPS]]"
-                ))
-            }
-        }
-    }
+    let (positive, rps, any) = ("a positive integer", "requests/second", |_: &String| true);
+    config.addr = args.value("--addr", "HOST:PORT", any)?;
+    let conns = args.value("--conns", positive, |n| *n >= 1)?;
+    let pipeline = args.value("--pipeline", positive, |n| *n >= 1)?;
+    config.secs = args
+        .value("--secs", "seconds", |_| true)?
+        .unwrap_or(config.secs);
+    config.skew = args.switch("--skew");
+    config.rate = args.value("--rate", rps, |_| true)?;
+    let workers = args.value("--workers", positive, |n| *n >= 1)?;
+    config.seed = args
+        .value("--seed", "an integer", |_| true)?
+        .unwrap_or(config.seed);
+    let sample = args.value("--sample", "an integer divisor (0 disables)", |_| true)?;
+    let out = args.value("--out", "a path", any)?;
+    let force = args.switch("--force");
+    let cluster = args.switch("--cluster");
+    let nodes = args.value("--nodes", "an integer of at least 2", |n| *n >= 2)?;
+    let replicas = args.value("--replicas", positive, |n| *n >= 1)?;
+    let node_rate = args.value("--node-rate", rps, |_| true)?;
+    args.finish()?;
     // Refuse what the chosen mode would not read.
     if !cluster && (nodes.is_some() || replicas.is_some() || node_rate.is_some()) {
         return Err("--nodes, --replicas and --node-rate require --cluster".to_string());
@@ -892,6 +925,83 @@ mod tests {
         unique.sort_by_key(|(a, p)| (a.index(), p.tag()));
         unique.dedup();
         assert_eq!(unique.len(), 28);
+    }
+
+    #[test]
+    fn the_window_starts_after_every_socket_is_dialed() {
+        // A listener that binds 300 ms late: the drivers keep dialing
+        // (connect_with_retry retries), and the measured window must not
+        // contain that wait.
+        let addr = reserve_loopback_addrs(1).expect("reserve a port").remove(0);
+        let wall = Instant::now();
+        let late = addr.clone();
+        let server = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(300));
+            Server::start(&ServerConfig {
+                addr: late,
+                workers: 1,
+                ..ServerConfig::default()
+            })
+            .expect("the late server starts")
+        });
+        let ranks: Vec<usize> = (0..key_space().len()).collect();
+        let targets: Vec<Target<'_>> = (0..2)
+            .map(|_| Target {
+                addr: &addr,
+                ranks: &ranks,
+                conns: 2,
+            })
+            .collect();
+        let window = Duration::from_millis(200);
+        let (tallies, secs) = fan_out(&targets, 7, false, 1, window, None);
+        let wall = wall.elapsed().as_secs_f64();
+        server.join().expect("server thread").stop();
+        assert!(secs >= window.as_secs_f64(), "secs {secs}");
+        assert!(
+            wall - secs >= 0.3,
+            "the 300 ms connect wait leaked into the window: wall {wall:.3} s, secs {secs:.3} s"
+        );
+        assert!(
+            Tally::merge(&tallies).counters.oks > 0,
+            "no request completed"
+        );
+    }
+
+    #[test]
+    fn each_node_drives_exactly_the_keys_the_server_ring_places_on_it() {
+        let addrs = reserve_loopback_addrs(3).expect("reserve ports");
+        let replicas = 2;
+        let slices = node_slices(&addrs, replicas);
+        for (index, addr) in addrs.iter().enumerate() {
+            // Each node's ring, built by the server's cluster state from
+            // its own config, placing the keys the driver's request lines
+            // parse to.
+            let config = ClusterConfig {
+                self_addr: addr.clone(),
+                peers: addrs.clone(),
+                replicas,
+                ..ClusterConfig::default()
+            };
+            let ring = crate::server::ring_of(&config);
+            let placed: Vec<usize> = key_space()
+                .into_iter()
+                .enumerate()
+                .filter(|(_, (arch, primitive))| {
+                    let line = format!(
+                        "{{\"op\":\"measure\",\"arch\":\"{arch}\",\"primitive\":\"{}\"}}",
+                        primitive.tag()
+                    );
+                    let request = crate::protocol::parse_request(&line).expect("parses");
+                    let key = request.query.routing_key().expect("routed");
+                    ring.replicas(&key, replicas).contains(&addr.as_str())
+                })
+                .map(|(rank, _)| rank)
+                .collect();
+            assert_eq!(slices[index], placed, "node {addr}");
+        }
+        // R = 2 of 3 nodes: every key is driven on exactly two nodes.
+        let driven: usize = slices.iter().map(Vec::len).sum();
+        assert_eq!(driven, key_space().len() * replicas);
     }
 
     #[test]

@@ -62,9 +62,20 @@
 //! Shutdown is cooperative: a `shutdown` request (or
 //! [`ServerHandle::shutdown`]) flips the flag, closes the job queue and
 //! the handoffs, wakes every loop, and pokes the accept thread with a
-//! loopback connection. Loops flush completed replies and exit.
+//! loopback connection. A loop then reads no new request but answers
+//! every one it already accepted: it keeps delivering the pool's
+//! completions until no connection waits on one (for at most the service
+//! deadline), flushes, and exits.
+//!
+//! [`Server::start`] is the one validator of server settings: before it
+//! binds, it refuses with `InvalidInput`, naming the `osarch serve` flag,
+//! zero workers, queue, shards or replicas, a zero gossip interval, an
+//! empty admin token and an address that is not one. [`cli`] is the
+//! `osarch serve` front end; it reads its flags through the one reader in
+//! [`osarch_core::names`] and maps `InvalidInput` to exit 2.
 
 use crate::cache::{Fetched, ShardedCache};
+use crate::invalid;
 use crate::protocol::{self, AdminAction, Frame, FrameBuf, Query};
 use crate::queue::BoundedQueue;
 use crate::registry::{parse_spec_fetch, SpecRegistry, SpecSnapshot};
@@ -72,13 +83,14 @@ use osarch_chaos::{ChaosController, Failpoint};
 use osarch_cluster::{Membership, Ring};
 use osarch_core::json::{self, Value};
 use osarch_core::metrics::json_number;
-use osarch_core::names::{op_slot, OP_NAMES};
+use osarch_core::names::{op_slot, Args, Synopsis, OP_NAMES};
 use osarch_poll::{fd_of, new_poller, Event, Interest, Readiness, Token, WakeRx, Waker};
 use osarch_telemetry::{Gauges, PendingTrace, Tally, TelemetryHub, Totals, TraceIdGen};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -133,9 +145,10 @@ pub struct ServerConfig {
 /// Cluster-mode knobs: the static seed list, this node's identity on
 /// it, and the replication/forwarding policy.
 ///
-/// Every node builds the same [`Ring`] from the same seed list, so key
-/// placement needs no coordination; liveness is the only gossiped
-/// state. `self_addr` must be the address *peers dial* (the listen
+/// Every node builds the same [`Ring`] from the same seed list, with
+/// [`osarch_cluster::DEFAULT_VNODES`] virtual nodes per node as every
+/// client and the cluster bench do, so key placement needs no
+/// coordination; liveness is the only gossiped state. `self_addr` must be the address *peers dial* (the listen
 /// address with a real port, not `:0`) and must appear verbatim in
 /// every node's `peers`-plus-self set.
 #[derive(Debug, Clone)]
@@ -148,8 +161,6 @@ pub struct ClusterConfig {
     /// Replication factor R: each key is served by the owner plus
     /// `R - 1` distinct ring successors.
     pub replicas: usize,
-    /// Virtual nodes per physical node.
-    pub vnodes: usize,
     /// This node's starting incarnation; a respawned node must come
     /// back with a *higher* one so gossip revives it over stale `down`
     /// rumours.
@@ -187,7 +198,6 @@ impl Default for ClusterConfig {
             self_addr: String::new(),
             peers: Vec::new(),
             replicas: 2,
-            vnodes: osarch_cluster::DEFAULT_VNODES,
             incarnation: 0,
             proxy: true,
             gossip_interval: Duration::from_millis(250),
@@ -455,19 +465,25 @@ struct ClusterState {
     gossip_rounds: AtomicU64,
 }
 
+/// The ring a node builds from its cluster config: every peer plus
+/// itself, at [`osarch_cluster::DEFAULT_VNODES`] virtual nodes each.
+pub(crate) fn ring_of(config: &ClusterConfig) -> Ring {
+    let mut nodes = config.peers.clone();
+    nodes.push(config.self_addr.clone());
+    Ring::new(&nodes, osarch_cluster::DEFAULT_VNODES)
+}
+
 impl ClusterState {
     fn from_config(config: &ClusterConfig) -> ClusterState {
-        let mut nodes = config.peers.clone();
-        nodes.push(config.self_addr.clone());
         ClusterState {
-            ring: Ring::new(&nodes, config.vnodes.max(1)),
+            ring: ring_of(config),
             membership: Mutex::new(Membership::new(
                 &config.self_addr,
                 config.incarnation,
                 &config.peers,
             )),
             self_addr: config.self_addr.clone(),
-            replicas: config.replicas.max(1),
+            replicas: config.replicas,
             proxy: config.proxy,
             gossip_interval: config.gossip_interval,
             forwarded: AtomicU64::new(0),
@@ -647,14 +663,65 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// The server factory. See [`Server::start`].
 pub struct Server;
 
+/// What a count setting must be.
+const COUNT: &str = "a positive integer";
+
+/// What `--gossip-ms` must be.
+const GOSSIP_MS: &str = "a positive number of milliseconds";
+
+/// Refuse the settings no server can run, naming the flag of each.
+fn validate(config: &ServerConfig) -> std::io::Result<()> {
+    for (flag, value) in [
+        ("--workers", config.workers),
+        ("--queue", config.queue_depth),
+        ("--shards", config.shards),
+    ] {
+        if value == 0 {
+            return Err(invalid(flag, COUNT, value));
+        }
+    }
+    if config.admin_token.as_deref() == Some("") {
+        let reason = "--admin-token must not be empty";
+        return Err(std::io::Error::new(ErrorKind::InvalidInput, reason));
+    }
+    if let Some(cluster) = &config.cluster {
+        if cluster.replicas == 0 {
+            return Err(invalid("--replicas", COUNT, 0));
+        }
+        if cluster.gossip_interval.is_zero() {
+            return Err(invalid("--gossip-ms", GOSSIP_MS, 0));
+        }
+    }
+    Ok(())
+}
+
+/// Bind `addr`, reporting one that is not an address as `InvalidInput`
+/// naming `flag`.
+fn bind(flag: &str, addr: &str) -> std::io::Result<TcpListener> {
+    TcpListener::bind(addr).map_err(|err| match err.kind() {
+        ErrorKind::InvalidInput => invalid(flag, "a HOST:PORT address", addr),
+        _ => err,
+    })
+}
+
 impl Server {
     /// Bind `config.addr`, spawn the accept thread, the event loops and
     /// the compute pool, and return a handle. Serving begins immediately.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput`, before anything binds, for a setting no server can
+    /// run: zero `workers`, `queue_depth` or `shards`, an empty
+    /// `admin_token`, zero cluster `replicas` or `gossip_interval`, or an
+    /// `addr` or `metrics_addr` that is not an address. The message names
+    /// the `osarch serve` flag that sets it. Any other error is the
+    /// failure to bind or to spawn a thread.
     pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
-        let listener = TcpListener::bind(&config.addr)?;
+        validate(config)?;
+        let listener = bind("--addr", &config.addr)?;
         let addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
-        let conn_budget = config.queue_depth.max(1);
+        let workers = config.workers;
+        let conn_budget = config.queue_depth;
         let open_conns = Arc::new(AtomicUsize::new(0));
         let mut wake_rxs = Vec::with_capacity(workers);
         let mut loops = Vec::with_capacity(workers);
@@ -670,7 +737,7 @@ impl Server {
             });
         }
         let metrics_listener = match &config.metrics_addr {
-            Some(scrape_addr) => Some(TcpListener::bind(scrape_addr)?),
+            Some(scrape_addr) => Some(bind("--metrics-addr", scrape_addr)?),
             None => None,
         };
         let metrics_addr = match &metrics_listener {
@@ -1442,15 +1509,8 @@ fn event_loop(shared: &Shared, index: usize, wake_rx: &WakeRx, ltrace: &mut Loop
         }
 
         if shared.shutdown.load(Ordering::SeqCst) {
-            // Courtesy pass: flush whatever is already complete (the
-            // in-band shutdown acknowledgement most importantly), then
-            // drop everything. Permits release as connections drop.
-            for parked in &mut conns {
-                if let Some(mut conn) = parked.take() {
-                    conn.stalled_until = None;
-                    service_conn(shared, index, poller.as_mut(), &mut conn);
-                }
-            }
+            // Connections drop with the loop; their permits release.
+            drain(shared, index, poller.as_mut(), wake_rx, &mut conns);
             return;
         }
 
@@ -1497,6 +1557,57 @@ fn event_loop(shared: &Shared, index: usize, wake_rx: &WakeRx, ltrace: &mut Loop
         shared
             .hub
             .record_loop_lag(index, busy_us, wake_us / 1_000_000);
+    }
+}
+
+/// The shutdown pass. The loop reads no new request, but answers every
+/// one it already accepted: completions keep landing (the pool drains
+/// the closed job queue) until no live connection holds a `Waiting`
+/// ticket, for at most one service deadline. Then every connection
+/// flushes its completed replies, the in-band `shutdown` acknowledgement
+/// among them.
+fn drain(
+    shared: &Shared,
+    index: usize,
+    poller: &mut dyn Readiness,
+    wake_rx: &WakeRx,
+    conns: &mut [Option<Conn>],
+) {
+    let me = &shared.loops[index];
+    for conn in conns.iter_mut().flatten() {
+        conn.read_closed = true;
+        update_interest(poller, conn);
+    }
+    // A deadline too long to be an instant sets no limit.
+    let give_up = Instant::now().checked_add(shared.deadline);
+    let mut events = Vec::new();
+    loop {
+        for completion in std::mem::take(&mut *lock(&me.completions)) {
+            let slot = completion.token.checked_sub(TOKEN_BASE);
+            let conn = slot.and_then(|slot| conns.get_mut(slot)?.as_mut());
+            if let Some(conn) = conn.filter(|conn| conn.gen == completion.gen) {
+                settle_ticket(shared, index, conn, completion);
+            }
+        }
+        for conn in conns.iter_mut().flatten() {
+            service_conn(shared, index, poller, conn);
+        }
+        let waiting = conns.iter().flatten().any(|conn| {
+            !conn.dead
+                && conn
+                    .pending
+                    .iter()
+                    .any(|ticket| matches!(ticket, Ticket::Waiting { .. }))
+        });
+        if !waiting || give_up.is_some_and(|at| Instant::now() >= at) {
+            break;
+        }
+        let _ = poller.wait(&mut events, Some(TICK));
+        wake_rx.drain();
+    }
+    for conn in conns.iter_mut().flatten() {
+        conn.stalled_until = None;
+        service_conn(shared, index, poller, conn);
     }
 }
 
@@ -2482,6 +2593,137 @@ fn update_interest(poller: &mut dyn Readiness, conn: &mut Conn) {
     {
         conn.interest = desired;
     }
+}
+
+// ---------------------------------------------------------------------------
+// The `osarch serve` front end
+// ---------------------------------------------------------------------------
+
+/// `osarch serve`'s synopsis: its usage-text entry and the tail of its
+/// refusal lines.
+pub const SYNOPSIS: Synopsis = Synopsis {
+    command: "serve",
+    grammar: &[
+        "[--addr A] [--workers N] [--shards N] [--queue N] [--deadline-ms N]",
+        "[--sample N] [--metrics-addr A] [--admin-token T]",
+        "[--cluster --peers A,B,C [--replicas R]",
+        " [--incarnation N] [--gossip-ms N] [--no-proxy]]",
+    ],
+    about: &[
+        "run the event-driven measurement-query service",
+        "(one poll loop per worker; --queue bounds open conns;",
+        "--sample traces 1/N requests, --metrics-addr binds a",
+        "Prometheus/JSON scrape listener; --admin-token enables",
+        "the live spec-swap admin op — without it the control",
+        "plane does not exist; --cluster joins a consistent-",
+        "hash ring over the --peers seed list)",
+    ],
+};
+
+/// The `osarch serve` front end: read `args` into a [`ServerConfig`],
+/// start the server and serve until a `shutdown` request. `Err` carries a
+/// one-line refusal (exit 2 at the caller), returned before any port is
+/// bound: an argument the reader refuses, a cluster flag without
+/// `--cluster`, or a setting [`Server::start`] refuses as `InvalidInput`.
+pub fn cli(args: &[String]) -> Result<ExitCode, String> {
+    let mut args = Args::new(&SYNOPSIS, args);
+    let mut config = ServerConfig::default();
+    let defaults = ClusterConfig::default();
+    let any = |_: &String| true;
+    config.addr = args
+        .value("--addr", "HOST:PORT", any)?
+        .unwrap_or(config.addr);
+    config.workers = args
+        .value("--workers", COUNT, |_| true)?
+        .unwrap_or(config.workers);
+    config.shards = args
+        .value("--shards", COUNT, |_| true)?
+        .unwrap_or(config.shards);
+    let queue = args.value("--queue", COUNT, |_| true)?;
+    config.queue_depth = queue.unwrap_or(config.queue_depth);
+    let deadline_ms = args.value("--deadline-ms", "milliseconds", |_| true)?;
+    config.deadline = deadline_ms.map_or(config.deadline, Duration::from_millis);
+    let sample = args.value("--sample", "an integer divisor (0 disables)", |_| true)?;
+    config.sample_every = sample.unwrap_or(config.sample_every);
+    config.metrics_addr = args.value("--metrics-addr", "HOST:PORT", any)?;
+    config.admin_token = args.value("--admin-token", "a token", any)?;
+    let cluster = args.switch("--cluster");
+    let peers: Option<String> = args.value("--peers", "a HOST:PORT list", any)?;
+    let replicas = args.value("--replicas", COUNT, |_| true)?;
+    let incarnation = args.value("--incarnation", "an integer", |_| true)?;
+    let gossip_ms = args.value("--gossip-ms", GOSSIP_MS, |_| true)?;
+    let no_proxy = args.switch("--no-proxy");
+    args.finish()?;
+    let cluster_only = [
+        ("--peers", peers.is_some()),
+        ("--replicas", replicas.is_some()),
+        ("--incarnation", incarnation.is_some()),
+        ("--gossip-ms", gossip_ms.is_some()),
+        ("--no-proxy", no_proxy),
+    ];
+    if let Some((flag, _)) = cluster_only.iter().find(|(_, given)| *given && !cluster) {
+        return Err(format!("{flag} requires --cluster"));
+    }
+    if cluster {
+        // The ring address must be dialable by peers; an ephemeral `:0`
+        // bind could never appear in a seed list.
+        if config.addr.ends_with(":0") {
+            return Err(
+                "--cluster requires an explicit --addr (the node's dialable ring address)"
+                    .to_string(),
+            );
+        }
+        let peers = peers.unwrap_or_default();
+        config.cluster = Some(ClusterConfig {
+            self_addr: config.addr.clone(),
+            peers: peers
+                .split(',')
+                .filter(|peer| !peer.is_empty())
+                .map(str::to_string)
+                .collect(),
+            replicas: replicas.unwrap_or(defaults.replicas),
+            incarnation: incarnation.unwrap_or(defaults.incarnation),
+            proxy: !no_proxy,
+            gossip_interval: gossip_ms.map_or(defaults.gossip_interval, Duration::from_millis),
+        });
+    }
+    let handle = match Server::start(&config) {
+        Ok(handle) => handle,
+        Err(err) if err.kind() == ErrorKind::InvalidInput => return Err(err.to_string()),
+        Err(err) => {
+            eprintln!("cannot bind {}: {err}", config.addr);
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    println!(
+        "osarch-serve listening on {} ({} workers, {} shards); \
+         send {{\"op\":\"shutdown\"}} to stop",
+        handle.addr(),
+        config.workers,
+        config.shards
+    );
+    if let Some(cluster) = &config.cluster {
+        println!(
+            "cluster mode: {} peers, R={}, {} vnodes, proxy={} \
+             (query {{\"op\":\"cluster\"}} for ring + membership)",
+            cluster.peers.len(),
+            cluster.replicas,
+            osarch_cluster::DEFAULT_VNODES,
+            cluster.proxy
+        );
+    }
+    if config.admin_token.is_some() {
+        println!(
+            "admin plane enabled: spec-load / spec-activate / spec-rollback / spec-list \
+             via {{\"op\":\"admin\",...}} with the configured token"
+        );
+    }
+    if let Some(scrape) = handle.metrics_addr() {
+        println!("metrics scrape listener on {scrape} (text; /json for the snapshot)");
+    }
+    handle.wait();
+    println!("osarch-serve: shut down cleanly");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Injected computation stalls: long enough to blow tight deadlines,

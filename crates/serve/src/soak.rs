@@ -54,13 +54,14 @@
 //! replies depend on thread interleaving and vary run to run.
 
 use crate::client::{ClientConfig, ClientCounters, ClusterClient, RouteCounters};
+use crate::loadgen::key_space;
 use crate::protocol::{exchange_line, Query};
 use crate::registry::SpecSnapshot;
 use crate::server::{reserve_loopback_addrs, ClusterConfig, Server, ServerConfig, ServerHandle};
-use crate::{flag_value, loadgen::key_space};
 use osarch_chaos::{ChaosConfig, ChaosController, ChaosRng, Failpoint};
 use osarch_core::json::{self, Value};
 use osarch_core::metrics::validate_metrics_snapshot;
+use osarch_core::names::{Args, Synopsis};
 use osarch_telemetry::TelemetryHub;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -682,7 +683,9 @@ fn load_client(mut client: ClusterClient, load: &Load) -> (ClientCounters, Route
                 "{{\"op\":\"measure\",\"arch\":\"{arch}\",\"primitive\":\"{}\",\"id\":{id_token}}}",
                 primitive.tag()
             );
-            let key = format!("measure/{arch}/{}", primitive.tag());
+            let key = Query::Measure { arch, primitive }
+                .routing_key()
+                .expect("a measure query has a routing key");
             if client.call(&key, &line, &id_token).is_err() {
                 load.failures[load.segment.load(Ordering::SeqCst)].fetch_add(1, Ordering::Relaxed);
             }
@@ -1370,74 +1373,59 @@ fn check_epochs(model: &SwapModel, samples: &Samples, violations: &mut Vec<Strin
     }
 }
 
-/// The `osarch chaos` front end: parse `args` into a scenario, run it,
+/// `osarch chaos`'s synopsis: its usage-text entry and the tail of its
+/// refusal lines.
+pub const SYNOPSIS: Synopsis = Synopsis {
+    command: "chaos",
+    grammar: &[
+        "[--seed N] [--rate P] [--duration S] [--conns N] [--workers N]",
+        "[--sample N] [--metrics-addr A] [--metrics-out PATH] [--trace-out PATH]",
+        "[--cluster [--nodes N] [--replicas R]]",
+        "[--swap [--swaps N] [--transcript-out PATH]]",
+    ],
+    about: &[
+        "deterministic fault-injection soak: clients vs a",
+        "chaos server, asserting resilience invariants",
+        "(telemetry on; exports validated metrics + trace);",
+        "--cluster soaks an N-node ring through a seeded",
+        "whole-node kill + respawn; --swap drives live spec",
+        "hot-swaps through the admin plane asserting zero",
+        "drops, byte-identical epochs and replayable",
+        "rollbacks (with --cluster: gossip convergence",
+        "through a mid-swap node kill)",
+    ],
+};
+
+/// The `osarch chaos` front end: read `args` into a scenario, run it,
 /// print the verdict. `Err` carries a one-line usage error (exit 2 at
 /// the caller), returned before any server starts.
-pub fn cli(args: &[String], prog: &str) -> Result<ExitCode, String> {
-    let (mut cluster, mut swap) = (false, false);
-    let mut seed = 42u64;
-    let (mut rate, mut duration, mut swaps) = (None, None, None);
-    let (mut conns, mut workers, mut nodes, mut replicas) = (None, None, None, None);
-    let (mut sample, mut metrics_addr) = (None, None);
-    let (mut metrics_out, mut trace_out, mut transcript_out) = (None, None, None);
-    let positive = "a positive integer";
-    let mut rest = args.iter();
-    while let Some(flag) = rest.next() {
-        let any = |_: &String| true;
-        match flag.as_str() {
-            "--cluster" => cluster = true,
-            "--swap" => swap = true,
-            "--seed" => seed = flag_value(flag, rest.next(), "an integer", |_| true)?,
-            "--rate" => {
-                let valid = |p: &f64| (0.0..=1.0).contains(p);
-                rate = Some(flag_value(
-                    flag,
-                    rest.next(),
-                    "a probability in [0,1]",
-                    valid,
-                )?);
-            }
-            "--duration" => {
-                // Finite, positive and small enough to be a `Duration`.
-                let valid = |s: &f64| *s > 0.0 && Duration::try_from_secs_f64(*s).is_ok();
-                let secs = flag_value(flag, rest.next(), "finite, positive seconds", valid)?;
-                duration = Some(Duration::from_secs_f64(secs));
-            }
-            "--conns" => conns = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
-            "--workers" => workers = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
-            "--nodes" => {
-                nodes = Some(flag_value(
-                    flag,
-                    rest.next(),
-                    "an integer of at least 2",
-                    |n| *n >= 2,
-                )?);
-            }
-            "--replicas" => replicas = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
-            "--swaps" => swaps = Some(flag_value(flag, rest.next(), positive, |n| *n >= 1)?),
-            "--sample" => {
-                let expects = "an integer divisor (0 disables)";
-                sample = Some(flag_value(flag, rest.next(), expects, |_| true)?);
-            }
-            "--metrics-addr" => {
-                metrics_addr = Some(flag_value(flag, rest.next(), "HOST:PORT", any)?);
-            }
-            "--metrics-out" => metrics_out = Some(flag_value(flag, rest.next(), "a path", any)?),
-            "--trace-out" => trace_out = Some(flag_value(flag, rest.next(), "a path", any)?),
-            "--transcript-out" => {
-                transcript_out = Some(flag_value(flag, rest.next(), "a path", any)?);
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument {other:?}\nusage: {prog} [--seed N] [--rate P] \
-                     [--duration S] [--conns N] [--workers N] [--sample N] \
-                     [--metrics-addr HOST:PORT] [--metrics-out PATH] [--trace-out PATH] \
-                     [--cluster [--nodes N] [--replicas R]] \
-                     [--swap [--swaps N] [--transcript-out PATH]]"
-                ))
-            }
-        }
-    }
+pub fn cli(args: &[String]) -> Result<ExitCode, String> {
+    let mut args = Args::new(&SYNOPSIS, args);
+    let (positive, any) = ("a positive integer", |_: &String| true);
+    let cluster = args.switch("--cluster");
+    let swap = args.switch("--swap");
+    let seed = args
+        .value("--seed", "an integer", |_| true)?
+        .unwrap_or(42u64);
+    let rate = args.value("--rate", "a probability in [0,1]", |p: &f64| {
+        (0.0..=1.0).contains(p)
+    })?;
+    // Finite, positive and small enough to be a `Duration`.
+    let valid = |s: &f64| *s > 0.0 && Duration::try_from_secs_f64(*s).is_ok();
+    let duration = args
+        .value("--duration", "finite, positive seconds", valid)?
+        .map(Duration::from_secs_f64);
+    let conns = args.value("--conns", positive, |n: &u32| *n >= 1)?;
+    let workers = args.value("--workers", positive, |n: &usize| *n >= 1)?;
+    let nodes = args.value("--nodes", "an integer of at least 2", |n: &usize| *n >= 2)?;
+    let replicas = args.value("--replicas", positive, |n: &usize| *n >= 1)?;
+    let swaps = args.value("--swaps", positive, |n: &u64| *n >= 1)?;
+    let sample = args.value("--sample", "an integer divisor (0 disables)", |_| true)?;
+    let metrics_addr = args.value("--metrics-addr", "HOST:PORT", any)?;
+    let metrics_out: Option<String> = args.value("--metrics-out", "a path", any)?;
+    let trace_out: Option<String> = args.value("--trace-out", "a path", any)?;
+    let transcript_out: Option<String> = args.value("--transcript-out", "a path", any)?;
+    args.finish()?;
     // Refuse what the chosen scenario would not read.
     if !swap && (swaps.is_some() || transcript_out.is_some()) {
         return Err("--swaps and --transcript-out require --swap".to_string());

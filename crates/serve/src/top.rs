@@ -21,6 +21,7 @@
 
 use crate::protocol::exchange_line;
 use osarch_core::json::{self, Value};
+use osarch_core::names::{Args, Synopsis};
 use std::io::Write;
 use std::time::Duration;
 
@@ -216,59 +217,36 @@ const BACKOFF_START: Duration = Duration::from_millis(500);
 /// Ceiling on the reconnect pause between scrape attempts.
 const BACKOFF_MAX: Duration = Duration::from_secs(8);
 
-/// The `osarch top` front end: `top ADDR [--interval-ms N]
-/// [--iterations N] [--retry-secs N] [--once]`. `Err` carries a usage
-/// error (exit 2 at the caller).
-pub fn cli(args: &[String], prog: &str) -> Result<std::process::ExitCode, String> {
+/// `osarch top`'s synopsis: its usage-text entry and the tail of its
+/// refusal lines.
+pub const SYNOPSIS: Synopsis = Synopsis {
+    command: "top",
+    grammar: &["ADDR [--interval-ms N] [--iterations N] [--retry-secs N] [--once]"],
+    about: &[
+        "live dashboard over a running server's metrics op:",
+        "throughput, per-op tails, loop lag, cache counters;",
+        "reconnects with backoff across node restarts",
+    ],
+};
+
+/// The `osarch top` front end. `Err` carries a one-line usage error
+/// (exit 2 at the caller), returned before the first scrape.
+pub fn cli(args: &[String]) -> Result<std::process::ExitCode, String> {
     use std::process::ExitCode;
-    let usage = format!(
-        "usage: {prog} top ADDR [--interval-ms N] [--iterations N] [--retry-secs N] [--once]"
-    );
-    let mut addr: Option<String> = None;
-    let mut interval = Duration::from_millis(1000);
-    let mut iterations: Option<u64> = None;
-    let mut retry_window = Duration::from_secs(120);
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--retry-secs" => {
-                let value = rest
-                    .next()
-                    .ok_or_else(|| format!("--retry-secs requires a value\n{usage}"))?;
-                let secs: u64 = value
-                    .parse()
-                    .map_err(|_| format!("--retry-secs expects seconds\n{usage}"))?;
-                retry_window = Duration::from_secs(secs);
-            }
-            "--interval-ms" => {
-                let value = rest
-                    .next()
-                    .ok_or_else(|| format!("--interval-ms requires a value\n{usage}"))?;
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("--interval-ms expects milliseconds\n{usage}"))?;
-                interval = Duration::from_millis(ms.max(50));
-            }
-            "--iterations" => {
-                let value = rest
-                    .next()
-                    .ok_or_else(|| format!("--iterations requires a value\n{usage}"))?;
-                iterations = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("--iterations expects an integer\n{usage}"))?,
-                );
-            }
-            "--once" => iterations = Some(1),
-            other if addr.is_none() && !other.starts_with("--") => {
-                addr = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument {other:?}\n{usage}")),
-        }
+    let mut args = Args::new(&SYNOPSIS, args);
+    let expects = "milliseconds of at least 50";
+    let interval_ms = args.value("--interval-ms", expects, |ms: &u64| *ms >= 50)?;
+    let interval = Duration::from_millis(interval_ms.unwrap_or(1000));
+    let mut iterations: Option<u64> = args.value("--iterations", "an integer", |_| true)?;
+    let retry_secs = args.value("--retry-secs", "seconds", |_| true)?;
+    let retry_window = Duration::from_secs(retry_secs.unwrap_or(120));
+    if args.switch("--once") {
+        iterations = Some(1);
     }
-    let Some(addr) = addr else {
-        return Err(usage);
+    let Some(addr) = args.positional().map(str::to_string) else {
+        return Err(args.refusal("missing ADDR"));
     };
+    args.finish()?;
     let once = iterations == Some(1);
     let mut prev: Option<TopSnapshot> = None;
     let mut last_at = std::time::Instant::now();
@@ -443,11 +421,11 @@ mod tests {
 
     #[test]
     fn cli_rejects_missing_addr_and_unknown_flags() {
-        assert!(cli(&[], "osarch").is_err());
+        assert!(cli(&[]).is_err());
         let args = vec!["127.0.0.1:9".to_string(), "--bogus".to_string()];
-        assert!(cli(&args, "osarch").unwrap_err().contains("--bogus"));
+        assert!(cli(&args).unwrap_err().contains("--bogus"));
         let args = vec!["127.0.0.1:9".to_string(), "--retry-secs".to_string()];
-        assert!(cli(&args, "osarch").unwrap_err().contains("--retry-secs"));
+        assert!(cli(&args).unwrap_err().contains("--retry-secs"));
     }
 
     fn args_of(parts: &[&str]) -> Vec<String> {
@@ -466,9 +444,9 @@ mod tests {
     fn cli_fails_fast_with_once_or_a_zero_retry_window() {
         let failure = format!("{:?}", std::process::ExitCode::FAILURE);
         let addr = dead_addr();
-        let code = cli(&args_of(&[&addr, "--once"]), "osarch").expect("not a usage error");
+        let code = cli(&args_of(&[&addr, "--once"])).expect("not a usage error");
         assert_eq!(format!("{code:?}"), failure);
-        let code = cli(&args_of(&[&addr, "--retry-secs", "0"]), "osarch").expect("parses");
+        let code = cli(&args_of(&[&addr, "--retry-secs", "0"])).expect("parses");
         assert_eq!(format!("{code:?}"), failure);
     }
 
@@ -476,7 +454,7 @@ mod tests {
     fn cli_retries_through_an_outage_then_gives_up_at_the_window() {
         let addr = dead_addr();
         let started = std::time::Instant::now();
-        let code = cli(&args_of(&[&addr, "--retry-secs", "1"]), "osarch").expect("parses");
+        let code = cli(&args_of(&[&addr, "--retry-secs", "1"])).expect("parses");
         assert_eq!(
             format!("{code:?}"),
             format!("{:?}", std::process::ExitCode::FAILURE)
@@ -511,7 +489,7 @@ mod tests {
             "--retry-secs",
             "30",
         ]);
-        let code = cli(&args, "osarch").expect("not a usage error");
+        let code = cli(&args).expect("not a usage error");
         assert_eq!(
             format!("{code:?}"),
             format!("{:?}", std::process::ExitCode::SUCCESS)

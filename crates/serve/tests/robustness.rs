@@ -3,14 +3,16 @@
 //! Protocol framing under adversarial segmentation (one byte per write,
 //! two requests per segment), the stalled-client shutdown race, cache
 //! poisoning by a panicking leader under real concurrency, the `health`
-//! probe, the chaos soak itself — run twice to prove the fault schedule
-//! replays bit-identically from its seed — and the `osarch chaos` and
-//! `osarch loadgen` front ends refusing arguments they cannot run.
+//! probe, a pipelined `shutdown` answering everything queued before it,
+//! the chaos soak itself — run twice to prove the fault schedule replays
+//! bit-identically from its seed — and the `osarch chaos`, `osarch
+//! loadgen` and `osarch serve` front ends refusing arguments they cannot
+//! run.
 
 use osarch_core::metrics;
 use osarch_serve::cache::Fetched;
 use osarch_serve::soak::{self, Scenario};
-use osarch_serve::{loadgen, protocol, Server, ServerConfig, ShardedCache};
+use osarch_serve::{loadgen, protocol, server, Server, ServerConfig, ShardedCache};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -261,6 +263,60 @@ fn health_probe_reports_liveness() {
     server.stop();
 }
 
+/// A `shutdown` pipelined behind cold data queries on one connection:
+/// the loop stops reading but answers everything it already accepted,
+/// so every miss the pool is still computing gets its reply, in request
+/// order, then the acknowledgement, and the server exits.
+#[test]
+fn shutdown_answers_every_request_pipelined_before_it() {
+    let server = Server::start(&ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let (mut reader, mut stream) = connect(server.addr());
+    let mut burst = String::new();
+    let mut id = 0;
+    for arch in ["CVAX", "88000", "R2000", "i860", "RS6000"] {
+        for primitive in ["syscall", "ctxsw"] {
+            id += 1;
+            burst.push_str(&format!(
+                "{{\"op\":\"measure\",\"arch\":\"{arch}\",\"primitive\":\"{primitive}\",\"id\":{id}}}\n"
+            ));
+        }
+    }
+    for table in ["table1", "table4", "threads"] {
+        id += 1;
+        burst.push_str(&format!(
+            "{{\"op\":\"table\",\"table\":\"{table}\",\"id\":{id}}}\n"
+        ));
+    }
+    id += 1;
+    burst.push_str(&format!("{{\"op\":\"shutdown\",\"id\":{id}}}\n"));
+    stream.write_all(burst.as_bytes()).expect("send the burst");
+
+    let mut reply = String::new();
+    for expected in 1..=id {
+        reply.clear();
+        reader.read_line(&mut reply).expect("read a reply");
+        let envelope = osarch_core::json::parse(&reply).expect("a JSON reply");
+        assert_eq!(
+            (envelope["id"].as_u64(), envelope["ok"].as_bool()),
+            (Some(expected), Some(true)),
+            "reply {expected} of {id} missing, failed or out of order: {reply:?}"
+        );
+    }
+    assert!(reply.contains("\"shutting_down\":true"), "{reply}");
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.wait();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("the server did not exit after answering");
+}
+
 /// Tentpole acceptance: the chaos soak holds every invariant, and two
 /// soaks with one seed plan bit-identical fault schedules (the actual
 /// injected counts are interleaving-dependent; the schedule is not).
@@ -302,14 +358,14 @@ fn chaos_soak_invariants_hold_and_schedule_replays() {
     assert_ne!(first.schedule, other.schedule);
 }
 
-/// A CLI front end: `osarch chaos` or `osarch loadgen`.
-type Cli = fn(&[String], &str) -> Result<ExitCode, String>;
+/// A CLI front end: `osarch chaos`, `osarch loadgen` or `osarch serve`.
+type Cli = fn(&[String]) -> Result<ExitCode, String>;
 
 /// Run `cli` with `args`, which it must refuse with a one-line usage
 /// error before any server starts.
 fn refused(cli: Cli, args: &[&str]) -> String {
     let args: Vec<String> = args.iter().map(ToString::to_string).collect();
-    match cli(&args, "osarch") {
+    match cli(&args) {
         Err(message) => {
             assert!(!message.contains('\n'), "not one line: {message}");
             message
@@ -418,5 +474,42 @@ fn loadgen_cli_refuses_what_it_cannot_run_or_would_not_read() {
         (&["--shards", "4"], "--shards"),
     ] {
         assert!(refused(loadgen::cli, args).contains(named), "{args:?}");
+    }
+}
+
+#[test]
+fn serve_cli_refuses_what_it_cannot_run_or_would_not_read() {
+    for (args, named) in [
+        (&["--workers", "0"][..], "--workers"),
+        (&["--queue", "0"], "--queue"),
+        (&["--shards", "0"], "--shards"),
+        (&["--sample", "x"], "0 disables"),
+        (&["--admin-token", ""], "--admin-token must not be empty"),
+        (&["--vnodes", "64"], "--vnodes"),
+        (&["--peers", "127.0.0.1:1"], "--peers"),
+        (&["--replicas", "2"], "--replicas"),
+        (&["--incarnation", "3"], "--incarnation"),
+        (&["--gossip-ms", "50"], "--gossip-ms"),
+        (&["--gossip-ms", "0"], "--gossip-ms"),
+        (&["--no-proxy"], "--no-proxy"),
+        (&["--cluster"], "--addr"),
+        (
+            &[
+                "--cluster",
+                "--addr",
+                "127.0.0.1:47300",
+                "--peers",
+                "127.0.0.1:47301",
+                "--replicas",
+                "0",
+            ],
+            "--replicas",
+        ),
+        (
+            &["--cluster", "--addr", "127.0.0.1:47300", "--gossip-ms", "0"],
+            "--gossip-ms",
+        ),
+    ] {
+        assert!(refused(server::cli, args).contains(named), "{args:?}");
     }
 }
