@@ -550,8 +550,7 @@ pub fn tlb_effectiveness() -> Table {
         // 12-page working set three times (dispatch, work, reply).
         for round in 0..2_000u32 {
             let space = (round % u32::from(spaces)) as u16;
-            for pass in 0..3u32 {
-                let _ = pass;
+            for _pass in 0..3 {
                 for page in 0..12u32 {
                     refs += 1;
                     let vpn = u32::from(space) * 0x100 + page;

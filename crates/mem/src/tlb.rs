@@ -8,6 +8,8 @@
 
 use crate::addr::Asid;
 use crate::pagetable::Pte;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Replacement policy for a full TLB set. Deterministic policies keep the
 /// simulation reproducible.
@@ -98,6 +100,16 @@ pub struct TlbStats {
 /// A translation lookaside buffer (fully associative, as on the machines in
 /// the study).
 ///
+/// A lookup hits the first valid slot, in slot order, whose entry matches;
+/// an insert updates the entry for the same page and context, else fills
+/// the lowest free slot, else evicts per the replacement policy. To answer
+/// without scanning every slot, the TLB keeps a host-side index from each
+/// valid entry's `(vpn, tag)` to its slot, and counts of valid and of
+/// global entries.
+/// That index is bookkeeping of the simulator, not of the machine: the
+/// modelled TLB is still fully associative, and the simulated refill and
+/// flush costs charged around it do not change.
+///
 /// # Example
 ///
 /// ```
@@ -117,9 +129,42 @@ pub struct TlbStats {
 pub struct Tlb {
     config: TlbConfig,
     entries: Vec<Option<TlbEntry>>,
+    /// `(vpn, tag)` of every valid entry, packed as `vpn << 32 | tag`, →
+    /// its slot. The tag is ASID+1 for a tagged, non-global entry and 0 for
+    /// a global entry or any entry of an untagged TLB, so it is exactly the
+    /// key `insert`'s same-page update matches on, and no two valid entries
+    /// share one.
+    index: HashMap<u64, usize, BuildHasherDefault<SlotHasher>>,
+    /// Valid entries.
+    valid: usize,
+    /// Valid global entries: while there are none, a tagged lookup needs
+    /// only its own context's key.
+    globals: usize,
     next_victim: usize,
     lcg_state: u32,
     stats: TlbStats,
+}
+
+/// The index's hasher: one multiply per word, rotated on `finish` so the
+/// well-mixed high bits pick the bucket (the `FxHash` idiom). The keys are
+/// the simulator's own small integers, so no flooding resistance is needed.
+#[derive(Default)]
+struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 impl Tlb {
@@ -138,6 +183,9 @@ impl Tlb {
         Tlb {
             config,
             entries: vec![None; config.entries],
+            index: HashMap::with_capacity_and_hasher(config.entries, BuildHasherDefault::default()),
+            valid: 0,
+            globals: 0,
             next_victim: 0,
             lcg_state: 0x2545_f491,
             stats: TlbStats::default(),
@@ -159,37 +207,61 @@ impl Tlb {
     /// Currently valid entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.iter().filter(|slot| slot.is_some()).count()
+        self.valid
     }
 
     /// True when no entries are valid.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.valid == 0
     }
 
-    fn matches(&self, entry: &TlbEntry, vpn: u32, asid: Asid) -> bool {
-        if entry.vpn != vpn {
-            return false;
-        }
+    /// The index key of a `vpn` owned by `asid` (`None`: global).
+    fn key(&self, vpn: u32, asid: Option<Asid>) -> u64 {
+        let tag = match asid {
+            Some(Asid(owner)) if self.config.tagged => u64::from(owner) + 1,
+            _ => 0,
+        };
+        u64::from(vpn) << 32 | tag
+    }
+
+    /// The first slot, in slot order, whose entry matches `vpn` in context
+    /// `asid`: on a tagged TLB the lower of the context's own entry and
+    /// the global one; on an untagged TLB the one entry for the page.
+    fn find(&self, vpn: u32, asid: Asid) -> Option<usize> {
         if !self.config.tagged {
-            // Untagged: every resident entry belongs to the current context.
-            return true;
+            return self.index.get(&self.key(vpn, None)).copied();
         }
-        match entry.asid {
-            None => true, // global mapping
-            Some(owner) => owner == asid,
+        let own = self.index.get(&self.key(vpn, Some(asid))).copied();
+        if self.globals == 0 {
+            return own;
         }
+        let global = self.index.get(&self.key(vpn, None)).copied();
+        own.into_iter().chain(global).min()
+    }
+
+    /// Put `entry` in `slot`, returning what the slot held.
+    fn fill(&mut self, slot: usize, entry: TlbEntry) -> Option<TlbEntry> {
+        let old = self.clear(slot);
+        self.index.insert(self.key(entry.vpn, entry.asid), slot);
+        self.entries[slot] = Some(entry);
+        self.valid += 1;
+        self.globals += usize::from(entry.asid.is_none());
+        old
+    }
+
+    /// Empty `slot`, returning what it held.
+    fn clear(&mut self, slot: usize) -> Option<TlbEntry> {
+        let old = self.entries[slot].take()?;
+        self.index.remove(&self.key(old.vpn, old.asid));
+        self.valid -= 1;
+        self.globals -= usize::from(old.asid.is_none());
+        Some(old)
     }
 
     /// Look up `vpn` in context `asid`, recording a hit or miss.
     pub fn lookup(&mut self, vpn: u32, asid: Asid) -> Option<Pte> {
-        let hit = self
-            .entries
-            .iter()
-            .flatten()
-            .find(|entry| self.matches(entry, vpn, asid))
-            .map(|entry| entry.pte);
+        let hit = self.probe(vpn, asid).map(|entry| entry.pte);
         if hit.is_some() {
             self.stats.hits += 1;
         } else {
@@ -201,35 +273,31 @@ impl Tlb {
     /// Look up without touching statistics (for introspection).
     #[must_use]
     pub fn probe(&self, vpn: u32, asid: Asid) -> Option<TlbEntry> {
-        self.entries
-            .iter()
-            .flatten()
-            .find(|entry| self.matches(entry, vpn, asid))
-            .copied()
+        self.find(vpn, asid).and_then(|slot| self.entries[slot])
     }
 
     /// Insert an entry, replacing any existing entry for the same page and
-    /// context, else filling a free slot, else evicting per the replacement
-    /// policy (never a locked entry).
+    /// context, else filling the lowest free slot, else evicting per the
+    /// replacement policy (never a locked entry).
     ///
     /// Returns the evicted entry, if any.
     pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
         // Same-page update.
-        if let Some(slot) = self.entries.iter_mut().flatten().find(|existing| {
-            existing.vpn == entry.vpn && (!self.config.tagged || existing.asid == entry.asid)
-        }) {
-            let old = *slot;
-            *slot = entry;
-            return Some(old);
+        if let Some(&slot) = self.index.get(&self.key(entry.vpn, entry.asid)) {
+            return self.fill(slot, entry);
         }
         // Free slot.
-        if let Some(slot) = self.entries.iter_mut().find(|slot| slot.is_none()) {
-            *slot = Some(entry);
-            return None;
+        if self.valid < self.config.entries {
+            let slot = self
+                .entries
+                .iter()
+                .position(Option::is_none)
+                .expect("fewer valid entries than slots leaves a slot free");
+            return self.fill(slot, entry);
         }
         // Eviction.
         let victim = self.pick_victim();
-        let old = self.entries[victim].replace(entry);
+        let old = self.fill(victim, entry);
         if old.is_some() {
             self.stats.replaced += 1;
         }
@@ -283,65 +351,47 @@ impl Tlb {
         true
     }
 
-    /// Purge every entry (including locked ones — a hard reset). Returns the
-    /// number of entries discarded.
-    pub fn flush_all(&mut self) -> usize {
+    /// Purge every entry `doomed` picks, counting them as flushed. Returns
+    /// the number discarded.
+    fn flush_where(&mut self, doomed: impl Fn(&TlbEntry) -> bool) -> usize {
         let mut flushed = 0;
-        for slot in &mut self.entries {
-            if slot.take().is_some() {
+        for slot in 0..self.entries.len() {
+            if self.entries[slot].as_ref().is_some_and(&doomed) {
+                self.clear(slot);
                 flushed += 1;
             }
         }
         self.stats.flushed += flushed as u64;
         flushed
+    }
+
+    /// Purge every entry (including locked ones — a hard reset). Returns the
+    /// number of entries discarded.
+    pub fn flush_all(&mut self) -> usize {
+        self.flush_where(|_| true)
     }
 
     /// Purge unlocked entries only — what a context switch on an untagged TLB
     /// performs. Returns the number discarded.
     pub fn flush_unlocked(&mut self) -> usize {
-        let mut flushed = 0;
-        for slot in &mut self.entries {
-            if slot.is_some_and(|e| !e.locked) {
-                *slot = None;
-                flushed += 1;
-            }
-        }
-        self.stats.flushed += flushed as u64;
-        flushed
+        self.flush_where(|entry| !entry.locked)
     }
 
     /// Purge all entries belonging to `asid`. Returns the number discarded.
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
-        let mut flushed = 0;
-        for slot in &mut self.entries {
-            if slot.and_then(|e| e.asid) == Some(asid) {
-                *slot = None;
-                flushed += 1;
-            }
-        }
-        self.stats.flushed += flushed as u64;
-        flushed
+        self.flush_where(|entry| entry.asid == Some(asid))
     }
 
     /// Invalidate the entry for one page in one context, if present ("at most
     /// one entry in a TLB need be invalidated when a page's protection is
     /// changed", Section 3.2). Returns whether an entry was invalidated.
     pub fn flush_page(&mut self, vpn: u32, asid: Asid) -> bool {
-        for slot in &mut self.entries {
-            let matched = match slot {
-                Some(entry) => {
-                    entry.vpn == vpn
-                        && (!self.config.tagged || entry.asid.is_none() || entry.asid == Some(asid))
-                }
-                None => false,
-            };
-            if matched {
-                *slot = None;
-                self.stats.flushed += 1;
-                return true;
-            }
-        }
-        false
+        let Some(slot) = self.find(vpn, asid) else {
+            return false;
+        };
+        self.clear(slot);
+        self.stats.flushed += 1;
+        true
     }
 
     /// Accumulated statistics.

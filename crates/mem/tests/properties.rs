@@ -2,8 +2,9 @@
 
 use osarch_mem::{
     AccessKind, Addressing, Asid, Cache, CacheConfig, CacheOutcome, CacheStats, LinearPageTable,
-    MultiLevelPageTable, PageTable, Protection, Pte, SoftwarePageTable, Tlb, TlbConfig, TlbEntry,
-    VirtAddr, WriteBuffer, WriteBufferConfig, WritePolicy, PAGE_SIZE,
+    MultiLevelPageTable, PageTable, Protection, Pte, Replacement, SoftwarePageTable, Tlb,
+    TlbConfig, TlbEntry, TlbStats, VirtAddr, WriteBuffer, WriteBufferConfig, WritePolicy,
+    PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -184,6 +185,170 @@ mod nested {
     }
 }
 
+/// The TLB as it was before the slot index: `lookup`, `probe`, `insert`,
+/// `flush_page` and `len` scan every slot in order, with the same victim
+/// choice. `indexed_tlb_matches_the_scanning_oracle` checks [`Tlb`] against
+/// it.
+mod scan {
+    use super::{Asid, Pte, Replacement, TlbConfig, TlbEntry, TlbStats};
+
+    pub struct ScanTlb {
+        config: TlbConfig,
+        entries: Vec<Option<TlbEntry>>,
+        next_victim: usize,
+        lcg_state: u32,
+        stats: TlbStats,
+    }
+
+    impl ScanTlb {
+        pub fn new(config: TlbConfig) -> ScanTlb {
+            ScanTlb {
+                config,
+                entries: vec![None; config.entries],
+                next_victim: 0,
+                lcg_state: 0x2545_f491,
+                stats: TlbStats::default(),
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.entries.iter().filter(|slot| slot.is_some()).count()
+        }
+
+        fn matches(&self, entry: &TlbEntry, vpn: u32, asid: Asid) -> bool {
+            entry.vpn == vpn
+                && (!self.config.tagged || entry.asid.is_none() || entry.asid == Some(asid))
+        }
+
+        pub fn lookup(&mut self, vpn: u32, asid: Asid) -> Option<Pte> {
+            let hit = self.probe(vpn, asid).map(|entry| entry.pte);
+            if hit.is_some() {
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+            }
+            hit
+        }
+
+        pub fn probe(&self, vpn: u32, asid: Asid) -> Option<TlbEntry> {
+            self.entries
+                .iter()
+                .flatten()
+                .find(|entry| self.matches(entry, vpn, asid))
+                .copied()
+        }
+
+        pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
+            if let Some(slot) = self.entries.iter_mut().flatten().find(|existing| {
+                existing.vpn == entry.vpn && (!self.config.tagged || existing.asid == entry.asid)
+            }) {
+                let old = *slot;
+                *slot = entry;
+                return Some(old);
+            }
+            if let Some(slot) = self.entries.iter_mut().find(|slot| slot.is_none()) {
+                *slot = Some(entry);
+                return None;
+            }
+            let victim = self.pick_victim();
+            let old = self.entries[victim].replace(entry);
+            if old.is_some() {
+                self.stats.replaced += 1;
+            }
+            old
+        }
+
+        fn pick_victim(&mut self) -> usize {
+            let n = self.config.entries;
+            let unlocked =
+                |idx: usize, entries: &[Option<TlbEntry>]| entries[idx].is_none_or(|e| !e.locked);
+            match self.config.replacement {
+                Replacement::Fifo => {
+                    for _ in 0..n {
+                        let idx = self.next_victim;
+                        self.next_victim = (self.next_victim + 1) % n;
+                        if unlocked(idx, &self.entries) {
+                            return idx;
+                        }
+                    }
+                    0
+                }
+                Replacement::PseudoRandom => {
+                    for _ in 0..4 * n {
+                        self.lcg_state = self
+                            .lcg_state
+                            .wrapping_mul(1_664_525)
+                            .wrapping_add(1_013_904_223);
+                        let idx = (self.lcg_state >> 16) as usize % n;
+                        if unlocked(idx, &self.entries) {
+                            return idx;
+                        }
+                    }
+                    0
+                }
+            }
+        }
+
+        pub fn insert_locked(&mut self, mut entry: TlbEntry) -> bool {
+            let locked_now = self.entries.iter().flatten().filter(|e| e.locked).count();
+            if locked_now >= self.config.lockable {
+                return false;
+            }
+            entry.locked = true;
+            self.insert(entry);
+            true
+        }
+
+        fn flush_where(&mut self, doomed: impl Fn(&TlbEntry) -> bool) -> usize {
+            let mut flushed = 0;
+            for slot in &mut self.entries {
+                if slot.as_ref().is_some_and(&doomed) {
+                    *slot = None;
+                    flushed += 1;
+                }
+            }
+            self.stats.flushed += flushed as u64;
+            flushed
+        }
+
+        pub fn flush_all(&mut self) -> usize {
+            self.flush_where(|_| true)
+        }
+
+        pub fn flush_unlocked(&mut self) -> usize {
+            self.flush_where(|entry| !entry.locked)
+        }
+
+        pub fn flush_asid(&mut self, asid: Asid) -> usize {
+            self.flush_where(|entry| entry.asid == Some(asid))
+        }
+
+        pub fn flush_page(&mut self, vpn: u32, asid: Asid) -> bool {
+            for slot in &mut self.entries {
+                let matched = match slot {
+                    Some(entry) => {
+                        entry.vpn == vpn
+                            && (!self.config.tagged
+                                || entry.asid.is_none()
+                                || entry.asid == Some(asid))
+                    }
+                    None => false,
+                };
+                if matched {
+                    *slot = None;
+                    self.stats.flushed += 1;
+                    return true;
+                }
+            }
+            false
+        }
+
+        pub fn stats(&self) -> TlbStats {
+            self.stats
+        }
+    }
+}
+
 /// A cache geometry from its parts: `sets` sets of `assoc` ways of
 /// `line_bytes`, with physical (0), tagged-virtual (1) or untagged-virtual
 /// (2) addressing.
@@ -286,22 +451,27 @@ proptest! {
         prop_assert_eq!(got.pfn, *pfns.last().unwrap());
     }
 
-    /// Flushing an ASID removes all and only that ASID's entries.
+    /// Flushing an ASID removes all and only that ASID's entries: it
+    /// reports as many as `probe` found resident, `len` falls by that many,
+    /// and every other space's resident entry still probes.
     #[test]
     fn tlb_flush_asid_is_exact(pairs in proptest::collection::vec((0u32..256, 0u16..3), 1..32)) {
         let mut tlb = Tlb::new(TlbConfig::tagged(64));
         for &(vpn, asid) in &pairs {
             tlb.insert(TlbEntry { vpn, asid: Some(Asid(asid)), pte: Pte::new(vpn, Protection::RW), locked: false });
         }
-        tlb.flush_asid(Asid(0));
-        for &(vpn, asid) in &pairs {
-            if asid == 0 {
-                prop_assert!(tlb.probe(vpn, Asid(0)).is_none());
-            }
+        let keys: std::collections::BTreeSet<(u32, u16)> = pairs.into_iter().collect();
+        let resident: Vec<(u32, u16)> = keys
+            .into_iter()
+            .filter(|&(vpn, asid)| tlb.probe(vpn, Asid(asid)).is_some())
+            .collect();
+        let own = resident.iter().filter(|&&(_, asid)| asid == 0).count();
+        let len = tlb.len();
+        prop_assert_eq!(tlb.flush_asid(Asid(0)), own);
+        prop_assert_eq!(tlb.len(), len - own);
+        for &(vpn, asid) in &resident {
+            prop_assert_eq!(tlb.probe(vpn, Asid(asid)).is_some(), asid != 0);
         }
-        // Entries of other spaces may or may not survive replacement, but no
-        // asid-0 entry may remain anywhere.
-        prop_assert_eq!(tlb.len(), tlb.len()); // sanity
     }
 
     /// The cache never holds two lines with the same (set, tag, asid).
@@ -425,6 +595,54 @@ proptest! {
             }
             prop_assert_eq!(flat.stats(), oracle.stats());
             prop_assert_eq!(flat.len(), oracle.len());
+        }
+    }
+
+    /// The indexed TLB gives the scanning oracle's answers, victims,
+    /// statistics and occupancy on any shape and operation sequence, and
+    /// after every operation `probe` agrees on every key. Pages come from
+    /// a span just wider than the TLB, so sets fill and evict; ASID pick 3
+    /// inserts a global entry.
+    #[test]
+    fn indexed_tlb_matches_the_scanning_oracle(
+        shape in (prop_oneof![1usize..8, 8usize..14, 14usize..21, Just(64usize)], any::<bool>(), 0usize..4, any::<bool>()),
+        ops in proptest::collection::vec((0u8..24, 0u32..1024, 0u16..4, 0u32..1_000_000), 1..200),
+    ) {
+        let (entries, tagged, lockable, fifo) = shape;
+        let config = TlbConfig {
+            entries,
+            tagged,
+            lockable: lockable.min(entries),
+            replacement: if fifo { Replacement::Fifo } else { Replacement::PseudoRandom },
+        };
+        let span = entries as u32 + 4;
+        let mut tlb = Tlb::new(config);
+        let mut oracle = scan::ScanTlb::new(config);
+        for (kind, vpn, pick, pfn) in ops {
+            let vpn = vpn % span;
+            let asid = Asid(pick);
+            let entry = TlbEntry {
+                vpn,
+                asid: (pick < 3).then_some(asid),
+                pte: Pte::new(pfn, Protection::RW),
+                locked: false,
+            };
+            match kind {
+                0..=7 => prop_assert_eq!(tlb.lookup(vpn, asid), oracle.lookup(vpn, asid)),
+                8..=15 => prop_assert_eq!(tlb.insert(entry), oracle.insert(entry)),
+                16 | 17 => prop_assert_eq!(tlb.insert_locked(entry), oracle.insert_locked(entry)),
+                18..=20 => prop_assert_eq!(tlb.flush_page(vpn, asid), oracle.flush_page(vpn, asid)),
+                21 => prop_assert_eq!(tlb.flush_asid(asid), oracle.flush_asid(asid)),
+                22 => prop_assert_eq!(tlb.flush_unlocked(), oracle.flush_unlocked()),
+                _ => prop_assert_eq!(tlb.flush_all(), oracle.flush_all()),
+            }
+            prop_assert_eq!(tlb.stats(), oracle.stats());
+            prop_assert_eq!(tlb.len(), oracle.len());
+            for vpn in 0..span {
+                for pick in 0..4 {
+                    prop_assert_eq!(tlb.probe(vpn, Asid(pick)), oracle.probe(vpn, Asid(pick)));
+                }
+            }
         }
     }
 }

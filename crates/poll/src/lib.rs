@@ -1,17 +1,18 @@
 //! # osarch-poll
 //!
 //! A minimal readiness-notification shim for the event-driven server
-//! core: Linux `epoll(7)` reached through a four-function FFI surface
-//! (`epoll_create1` / `epoll_ctl` / `epoll_wait` / `close`), hidden
-//! behind the [`Readiness`] trait, with a portable timer-tick fallback
-//! for every other platform. A safe [`Waker`] built on
-//! `UnixStream::pair` lets other threads interrupt a blocked `wait`.
+//! core: Linux `epoll(7)` reached through a five-function FFI surface
+//! (`epoll_create1` / `epoll_ctl` / `epoll_wait` / `close`, plus
+//! `listen` for [`deepen_backlog`]), hidden behind the [`Readiness`]
+//! trait, with a portable timer-tick fallback for every other platform.
+//! A safe [`Waker`] built on `UnixStream::pair` lets other threads
+//! interrupt a blocked `wait`.
 //!
 //! Design rules, in order:
 //!
 //! 1. **All unsafe in the workspace lives here.** The rest of the
 //!    workspace forbids `unsafe_code`; this crate is the one audited
-//!    exception, and the unsafe surface is four `extern "C"` calls.
+//!    exception, and the unsafe surface is five `extern "C"` calls.
 //! 2. **Level-triggered only.** Callers may drop events on the floor;
 //!    the next `wait` re-reports any fd that is still ready. The
 //!    fallback poller leans on this: it simply reports every registered
@@ -111,6 +112,42 @@ pub fn new_poller() -> Box<dyn Readiness> {
         }
     }
     Box::new(fallback::Fallback::default())
+}
+
+/// Deepen a bound listener's accept queue to 4096 connections; the kernel
+/// clamps that to `net.core.somaxconn` (4096 by default since Linux 5.4).
+///
+/// `std::net::TcpListener::bind` listens with a backlog of 128, so a
+/// connect storm overflows the queue before the accept thread drains it,
+/// and every dropped SYN waits out the client's 1 s retransmit timer.
+/// `listen(2)` again on the bound socket raises the depth in place.
+/// Linux only; a no-op elsewhere.
+///
+/// # Errors
+///
+/// The error of the `listen` call.
+#[cfg(target_os = "linux")]
+pub fn deepen_backlog(listener: &std::net::TcpListener) -> io::Result<()> {
+    extern "C" {
+        fn listen(fd: std::ffi::c_int, backlog: std::ffi::c_int) -> std::ffi::c_int;
+    }
+    // SAFETY: no pointers involved; the fd is owned by `listener`, which
+    // outlives the call. Returns -1 on failure.
+    let rc = unsafe { listen(fd_of(listener), 4096) };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
+/// Deepen a bound listener's accept queue: a no-op off Linux.
+///
+/// # Errors
+///
+/// Never.
+#[cfg(not(target_os = "linux"))]
+pub fn deepen_backlog(_listener: &std::net::TcpListener) -> io::Result<()> {
+    Ok(())
 }
 
 #[cfg(target_os = "linux")]
@@ -442,6 +479,29 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
+
+    /// A listener nobody accepts from completes a storm of connects: std's
+    /// backlog of 128 alone would complete 129 and drop the SYNs after.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_deepened_listener_queues_hundreds_of_unaccepted_connects() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        deepen_backlog(&listener).expect("listen");
+        let addr = listener.local_addr().expect("addr");
+        // A host whose `net.core.somaxconn` is below 512 clamps the queue
+        // to it; ask only for what it can hold.
+        let somaxconn = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|text| text.trim().parse::<usize>().ok())
+            .unwrap_or(512);
+        let mut held = Vec::new();
+        for n in 0..somaxconn.min(512) {
+            match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+                Ok(stream) => held.push(stream),
+                Err(err) => panic!("connect {n} failed: {err}"),
+            }
+        }
+    }
 
     #[test]
     fn waker_interrupts_a_blocked_wait() {

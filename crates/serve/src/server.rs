@@ -695,13 +695,15 @@ fn validate(config: &ServerConfig) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Bind `addr`, reporting one that is not an address as `InvalidInput`
-/// naming `flag`.
+/// Bind `addr` with a deep accept queue, reporting one that is not an
+/// address as `InvalidInput` naming `flag`.
 fn bind(flag: &str, addr: &str) -> std::io::Result<TcpListener> {
-    TcpListener::bind(addr).map_err(|err| match err.kind() {
+    let listener = TcpListener::bind(addr).map_err(|err| match err.kind() {
         ErrorKind::InvalidInput => invalid(flag, "a HOST:PORT address", addr),
         _ => err,
-    })
+    })?;
+    osarch_poll::deepen_backlog(&listener)?;
+    Ok(listener)
 }
 
 impl Server {
