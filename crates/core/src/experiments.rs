@@ -3,7 +3,7 @@
 
 use crate::paper;
 use crate::report::{fmt_f, fmt_pct, Table};
-use crate::session::{parallel_tables, shared as session};
+use crate::session::shared as session;
 use osarch_cpu::{Arch, MicroOp, Program};
 use osarch_ipc::{
     cpu_scaling_forecast, lrpc_breakdown, lrpc_component, message_rpc_us, rpc_component,
@@ -686,32 +686,6 @@ pub fn decomposition_depth() -> Table {
     table
 }
 
-/// Every report, in paper order.
-///
-/// The tables are independent, so they are generated concurrently; the
-/// shared measurement session is primed first so each architecture
-/// simulates exactly once, and the output order (and bytes) match a
-/// sequential run.
-#[must_use]
-pub fn all_reports() -> Vec<Table> {
-    session().prime();
-    parallel_tables(&[
-        table1,
-        table2,
-        table3,
-        table4,
-        table5,
-        table6,
-        table7,
-        intext_results,
-        vm_overloading,
-        tlb_effectiveness,
-        thread_models,
-        future_machines,
-        decomposition_depth,
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,11 +743,6 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle}");
         }
-    }
-
-    #[test]
-    fn all_reports_is_complete() {
-        assert_eq!(all_reports().len(), 13);
     }
 
     #[test]

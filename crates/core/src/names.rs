@@ -4,10 +4,21 @@
 //! [`Primitive`] and report names, and renders the one-line "valid
 //! names" errors every front end prints on a bad name. The `osarch`
 //! binary and the `osarch-serve` protocol both parse the same spellings
-//! through these functions, so an unknown name fails loudly and
-//! identically everywhere: nonzero exit (or an error envelope) plus a
-//! single line listing every accepted name, including the `mips-r2000` /
-//! `mips-r3000` vendor aliases.
+//! through these functions and [`Arch::from_name`], so an unknown name
+//! fails loudly and identically everywhere: nonzero exit (or an error
+//! envelope) plus a single line listing every accepted name, including
+//! the `m88000`, `mips-r2000` and `mips-r3000` vendor aliases.
+//!
+//! The architecture names themselves live in one table in `osarch_cpu`:
+//! each machine's label plus its aliases, read through [`Arch::label`]
+//! and [`Arch::aliases`]. `Display for Arch`, [`arch_names`] and the
+//! serve layer's cache keys read it, and [`Arch::from_name`] is the one
+//! parser that the CLI, the serve protocol and spec documents' `base`
+//! field call. The primitive spellings are one table here, which
+//! [`parse_primitive`] and [`primitive_names`] read. Parsing an
+//! architecture or a primitive compares in place with
+//! `eq_ignore_ascii_case` and never allocates, since the serve protocol
+//! parses one of each per request.
 //!
 //! Arguments: every `osarch` subcommand reads its arguments through one
 //! [`Args`] reader over its [`Synopsis`]. The synopsis is written once:
@@ -15,62 +26,67 @@
 //! of every refusal line, and it tells the reader which flags take a
 //! value. The reader gives switches, typed values checked by a predicate
 //! with an "expects …" text, and positional arch, primitive and report
-//! names parsed through the `parse_*` functions here; [`Args::finish`]
-//! refuses, in one line, any argument nobody read. A refusal is always
-//! one line, and the caller exits 2 with it before doing any work.
+//! names parsed through [`Arch::from_name`] and the `parse_*` functions
+//! here; [`Args::finish`] refuses, in one line, any argument nobody read.
+//! A refusal is always one line, and the caller exits 2 with it before
+//! doing any work.
 
 use osarch_cpu::Arch;
 use osarch_kernel::Primitive;
 
-/// Parse an architecture name. Case-insensitive; accepts the display names
-/// (`CVAX`, `88000`, `R2000`, `R3000`, `SPARC`, `i860`, `RS6000`) plus the
-/// vendor-prefixed `mips-r2000` / `mips-r3000` aliases.
-#[must_use]
-pub fn parse_arch(name: &str) -> Option<Arch> {
-    let lowered = name.to_ascii_lowercase();
-    let canonical = match lowered.as_str() {
-        "mips-r2000" => "r2000",
-        "mips-r3000" => "r3000",
-        other => other,
-    };
-    Arch::all()
-        .into_iter()
-        .find(|a| a.to_string().to_ascii_lowercase() == canonical)
-}
+/// Every spelling of each primitive: the short CLI form, the long form
+/// and the snake_case JSON tag.
+const PRIMITIVE_SPELLINGS: [(Primitive, &[&str]); 4] = [
+    (
+        Primitive::NullSyscall,
+        &["syscall", "null-syscall", "null_syscall"],
+    ),
+    (Primitive::Trap, &["trap"]),
+    (Primitive::PteChange, &["pte", "pte-change", "pte_change"]),
+    (
+        Primitive::ContextSwitch,
+        &["ctxsw", "context-switch", "context_switch"],
+    ),
+];
 
 /// Parse a primitive name. Case-insensitive; accepts the short CLI forms
 /// (`syscall`, `trap`, `pte`, `ctxsw`), the long forms (`null-syscall`,
-/// `pte-change`, `context-switch`) and the snake_case JSON tags.
+/// `pte-change`, `context-switch`) and the snake_case JSON tags. Never
+/// allocates.
 #[must_use]
 pub fn parse_primitive(name: &str) -> Option<Primitive> {
-    match name.to_ascii_lowercase().as_str() {
-        "syscall" | "null-syscall" | "null_syscall" => Some(Primitive::NullSyscall),
-        "trap" => Some(Primitive::Trap),
-        "pte" | "pte-change" | "pte_change" => Some(Primitive::PteChange),
-        "ctxsw" | "context-switch" | "context_switch" => Some(Primitive::ContextSwitch),
-        _ => None,
-    }
+    PRIMITIVE_SPELLINGS
+        .iter()
+        .find(|(_, spellings)| spellings.iter().any(|s| s.eq_ignore_ascii_case(name)))
+        .map(|(primitive, _)| *primitive)
 }
 
 /// Every accepted architecture spelling, for error messages: the display
-/// names in table order with the MIPS vendor aliases attached.
+/// names in table order, each with its aliases attached.
 #[must_use]
 pub fn arch_names() -> String {
     Arch::all()
         .into_iter()
-        .map(|arch| match arch {
-            Arch::R2000 => "R2000 (alias mips-r2000)".to_string(),
-            Arch::R3000 => "R3000 (alias mips-r3000)".to_string(),
-            other => other.to_string(),
+        .map(|arch| match arch.aliases() {
+            [] => arch.label().to_string(),
+            aliases => format!("{} (alias {})", arch.label(), aliases.join(", ")),
         })
         .collect::<Vec<_>>()
         .join(", ")
 }
 
-/// Every accepted primitive spelling, for error messages.
+/// Every accepted primitive spelling, for error messages: each short
+/// form with its long form attached (the JSON tags are left out).
 #[must_use]
-pub fn primitive_names() -> &'static str {
-    "syscall (null-syscall), trap, pte (pte-change), ctxsw (context-switch)"
+pub fn primitive_names() -> String {
+    PRIMITIVE_SPELLINGS
+        .iter()
+        .map(|(_, spellings)| match spellings.get(1) {
+            Some(long) => format!("{} ({long})", spellings[0]),
+            None => spellings[0].to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// Every registered report name, for error messages (plus `all`).
@@ -365,7 +381,7 @@ impl<'a> Args<'a> {
     /// is not one).
     pub fn optional_arch(&mut self) -> Result<Option<Arch>, String> {
         self.positional()
-            .map(|name| parse_arch(name).ok_or_else(|| unknown_arch(name)))
+            .map(|name| Arch::from_name(name).ok_or_else(|| unknown_arch(name)))
             .transpose()
     }
 
@@ -409,31 +425,93 @@ impl<'a> Args<'a> {
 mod tests {
     use super::*;
 
+    /// `name` in lower, upper and both alternating ASCII cases.
+    fn mixed_cases(name: &str) -> [String; 4] {
+        let alternate = |upper_first: bool| {
+            name.chars()
+                .enumerate()
+                .map(|(i, c)| match (i % 2 == 0) == upper_first {
+                    true => c.to_ascii_uppercase(),
+                    false => c.to_ascii_lowercase(),
+                })
+                .collect()
+        };
+        [
+            name.to_ascii_lowercase(),
+            name.to_ascii_uppercase(),
+            alternate(true),
+            alternate(false),
+        ]
+    }
+
     #[test]
     fn every_display_name_and_alias_parses() {
         for arch in Arch::all() {
-            assert_eq!(parse_arch(&arch.to_string()), Some(arch));
-            assert_eq!(parse_arch(&arch.to_string().to_lowercase()), Some(arch));
+            assert_eq!(Arch::from_name(&arch.to_string()), Some(arch));
+            let spellings = std::iter::once(arch.label()).chain(arch.aliases().iter().copied());
+            for spelling in spellings {
+                for name in mixed_cases(spelling) {
+                    assert_eq!(Arch::from_name(&name), Some(arch), "{name}");
+                }
+            }
         }
-        assert_eq!(parse_arch("mips-r2000"), Some(Arch::R2000));
-        assert_eq!(parse_arch("MIPS-R3000"), Some(Arch::R3000));
-        assert_eq!(parse_arch("vax"), None);
-        assert_eq!(parse_arch(""), None);
+        // The one list names every label and alias, so it pins the table.
+        assert_eq!(
+            arch_names(),
+            "CVAX, 88000 (alias m88000), R2000 (alias mips-r2000), \
+             R3000 (alias mips-r3000), SPARC, i860, RS6000"
+        );
     }
 
     #[test]
     fn primitive_spellings_parse() {
-        for (name, primitive) in [
-            ("syscall", Primitive::NullSyscall),
-            ("null_syscall", Primitive::NullSyscall),
-            ("TRAP", Primitive::Trap),
-            ("pte-change", Primitive::PteChange),
-            ("context_switch", Primitive::ContextSwitch),
-            ("ctxsw", Primitive::ContextSwitch),
-        ] {
-            assert_eq!(parse_primitive(name), Some(primitive), "{name}");
+        for (primitive, spellings) in PRIMITIVE_SPELLINGS {
+            assert!(spellings.contains(&primitive.tag()), "{primitive}");
+            for spelling in spellings {
+                for name in mixed_cases(spelling) {
+                    assert_eq!(parse_primitive(&name), Some(primitive), "{name}");
+                }
+            }
         }
         assert_eq!(parse_primitive("fork"), None);
+        assert_eq!(
+            primitive_names(),
+            "syscall (null-syscall), trap, pte (pte-change), ctxsw (context-switch)"
+        );
+    }
+
+    #[test]
+    fn look_alikes_prefixes_and_empty_names_are_refused() {
+        // Cyrillic Ѕ and і, fullwidth letters and digits, the long s
+        // (which Unicode case folding maps to `s`) and a dotless ı.
+        for name in [
+            "\u{405}PARC",
+            "\u{456}860",
+            "R\u{ff13}000",
+            "\u{17f}parc",
+            "mips-r3000\u{0}",
+            "\u{131}860",
+            "r300",
+            "r30000",
+            "mips-r",
+            "m8800",
+            "88",
+            " sparc",
+            "",
+        ] {
+            assert_eq!(Arch::from_name(name), None, "{name:?}");
+        }
+        for name in [
+            "\u{17f}yscall",
+            "\u{ff54}rap",
+            "sysca",
+            "syscalls",
+            "context",
+            "pte_",
+            "",
+        ] {
+            assert_eq!(parse_primitive(name), None, "{name:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! which bumps the process-wide counter.
 
 use osarch_core::session::{self, MeasurementSession};
-use osarch_core::{experiments, measure_fresh, metrics, Arch, Primitive, Table};
+use osarch_core::{measure_fresh, metrics, Arch, Primitive, Table};
 
 /// A session's memoized measurement equals a fresh simulation,
 /// field-for-field, on every modelled architecture.
@@ -28,17 +28,11 @@ fn memoized_equals_fresh_for_every_arch() {
     assert_eq!(session.hits(), Arch::COUNT as u64);
 }
 
-/// Two parallel `all_reports` runs render byte-identically.
+/// Two parallel `all_tables` runs render byte-identically.
 #[test]
 fn parallel_report_generation_is_deterministic() {
-    let first: String = experiments::all_reports()
-        .iter()
-        .map(Table::render)
-        .collect();
-    let second: String = experiments::all_reports()
-        .iter()
-        .map(Table::render)
-        .collect();
+    let first: String = session::all_tables().iter().map(Table::render).collect();
+    let second: String = session::all_tables().iter().map(Table::render).collect();
     assert_eq!(first, second);
     assert_eq!(first.matches("Table 1:").count(), 1);
 }

@@ -97,20 +97,46 @@ impl Arch {
             Arch::Rs6000 => rs6000(),
         }
     }
+
+    /// The display label: the name every table, key and document prints.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        NAMES[self.index()].0
+    }
+
+    /// The other spellings that name this architecture (vendor prefixes).
+    #[must_use]
+    pub fn aliases(self) -> &'static [&'static str] {
+        NAMES[self.index()].1
+    }
+
+    /// The architecture `name` spells: its label or an alias, in any ASCII
+    /// case. Never allocates.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Arch> {
+        Arch::all().into_iter().find(|arch| {
+            arch.label().eq_ignore_ascii_case(name)
+                || arch.aliases().iter().any(|a| a.eq_ignore_ascii_case(name))
+        })
+    }
 }
+
+/// The one architecture name table, in [`Arch::all`] order: each
+/// machine's label and its aliases. Display, every name parser (CLI,
+/// serve protocol, spec documents) and every "valid names" list read it.
+const NAMES: [(&str, &[&str]); Arch::COUNT] = [
+    ("CVAX", &[]),
+    ("88000", &["m88000"]),
+    ("R2000", &["mips-r2000"]),
+    ("R3000", &["mips-r3000"]),
+    ("SPARC", &[]),
+    ("i860", &[]),
+    ("RS6000", &[]),
+];
 
 impl fmt::Display for Arch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Arch::Cvax => "CVAX",
-            Arch::M88000 => "88000",
-            Arch::R2000 => "R2000",
-            Arch::R3000 => "R3000",
-            Arch::Sparc => "SPARC",
-            Arch::I860 => "i860",
-            Arch::Rs6000 => "RS6000",
-        };
-        f.write_str(name)
+        f.write_str(self.label())
     }
 }
 

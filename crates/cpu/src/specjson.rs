@@ -104,7 +104,8 @@ impl ArchSpec {
         let name = name.ok_or_else(|| "missing \"name\"".to_string())?;
         validate_name(name)?;
         let base = base.ok_or_else(|| "missing \"base\"".to_string())?;
-        let arch = parse_base(base).ok_or_else(|| format!("unknown base architecture {base:?}"))?;
+        let arch =
+            Arch::from_name(base).ok_or_else(|| format!("unknown base architecture {base:?}"))?;
         let mut spec = arch.spec();
         for (key, value) in overrides {
             spec.apply_override(key, value)?;
@@ -252,28 +253,12 @@ fn validate_name(name: &str) -> Result<(), String> {
             "spec name {name:?} may only use ASCII letters, digits, '-', '_', '.'"
         ));
     }
-    if parse_base(name).is_some() {
+    if Arch::from_name(name).is_some() {
         return Err(format!(
             "spec name {name:?} shadows a built-in architecture"
         ));
     }
     Ok(())
-}
-
-/// Resolve a base-architecture name (case-insensitive; accepts the
-/// `mips-` aliases the CLI takes).
-fn parse_base(name: &str) -> Option<Arch> {
-    let lower = name.to_ascii_lowercase();
-    match lower.as_str() {
-        "cvax" => Some(Arch::Cvax),
-        "88000" | "m88000" => Some(Arch::M88000),
-        "r2000" | "mips-r2000" => Some(Arch::R2000),
-        "r3000" | "mips-r3000" => Some(Arch::R3000),
-        "sparc" => Some(Arch::Sparc),
-        "i860" => Some(Arch::I860),
-        "rs6000" => Some(Arch::Rs6000),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -316,20 +301,24 @@ mod tests {
 
     #[test]
     fn base_names_accept_cli_spellings() {
-        for (alias, arch) in [
-            ("cvax", Arch::Cvax),
-            ("m88000", Arch::M88000),
-            ("mips-r2000", Arch::R2000),
-            ("MIPS-R3000", Arch::R3000),
-            ("sparc", Arch::Sparc),
-            ("I860", Arch::I860),
-            ("rs6000", Arch::Rs6000),
-        ] {
-            let doc =
-                format!("{{\"schema\":\"osarch-spec/1\",\"name\":\"x\",\"base\":\"{alias}\"}}");
-            let (_, spec) = ArchSpec::from_json(&doc).expect(alias);
-            assert_eq!(spec.arch, arch, "{alias}");
+        for arch in Arch::all() {
+            let spellings = std::iter::once(arch.label()).chain(arch.aliases().iter().copied());
+            for spelling in spellings {
+                for alias in [spelling.to_ascii_lowercase(), spelling.to_ascii_uppercase()] {
+                    let doc = format!(
+                        "{{\"schema\":\"osarch-spec/1\",\"name\":\"x\",\"base\":\"{alias}\"}}"
+                    );
+                    let (_, spec) = ArchSpec::from_json(&doc).expect(&alias);
+                    assert_eq!(spec.arch, arch, "{alias}");
+                    let shadow = format!(
+                        "{{\"schema\":\"osarch-spec/1\",\"name\":\"{alias}\",\"base\":\"CVAX\"}}"
+                    );
+                    let err = ArchSpec::from_json(&shadow).expect_err(&alias);
+                    assert!(err.contains("shadows a built-in"), "{alias}: {err}");
+                }
+            }
         }
+        assert_eq!(Arch::from_name("m88000"), Some(Arch::M88000));
     }
 
     #[test]

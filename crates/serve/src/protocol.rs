@@ -17,8 +17,8 @@
 //!   `counters`, `spans`, `metrics`, `health`, `cluster`, `shutdown`,
 //!   `admin`, or `spec-fetch` (required);
 //! * `arch` — an architecture name (required for `measure`/`trace`,
-//!   optional for `lint`/`counters`; the `mips-r2000`/`mips-r3000`
-//!   aliases are accepted, exactly as on the CLI);
+//!   optional for `lint`/`counters`; the `m88000`, `mips-r2000` and
+//!   `mips-r3000` aliases are accepted, exactly as on the CLI);
 //! * `spec` — for `measure`, the name of a runtime-loaded registry spec
 //!   in place of `arch`; for `admin spec-load`, an `osarch-spec/1`
 //!   document as a JSON-escaped string;
@@ -59,6 +59,16 @@
 //! Responses reuse the `core/metrics` emitters for their payloads, so a
 //! served table/lint/trace/counters document is byte-identical to the one
 //! the corresponding CLI subcommand prints.
+//!
+//! A cache hit is the server's hot path, so its three protocol steps copy
+//! only what they keep. [`parse_request`] reads every field as a `&str`
+//! borrowed from the parsed tree and matches names in place (through
+//! [`Arch::from_name`] and [`names::parse_primitive`], which never
+//! allocate), owning only the `id` token and the strings a [`Query`]
+//! holds. [`Query::cache_key`] writes the snapshot prefix and the routing
+//! key into one exactly-sized buffer, so the server takes the routing key
+//! as a slice of the cache key; and [`ok_envelope`] appends into one
+//! buffer sized for the whole reply.
 
 use crate::registry::SpecSnapshot;
 use osarch_core::json::{self, Value};
@@ -66,6 +76,7 @@ use osarch_core::{metrics, names, session};
 use osarch_cpu::Arch;
 use osarch_kernel::{trace_all, trace_primitive, Primitive};
 use osarch_trace::CounterRegistry;
+use std::fmt::Write as _;
 
 /// The largest request line the server will accept. An oversized line is
 /// answered with an error envelope; the connection is then resynchronized
@@ -207,36 +218,7 @@ impl Query {
     /// swaps specs, or a mid-swap cluster would split-route every key.
     #[must_use]
     pub fn routing_key(&self) -> Option<String> {
-        match self {
-            Query::Measure { arch, primitive } => {
-                Some(format!("measure/{arch}/{}", primitive.tag()))
-            }
-            Query::MeasureSpec { name, primitive } => {
-                Some(format!("measure/{name}/{}", primitive.tag()))
-            }
-            Query::Table { name } => Some(format!("table/{name}")),
-            Query::Lint { arch } => Some(format!(
-                "lint/{}",
-                arch.map_or_else(|| "all".to_string(), |a| a.to_string())
-            )),
-            Query::Analyze { arch } => Some(format!(
-                "analyze/{}",
-                arch.map_or_else(|| "all".to_string(), |a| a.to_string())
-            )),
-            Query::Trace { arch, primitive } => Some(format!("trace/{arch}/{}", primitive.tag())),
-            Query::Counters { arch } => Some(format!(
-                "counters/{}",
-                arch.map_or_else(|| "all".to_string(), |a| a.to_string())
-            )),
-            Query::Ping
-            | Query::Spans
-            | Query::Metrics
-            | Query::Health { .. }
-            | Query::Cluster
-            | Query::Shutdown
-            | Query::Admin { .. }
-            | Query::SpecFetch => None,
-        }
+        self.cache_key_under("")
     }
 
     /// The canonical cache key under one registry snapshot, or `None`
@@ -244,11 +226,54 @@ impl Query {
     /// `e{epoch}-{content hash}/` prefix scopes every cached payload
     /// (and its `last_good` sidecar entry) to the spec set it was
     /// computed against, so a swap can never surface a stale-spec reply
-    /// — old-epoch entries are reaped lazily after each commit.
+    /// — old-epoch entries are reaped lazily after each commit. The key
+    /// is the prefix followed by the [routing key](Query::routing_key),
+    /// so `&key[snapshot.key_prefix().len()..]` is the routing key.
     #[must_use]
     pub fn cache_key(&self, snapshot: &SpecSnapshot) -> Option<String> {
-        self.routing_key()
-            .map(|key| format!("{}{key}", snapshot.key_prefix()))
+        self.cache_key_under(snapshot.key_prefix())
+    }
+
+    /// `prefix` then `kind/subject[/primitive]`, written once into one
+    /// buffer of the exact size.
+    fn cache_key_under(&self, prefix: &str) -> Option<String> {
+        let (kind, subject, tag) = self.key_parts()?;
+        let tail = tag.map_or(0, |tag| tag.len() + 1);
+        let mut key = String::with_capacity(prefix.len() + kind.len() + 1 + subject.len() + tail);
+        key.push_str(prefix);
+        key.push_str(kind);
+        key.push('/');
+        key.push_str(subject);
+        if let Some(tag) = tag {
+            key.push('/');
+            key.push_str(tag);
+        }
+        Some(key)
+    }
+
+    /// The parts of the routing key: the query kind, its subject (an
+    /// architecture label, a spec or table name, or `all`) and, for a
+    /// per-primitive query, the primitive's tag. `None` for uncacheable
+    /// queries.
+    fn key_parts(&self) -> Option<(&'static str, &str, Option<&'static str>)> {
+        let label = |arch: &Option<Arch>| arch.map_or("all", Arch::label);
+        Some(match self {
+            Query::Measure { arch, primitive } => ("measure", arch.label(), Some(primitive.tag())),
+            Query::MeasureSpec { name, primitive } => ("measure", name, Some(primitive.tag())),
+            Query::Table { name } => ("table", name, None),
+            Query::Lint { arch } => ("lint", label(arch), None),
+            Query::Analyze { arch } => ("analyze", label(arch), None),
+            Query::Trace { arch, primitive } => ("trace", arch.label(), Some(primitive.tag())),
+            Query::Counters { arch } => ("counters", label(arch), None),
+            Query::Ping
+            | Query::Spans
+            | Query::Metrics
+            | Query::Health { .. }
+            | Query::Cluster
+            | Query::Shutdown
+            | Query::Admin { .. }
+            | Query::SpecFetch => return None,
+        })
     }
 
     /// Evaluate a cacheable query to its JSON payload. Pure: the payload
@@ -341,6 +366,12 @@ pub struct Request {
 /// Parse one request line. Errors are one-line human-readable messages
 /// destined for the `error` field of the response envelope; the second
 /// tuple element is the echoed `id` token if one could be recovered.
+///
+/// Fields are read as `&str` borrowed from the parsed tree (which itself
+/// borrows every escape-free string from `line`) and matched in place;
+/// only what the [`Request`] keeps is copied: the `id` token, and a
+/// spec, table, gossip or admin string. A built-in `measure` copies
+/// nothing but its `id`.
 pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
     let refuse = |message: String| (message, "null".to_string());
     let root =
@@ -361,38 +392,30 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
     let id = root
         .get("id")
         .map_or_else(|| "null".to_string(), Value::to_string);
-    let get_str = |key: &str| -> Result<Option<String>, (String, String)> {
-        match root.get(key) {
-            None => Ok(None),
-            Some(Value::String(s)) => Ok(Some(s.to_string())),
-            Some(other) => Err((
-                format!("field {key:?} must be a string, got {other}"),
-                id.clone(),
-            )),
-        }
+    let get_str = |key: &str| match root.get(key) {
+        None => Ok(None),
+        Some(Value::String(s)) => Ok(Some(&**s)),
+        Some(other) => Err((
+            format!("field {key:?} must be a string, got {other}"),
+            id.clone(),
+        )),
     };
-    let op =
-        get_str("op")?.ok_or_else(|| ("missing required field \"op\"".to_string(), id.clone()))?;
+    let missing = |field: &str| (format!("missing required field {field:?}"), id.clone());
+    let op = get_str("op")?.ok_or_else(|| missing("op"))?;
     let arch = |required: bool| -> Result<Option<Arch>, (String, String)> {
         match get_str("arch")? {
-            Some(name) => names::parse_arch(&name)
+            Some(name) => Arch::from_name(name)
                 .map(Some)
-                .ok_or_else(|| (names::unknown_arch(&name), id.clone())),
-            None if required => Err(("missing required field \"arch\"".to_string(), id.clone())),
+                .ok_or_else(|| (names::unknown_arch(name), id.clone())),
+            None if required => Err(missing("arch")),
             None => Ok(None),
         }
     };
     let primitive = || -> Result<Primitive, (String, String)> {
-        match get_str("primitive")? {
-            Some(name) => names::parse_primitive(&name)
-                .ok_or_else(|| (names::unknown_primitive(&name), id.clone())),
-            None => Err((
-                "missing required field \"primitive\"".to_string(),
-                id.clone(),
-            )),
-        }
+        let name = get_str("primitive")?.ok_or_else(|| missing("primitive"))?;
+        names::parse_primitive(name).ok_or_else(|| (names::unknown_primitive(name), id.clone()))
     };
-    let query = match op.as_str() {
+    let query = match op {
         "ping" => Query::Ping,
         "measure" => match get_str("spec")? {
             // A registry spec and a built-in are different namespaces; a
@@ -405,7 +428,7 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
                     ));
                 }
                 Query::MeasureSpec {
-                    name,
+                    name: name.to_string(),
                     primitive: primitive()?,
                 }
             }
@@ -415,12 +438,13 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
             },
         },
         "table" => {
-            let name = get_str("table")?
-                .ok_or_else(|| ("missing required field \"table\"".to_string(), id.clone()))?;
-            if session::report_by_name(&name).is_none() {
-                return Err((names::unknown_report(&name), id));
+            let name = get_str("table")?.ok_or_else(|| missing("table"))?;
+            if session::report_by_name(name).is_none() {
+                return Err((names::unknown_report(name), id));
             }
-            Query::Table { name }
+            Query::Table {
+                name: name.to_string(),
+            }
         }
         "lint" => Query::Lint { arch: arch(false)? },
         "analyze" => Query::Analyze { arch: arch(false)? },
@@ -429,7 +453,7 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
             primitive: primitive()?,
         },
         "counters" => Query::Counters { arch: arch(false)? },
-        "spans" => match get_str("filter")?.as_deref() {
+        "spans" => match get_str("filter")? {
             None | Some("chrome") => Query::Spans,
             Some(other) => {
                 return Err((
@@ -440,18 +464,19 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
         },
         "metrics" => Query::Metrics,
         "health" => Query::Health {
-            gossip: get_str("gossip")?,
+            gossip: get_str("gossip")?.map(str::to_string),
         },
         "cluster" => Query::Cluster,
         "shutdown" => Query::Shutdown,
         "admin" => {
-            let action = get_str("action")?.ok_or_else(|| {
+            let admin_missing = |field: &str| {
                 (
-                    "admin: missing required field \"action\"".to_string(),
+                    format!("admin: missing required field {field:?}"),
                     id.clone(),
                 )
-            })?;
-            let action = AdminAction::parse(&action).ok_or_else(|| {
+            };
+            let action = get_str("action")?.ok_or_else(|| admin_missing("action"))?;
+            let action = AdminAction::parse(action).ok_or_else(|| {
                 (
                     format!(
                         "admin: unknown action {action:?}; valid actions: \
@@ -460,12 +485,7 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
                     id.clone(),
                 )
             })?;
-            let token = get_str("token")?.ok_or_else(|| {
-                (
-                    "admin: missing required field \"token\"".to_string(),
-                    id.clone(),
-                )
-            })?;
+            let token = get_str("token")?.ok_or_else(|| admin_missing("token"))?;
             let name = get_str("name")?;
             let spec = get_str("spec")?;
             match action {
@@ -485,15 +505,15 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
             }
             Query::Admin {
                 action,
-                token,
-                name,
-                spec,
+                token: token.to_string(),
+                name: name.map(str::to_string),
+                spec: spec.map(str::to_string),
             }
         }
         "spec-fetch" => Query::SpecFetch,
         other => return Err((names::unknown_op(other), id)),
     };
-    let forwarded = get_str("fwd")?.as_deref() == Some("1");
+    let forwarded = get_str("fwd")? == Some("1");
     Ok(Request {
         id,
         query,
@@ -505,13 +525,24 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
 /// `epoch` is the registry epoch the request was served under — the
 /// snapshot captured at admission, which for cacheable queries is by
 /// construction the spec set the payload was computed against.
+///
+/// Built by appends into one buffer sized for the whole envelope: a
+/// cache hit's reply is this one allocation. (One `write!` of the whole
+/// template into the same buffer measured ~60 ns slower a call.)
 #[must_use]
 pub fn ok_envelope(id: &str, cached: bool, epoch: u64, micros: u64, payload: &str) -> String {
-    format!(
-        "{{\"schema\":\"{}\",\"id\":{id},\"ok\":true,\"cached\":{cached},\
-         \"epoch\":{epoch},\"micros\":{micros},\"result\":{payload}}}",
-        metrics::SERVE_SCHEMA
-    )
+    // Room for the fixed text (87 bytes) and two `u64`s of 20 digits.
+    let mut out = String::with_capacity(128 + id.len() + payload.len());
+    out.push_str("{\"schema\":\"");
+    out.push_str(metrics::SERVE_SCHEMA);
+    out.push_str("\",\"id\":");
+    out.push_str(id);
+    out.push_str(",\"ok\":true,\"cached\":");
+    out.push_str(if cached { "true" } else { "false" });
+    let _ = write!(out, ",\"epoch\":{epoch},\"micros\":{micros},\"result\":");
+    out.push_str(payload);
+    out.push('}');
+    out
 }
 
 /// A degraded-success envelope: the stale last-good payload under
@@ -1051,6 +1082,114 @@ mod tests {
             qs.cache_key(&next),
             Some(format!("{}measure/hot-sparc/trap", next.key_prefix()))
         );
+    }
+
+    /// The routing key as `format!` spelled it before keys were written
+    /// into one buffer: the ring, relays and `loadgen::node_slices` all
+    /// hash these bytes, so they must not move.
+    fn formatted_routing_key(query: &Query) -> Option<String> {
+        let all = |arch: &Option<Arch>| arch.map_or_else(|| "all".to_string(), |a| a.to_string());
+        match query {
+            Query::Measure { arch, primitive } => {
+                Some(format!("measure/{arch}/{}", primitive.tag()))
+            }
+            Query::MeasureSpec { name, primitive } => {
+                Some(format!("measure/{name}/{}", primitive.tag()))
+            }
+            Query::Table { name } => Some(format!("table/{name}")),
+            Query::Lint { arch } => Some(format!("lint/{}", all(arch))),
+            Query::Analyze { arch } => Some(format!("analyze/{}", all(arch))),
+            Query::Trace { arch, primitive } => Some(format!("trace/{arch}/{}", primitive.tag())),
+            Query::Counters { arch } => Some(format!("counters/{}", all(arch))),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn keys_match_their_format_spellings_for_every_cacheable_query() {
+        let builtins = SpecSnapshot::builtins();
+        let doc = Arch::Sparc.spec().to_json("hot-sparc");
+        let swapped = builtins.with_spec(&doc, 2).expect("valid doc");
+        let mut queries = Vec::new();
+        for arch in Arch::all().map(Some).into_iter().chain([None]) {
+            queries.extend([
+                Query::Lint { arch },
+                Query::Analyze { arch },
+                Query::Counters { arch },
+            ]);
+        }
+        for primitive in Primitive::all() {
+            for arch in Arch::all() {
+                queries.extend([
+                    Query::Measure { arch, primitive },
+                    Query::Trace { arch, primitive },
+                ]);
+            }
+            queries.push(Query::MeasureSpec {
+                name: "hot-sparc".to_string(),
+                primitive,
+            });
+        }
+        for report in session::REPORTS {
+            queries.push(Query::Table {
+                name: report.name.to_string(),
+            });
+        }
+        assert_eq!(queries.len(), 24 + 60 + session::REPORTS.len());
+        for query in &queries {
+            let expected = formatted_routing_key(query).expect("cacheable");
+            assert_eq!(query.routing_key().as_deref(), Some(&*expected));
+            for snapshot in [&builtins, &swapped] {
+                let key = query.cache_key(snapshot).expect("cacheable");
+                assert_eq!(key, format!("{}{expected}", snapshot.key_prefix()));
+                assert_eq!(&key[snapshot.key_prefix().len()..], expected);
+                // Exactly sized: one allocation that never grew.
+                assert_eq!(key.capacity(), key.len(), "{key}");
+            }
+        }
+    }
+
+    /// A reply is one allocation: the reservation covers the fixed text
+    /// and the widest integers, so the buffer never grows; and the bytes
+    /// are the ones the `format!` template wrote.
+    #[test]
+    fn ok_envelope_fills_one_reservation_with_the_template_bytes() {
+        let payload = Query::Measure {
+            arch: Arch::Rs6000,
+            primitive: Primitive::ContextSwitch,
+        }
+        .compute(&SpecSnapshot::builtins());
+        for id in ["1", "-2e3", "\"req-\\u00e9\"", "null"] {
+            for cached in [true, false] {
+                for (epoch, micros) in [(0, 0), (7, 812), (u64::MAX, u64::MAX)] {
+                    let envelope = ok_envelope(id, cached, epoch, micros, &payload);
+                    let template = format!(
+                        "{{\"schema\":\"{}\",\"id\":{id},\"ok\":true,\"cached\":{cached},\
+                         \"epoch\":{epoch},\"micros\":{micros},\"result\":{payload}}}",
+                        metrics::SERVE_SCHEMA
+                    );
+                    assert_eq!(envelope, template);
+                    assert_eq!(envelope.capacity(), 128 + id.len() + payload.len(), "{id}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn m88000_names_the_88000_on_the_wire() {
+        for arch in ["m88000", "M88000", "88000"] {
+            let line = format!("{{\"op\":\"measure\",\"arch\":\"{arch}\",\"primitive\":\"trap\"}}");
+            let request = parse_request(&line).expect(&line);
+            assert_eq!(
+                request.query,
+                Query::Measure {
+                    arch: Arch::M88000,
+                    primitive: Primitive::Trap,
+                }
+            );
+        }
+        let (err, _) = parse_request("{\"op\":\"lint\",\"arch\":\"m8800\"}").expect_err("prefix");
+        assert!(err.contains("88000 (alias m88000)"), "{err}");
     }
 
     #[test]

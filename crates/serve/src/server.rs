@@ -2096,12 +2096,16 @@ fn admit(
     origin: &Origin,
 ) -> Result<(String, Option<Relay>), Reply> {
     let refuse = |envelope: String| Err(Reply::Refused(Tally::Error, envelope));
-    // A query kind with no cache key would once have panicked the worker
-    // here; now it is a clean error envelope.
-    let Some(routing_key) = query.routing_key() else {
+    // The key is written once: the snapshot's prefix isolates cached
+    // replies per epoch, and the epoch-free rest of it, the routing key,
+    // places the request on the ring (ownership must not move on a
+    // swap). A query kind with no cache key would once have panicked the
+    // worker here; now it is a clean error envelope.
+    let Some(key) = query.cache_key(snapshot) else {
         let message = format!("internal error: {} query has no cache key", origin.op);
         return refuse(protocol::err_envelope(&origin.id, &message));
     };
+    let routing_key = &key[snapshot.key_prefix().len()..];
     // A spec measurement must name a spec the captured snapshot actually
     // holds — resolved here, before any offload, so the compute path can
     // rely on existence.
@@ -2116,10 +2120,6 @@ fn admit(
             return refuse(protocol::err_envelope(&origin.id, &message));
         }
     }
-    // The epoch-free routing key places the request on the ring
-    // (ownership must not move on a swap); the snapshot-scoped cache key
-    // isolates cached replies per epoch.
-    let key = format!("{}{routing_key}", snapshot.key_prefix());
     // Cluster routing: a key this node does not replicate is relayed to a
     // replica (proxy mode) or answered with a `not_owner` redirect. A
     // forwarded request is never re-forwarded (loop guard on the `fwd`
@@ -2129,7 +2129,7 @@ fn admit(
     let Some(cluster) = &shared.cluster else {
         return Ok((key, None));
     };
-    let replicas = cluster.ring.replicas(&routing_key, cluster.replicas);
+    let replicas = cluster.ring.replicas(routing_key, cluster.replicas);
     if replicas.iter().any(|addr| *addr == cluster.self_addr) {
         if forwarded {
             cluster.proxied.fetch_add(1, Ordering::Relaxed);
@@ -2141,7 +2141,7 @@ fn admit(
         let owner = replicas.first().copied().unwrap_or("");
         return refuse(protocol::not_owner_envelope(
             &origin.id,
-            &routing_key,
+            routing_key,
             owner,
             &replicas,
         ));

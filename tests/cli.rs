@@ -163,6 +163,25 @@ fn golden_invocations_print_their_snapshots_byte_for_byte() {
 }
 
 #[test]
+fn every_alias_names_the_machine_its_label_does() {
+    for (alias, label) in [
+        ("m88000", "88000"),
+        ("M88000", "88000"),
+        ("mips-r2000", "R2000"),
+        ("MIPS-R3000", "R3000"),
+    ] {
+        assert!(
+            golden(&["measure", alias]) == golden(&["measure", label]),
+            "`osarch measure {alias}` differs from `osarch measure {label}`"
+        );
+    }
+    let output = run_within(&["measure", "vax"], Duration::from_secs(2));
+    let stderr = text(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("88000 (alias m88000)"), "{stderr}");
+}
+
+#[test]
 fn the_trace_export_matches_its_snapshot() {
     let path = format!("{}/trace_r3000_syscall.json", env!("CARGO_TARGET_TMPDIR"));
     golden(&["trace", "mips-r3000", "syscall", "--out", &path]);

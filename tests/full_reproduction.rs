@@ -1,14 +1,14 @@
 //! End-to-end reproduction tests: every table regenerates with the paper's
 //! shape.
 
-use osarch::experiments;
 use osarch::paper;
+use osarch::session;
 use osarch::{measure, Arch, Primitive};
 
 #[test]
 fn all_reports_render_nonempty() {
-    let reports = experiments::all_reports();
-    assert_eq!(reports.len(), 13);
+    let reports = session::all_tables();
+    assert_eq!(reports.len(), session::REPORTS.len());
     for report in &reports {
         let text = report.render();
         assert!(text.len() > 100, "{} looks empty", report.title());
@@ -127,11 +127,11 @@ fn sparc_projection_matches_the_prose() {
 
 #[test]
 fn reproduction_is_fully_deterministic() {
-    let a: Vec<String> = experiments::all_reports()
+    let a: Vec<String> = session::all_tables()
         .iter()
         .map(osarch::Table::render)
         .collect();
-    let b: Vec<String> = experiments::all_reports()
+    let b: Vec<String> = session::all_tables()
         .iter()
         .map(osarch::Table::render)
         .collect();
