@@ -66,8 +66,8 @@ pub use osarch_analysis::{
 pub use osarch_cpu::{Arch, ArchSpec, Cpu, ExecStats, MicroOp, Phase, Program};
 pub use osarch_ipc::{lrpc_breakdown, src_rpc_breakdown, LrpcBreakdown, RpcBreakdown, RpcConfig};
 pub use osarch_kernel::{
-    measure, measure_all, measure_fresh, simulation_count, trace_all, trace_primitive, HandlerSet,
-    Machine, Primitive, PrimitiveCosts, PrimitiveMeasurement, PrimitiveTrace,
+    measure, measure_fresh, simulation_count, trace_all, trace_primitive, HandlerSet, Machine,
+    Primitive, PrimitiveCosts, PrimitiveMeasurement, PrimitiveTrace,
 };
 pub use osarch_mach::{simulate, table7, MachRun, OsStructure};
 pub use osarch_mem::{MemorySystem, MemorySystemConfig, VirtAddr};

@@ -48,7 +48,8 @@ pub const SERVE_BENCH_SCHEMA: &str = "osarch-serve-bench/3";
 
 /// The schema tag stamped into every telemetry snapshot (the `metrics`
 /// protocol op and the `--metrics-addr` scrape listener's JSON form).
-pub const METRICS_SCHEMA: &str = "osarch-metrics/1";
+/// `/2` dropped the `window` counters, which repeated `totals`.
+pub const METRICS_SCHEMA: &str = "osarch-metrics/2";
 
 /// The schema tag stamped into every `cluster` op reply: the per-node view
 /// of the consistent-hash ring and the gossip membership table.
@@ -402,7 +403,7 @@ fn telemetry_hist_json(hist: &osarch_telemetry::Histogram) -> String {
     )
 }
 
-/// A telemetry snapshot as an `osarch-metrics/1` JSON document — the
+/// A telemetry snapshot as an `osarch-metrics/2` JSON document — the
 /// payload of the `metrics` protocol op and the scrape listener's JSON
 /// endpoint, and the input `osarch top` renders.
 #[must_use]
@@ -419,11 +420,6 @@ pub fn metrics_snapshot_json(snap: &osarch_telemetry::MetricsSnapshot) -> String
                 telemetry_hist_json(&op.hist)
             )
         })
-        .collect();
-    let window: Vec<String> = osarch_telemetry::COUNTER_NAMES
-        .iter()
-        .zip(snap.window)
-        .map(|(name, value)| format!("\"{name}\":{value}"))
         .collect();
     // Spliced as a pre-rendered fragment so a standalone (non-cluster)
     // snapshot stays byte-identical to the pre-cluster document.
@@ -461,7 +457,6 @@ pub fn metrics_snapshot_json(snap: &osarch_telemetry::MetricsSnapshot) -> String
             "\"oldest_write_backlog_ms\":{},\"cache_hit_ratio\":{},",
             "\"registry_epoch\":{},\"shutting_down\":{}}},",
             "{}",
-            "\"window\":{{{}}},",
             "\"ops\":[{}],",
             "\"loop_lag_us\":{},",
             "\"offload_queue_depth\":{},",
@@ -502,7 +497,6 @@ pub fn metrics_snapshot_json(snap: &osarch_telemetry::MetricsSnapshot) -> String
         gauges.registry_epoch,
         gauges.shutting_down,
         cluster,
-        window.join(","),
         ops.join(","),
         telemetry_hist_json(&snap.loop_lag_us),
         telemetry_hist_json(&snap.queue_depth),
@@ -511,7 +505,7 @@ pub fn metrics_snapshot_json(snap: &osarch_telemetry::MetricsSnapshot) -> String
     )
 }
 
-/// Every key an `osarch-metrics/1` document must carry, as a path from
+/// Every key an `osarch-metrics/2` document must carry, as a path from
 /// the root. Producers validate before exposing; the CI chaos smoke
 /// validates the scrape.
 pub const METRICS_REQUIRED_KEYS: &[&str] = &[
@@ -538,7 +532,6 @@ pub const METRICS_REQUIRED_KEYS: &[&str] = &[
     "gauges.oldest_write_backlog_ms",
     "gauges.cache_hit_ratio",
     "gauges.shutting_down",
-    "window",
     "ops",
     "loop_lag_us",
     "offload_queue_depth",
@@ -553,7 +546,7 @@ pub const METRICS_REQUIRED_KEYS: &[&str] = &[
     "ops[].latency_us.buckets",
 ];
 
-/// Validate an `osarch-metrics/1` document: well-formed JSON, the schema
+/// Validate an `osarch-metrics/2` document: well-formed JSON, the schema
 /// tag, and every required key present.
 pub fn validate_metrics_snapshot(doc: &str) -> Result<(), String> {
     validate_json_schema(doc, METRICS_SCHEMA, METRICS_REQUIRED_KEYS)
@@ -1130,7 +1123,7 @@ mod tests {
     fn metrics_snapshot_document_is_valid() {
         let hub = osarch_telemetry::TelemetryHub::new(2, &["ping", "measure"], 64, 7);
         for us in [120u64, 250, 4000] {
-            hub.record_served(0, 1, us, None, 0);
+            hub.record_served(0, 1, us, 0);
         }
         hub.record_loop_lag(1, 35, 0);
         hub.record_queue_depth(0, 4, 0);
@@ -1165,6 +1158,58 @@ mod tests {
         // The validator flags a document missing a required section.
         let truncated = doc.replace("\"gauges\":", "\"ga_uges\":");
         assert!(validate_metrics_snapshot(&truncated).is_err());
+    }
+
+    #[test]
+    fn both_expositions_carry_each_lifetime_total_once() {
+        // Every field distinct and nonzero, so a total rendered under
+        // another's name, or twice, cannot match by accident.
+        let totals = osarch_telemetry::Totals {
+            requests: 101,
+            errors: 102,
+            rejected: 103,
+            deadline_exceeded: 104,
+            panics: 105,
+            degraded: 106,
+            worker_respawns: 107,
+            faults_injected: 108,
+            conns_opened: 109,
+            cache_hits: 110,
+            cache_misses: 111,
+            cache_coalesced: 112,
+            cache_failed: 113,
+            cache_degraded: 114,
+            swaps: 115,
+            rollbacks: 116,
+        };
+        let hub = osarch_telemetry::TelemetryHub::new(1, &["ping"], 0, 7);
+        let snap = hub.snapshot(1_000_000, osarch_telemetry::Gauges::default(), totals);
+        let doc = metrics_snapshot_json(&snap);
+        let text = osarch_telemetry::expose::prometheus_text(&snap);
+        let parsed = crate::json::parse(&doc).expect("snapshot parses");
+        let members = parsed["totals"].as_object().expect("totals object");
+        assert_eq!(members.len(), 16, "{doc}");
+        for (name, value) in members {
+            let family = match name.as_ref() {
+                "swaps" | "rollbacks" => format!("osarch_spec_{name}_total"),
+                _ => format!("osarch_{name}_total"),
+            };
+            let samples: Vec<&str> = text
+                .lines()
+                .filter(|line| line.split(' ').next() == Some(family.as_str()))
+                .collect();
+            let value = value.as_u64().expect("a count");
+            assert_eq!(samples, [format!("{family} {value}")], "totals.{name}");
+        }
+        // No counter family beyond the lifetime totals, and no window
+        // copy of them, in either exposition.
+        let counters = text
+            .lines()
+            .filter(|line| line.starts_with("# TYPE ") && line.ends_with(" counter"))
+            .count();
+        assert_eq!(counters, members.len(), "{text}");
+        assert!(!text.contains("osarch_window_"), "{text}");
+        assert!(parsed.get("window").is_none(), "{doc}");
     }
 
     #[test]

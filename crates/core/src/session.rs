@@ -16,7 +16,7 @@
 
 use crate::report::Table;
 use osarch_cpu::Arch;
-use osarch_kernel::{measure, PrimitiveCosts, PrimitiveMeasurement, PrimitiveTimes};
+use osarch_kernel::{measure, PrimitiveMeasurement};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -62,16 +62,6 @@ impl MeasurementSession {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         measurement
-    }
-
-    /// Microsecond times for `arch` (a Table 1 column).
-    pub fn times_us(&self, arch: Arch) -> PrimitiveTimes {
-        self.measurement(arch).times_us()
-    }
-
-    /// Packaged per-operation costs for `arch`.
-    pub fn costs(&self, arch: Arch) -> PrimitiveCosts {
-        PrimitiveCosts::from_measurement(self.measurement(arch))
     }
 
     /// Warm every architecture's slot, simulating concurrently.

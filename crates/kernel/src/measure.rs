@@ -171,12 +171,6 @@ pub fn measure_with_spec(spec: osarch_cpu::ArchSpec) -> PrimitiveMeasurement {
     }
 }
 
-/// Measure every architecture in Table 1.
-#[must_use]
-pub fn measure_all() -> Vec<PrimitiveMeasurement> {
-    Arch::timed().into_iter().map(measure).collect()
-}
-
 /// Reproduce the paper's *subtractive* trap measurement: the benchmark
 /// repeatedly (1) calls the kernel to unmap a page, (2) touches it from user
 /// level, taking the fault, and (3) re-maps it inside the handler. The trap
@@ -320,7 +314,8 @@ mod tests {
 
     #[test]
     fn every_timed_arch_measures() {
-        for m in measure_all() {
+        for arch in Arch::timed() {
+            let m = measure(arch);
             let times = m.times_us();
             for primitive in Primitive::all() {
                 assert!(times.time(primitive) > 0.0, "{} {primitive}", m.arch);

@@ -55,7 +55,7 @@
 //!   router: it shares the server's ring, prefers breaker-closed
 //!   replicas, fails over on dead nodes, and follows redirects;
 //! * [`top`] — the live terminal dashboard (`osarch top ADDR`), a 1 Hz
-//!   plain-ANSI view over the `metrics` op's `osarch-metrics/1`
+//!   plain-ANSI view over the `metrics` op's `osarch-metrics/2`
 //!   snapshot: throughput, per-op tail percentiles, loop lag, cache and
 //!   resilience counters.
 //!

@@ -505,7 +505,7 @@ fn query_metrics(addr: &str) -> std::io::Result<ServerCounters> {
 }
 
 /// The cache totals and worker gauge of a `metrics` reply envelope (its
-/// `osarch-metrics/1` document); 0 for any that is absent.
+/// `osarch-metrics/2` document); 0 for any that is absent.
 fn server_counters(reply: &Value<'_>) -> ServerCounters {
     let doc = &reply["result"];
     let total = |name: &str| doc["totals"][name].as_u64().unwrap_or(0);

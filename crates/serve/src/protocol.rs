@@ -141,7 +141,7 @@ pub enum Query {
     /// The sampled per-request span chains as a Chrome trace-event
     /// document (`osarch-trace/1`).
     Spans,
-    /// Full telemetry snapshot (`osarch-metrics/1`): windowed
+    /// Full telemetry snapshot (`osarch-metrics/2`): windowed
     /// histograms, gauges, and lifetime totals.
     Metrics,
     /// One-line liveness probe: queue depth, worker liveness, and
@@ -379,19 +379,23 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
     let fields = root
         .as_object()
         .ok_or_else(|| refuse("request must be a JSON object".to_string()))?;
+    // Read before any field check, so every refusal of an object can echo
+    // it: the compact re-emission of a scalar `id` (numbers keep their
+    // source token); `null` when the id is absent or itself nested.
+    let id = match root.get("id") {
+        None | Some(Value::Array(_) | Value::Object(_)) => "null".to_string(),
+        Some(scalar) => scalar.to_string(),
+    };
     // Every request field is a scalar by design.
     if let Some((key, _)) = fields
         .iter()
         .find(|(_, value)| matches!(value, Value::Array(_) | Value::Object(_)))
     {
-        return Err(refuse(format!(
-            "field {key:?} must be a scalar, not a nested value"
-        )));
+        return Err((
+            format!("field {key:?} must be a scalar, not a nested value"),
+            id,
+        ));
     }
-    // Echoed as the compact re-emission: numbers keep their source token.
-    let id = root
-        .get("id")
-        .map_or_else(|| "null".to_string(), Value::to_string);
     let get_str = |key: &str| match root.get(key) {
         None => Ok(None),
         Some(Value::String(s)) => Ok(Some(&**s)),
@@ -998,6 +1002,23 @@ mod tests {
     fn bad_request_still_recovers_the_id() {
         let (_, id) = parse_request("{\"op\":\"warp\",\"id\":7}").expect_err("unknown op");
         assert_eq!(id, "7");
+        // A nested field is refused after the id is read, so the refusal
+        // still answers under it; a nested id itself is not echoed, and
+        // the first of two ids wins.
+        for (line, expected) in [
+            (
+                "{\"op\":\"measure\",\"arch\":{\"name\":\"R3000\"},\"primitive\":\"trap\",\"id\":1}",
+                "1",
+            ),
+            ("{\"id\":\"a\",\"op\":[1]}", "\"a\""),
+            ("{\"op\":\"ping\",\"id\":[7]}", "null"),
+            ("{\"op\":\"ping\",\"id\":{\"n\":7}}", "null"),
+            ("{\"op\":[1],\"id\":3,\"id\":4}", "3"),
+        ] {
+            let (message, id) = parse_request(line).expect_err(line);
+            assert!(message.contains("must be a scalar"), "{line}: {message}");
+            assert_eq!(id, expected, "{line}");
+        }
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //!   computations finish out of order.
 //!
 //! Every answer takes one reply path. A parsed request carries an
-//! `Origin` (echoed id, op, start instants, reply epoch, sampled trace)
-//! and ends as one `Reply`: a payload with what the cache said, a stale
-//! `Degraded` payload, a replica's `Relayed` envelope, or a `Refused`
-//! error envelope with the event it counts as. Data queries pass one
-//! admission step (routing key, spec existence, cluster routing) first.
+//! `Origin` (echoed id, op, start instant, reply epoch, sampled trace)
+//! and ends as one `Reply`: a payload and whether the cache served it,
+//! a stale `Degraded` payload, a replica's `Relayed` envelope, or a
+//! `Refused` error envelope with the event it counts as. Data queries
+//! pass one admission step (routing key, spec existence, cluster
+//! routing) first.
 //! `finish` turns `Origin` plus `Reply` into the connection's ticket, on
 //! the loop, whether the reply came from the loop itself or the pool: it
 //! is the one place a reply is checked against the deadline, counted
@@ -130,7 +131,7 @@ pub struct ServerConfig {
     pub telemetry_seed: u64,
     /// When set, bind a plain-HTTP scrape listener here: `GET /metrics`
     /// answers Prometheus text, any path containing `json` answers the
-    /// `osarch-metrics/1` snapshot document.
+    /// `osarch-metrics/2` snapshot document.
     pub metrics_addr: Option<String>,
     /// Fault-injection schedule; `None` serves faithfully.
     pub chaos: Option<Arc<ChaosController>>,
@@ -357,12 +358,13 @@ struct Completion {
 
 /// What a reply answers, carried from parse to the write batch: the
 /// echoed request id, the op, when the request started, the registry
-/// epoch its envelope reports, and the sampled trace.
+/// epoch its envelope reports, and the sampled trace. `started` is the
+/// request's one start stamp: its service time, its window second and
+/// its trace's start are all measured from it.
 struct Origin {
     id: String,
     op: &'static str,
     started: Instant,
-    start_us: u64,
     epoch: u64,
     trace: Option<Box<PendingTrace>>,
 }
@@ -370,10 +372,9 @@ struct Origin {
 /// How a request ended. [`finish`] turns an [`Origin`] and its `Reply`
 /// into the ticket the connection writes.
 enum Reply {
-    /// The payload, plus what the cache said: a hit (`Some(true)`), a
-    /// fresh computation (`Some(false)`), or nothing for a reply that
-    /// never touched the cache (`None`).
-    Ok(Arc<str>, Option<bool>),
+    /// The payload, and whether the cache served it (the envelope's
+    /// `cached` flag).
+    Ok(Arc<str>, bool),
     /// A failed recomputation served its stale last-good payload; the
     /// string is the failure.
     Degraded(Arc<str>, String),
@@ -563,7 +564,7 @@ impl Shared {
             .as_ref()
             .is_some_and(|chaos| chaos.should_inject(fp));
         if hit {
-            self.tally(loop_index, Tally::FaultInjected);
+            self.hub.tally(loop_index, Tally::FaultInjected);
         }
         hit
     }
@@ -581,7 +582,7 @@ impl Shared {
             .as_ref()
             .and_then(|chaos| chaos.inject_delay(fp, min, max));
         if delay.is_some() {
-            self.tally(loop_index, Tally::FaultInjected);
+            self.hub.tally(loop_index, Tally::FaultInjected);
         }
         delay
     }
@@ -590,18 +591,15 @@ impl Shared {
         self.open_conns.load(Ordering::SeqCst)
     }
 
-    /// Microseconds since the server started — every telemetry timestamp
-    /// is relative to this origin, never to the wall clock.
-    fn uptime_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
+    /// Microseconds from the server's start to `at` — every telemetry
+    /// timestamp is relative to this origin, never to the wall clock.
+    fn micros_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.started).as_micros() as u64
     }
 
-    /// Count one [`Tally`] event on loop `loop_index`'s hub shard (any
-    /// thread may count on behalf of a loop; the index only picks the
-    /// shard), in the current 1 s window.
-    fn tally(&self, loop_index: usize, event: Tally) {
-        self.hub
-            .tally(loop_index, event, self.uptime_us() / 1_000_000);
+    /// Microseconds since the server started.
+    fn uptime_us(&self) -> u64 {
+        self.micros_at(Instant::now())
     }
 
     /// Age of the oldest unflushed reply across every loop, in ms.
@@ -885,7 +883,7 @@ impl ServerHandle {
         self.shared.metrics_addr
     }
 
-    /// One full `osarch-metrics/1` snapshot document — exactly what the
+    /// One full `osarch-metrics/2` snapshot document — exactly what the
     /// `metrics` op and the scrape listener's JSON path emit.
     #[must_use]
     pub fn metrics_snapshot_json(&self) -> String {
@@ -1008,7 +1006,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             reject_busy(shared, next_loop, stream);
             return;
         }
-        shared.tally(next_loop, Tally::ConnOpened);
+        shared.hub.tally(next_loop, Tally::ConnOpened);
         let item = (stream, Permit(Arc::clone(&shared.open_conns)));
         if let Some((stream, permit)) = place_round_robin(&shared.loops, &mut next_loop, item) {
             // Every handoff is full (or closed): shed the connection.
@@ -1072,7 +1070,7 @@ fn place_round_robin(
 /// connection queue of the old core. `loop_index` only picks the hub
 /// shard the rejection is tallied on.
 fn reject_busy(shared: &Shared, loop_index: usize, mut stream: TcpStream) {
-    shared.tally(loop_index, Tally::Rejected);
+    shared.hub.tally(loop_index, Tally::Rejected);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     let _ = writeln!(
         stream,
@@ -1086,7 +1084,7 @@ fn reject_busy(shared: &Shared, loop_index: usize, mut stream: TcpStream) {
 // ---------------------------------------------------------------------------
 
 /// Serve `--metrics-addr` scrapes: a request whose path contains `json`
-/// gets the `osarch-metrics/1` snapshot document, everything else gets
+/// gets the `osarch-metrics/2` snapshot document, everything else gets
 /// Prometheus text exposition. One short-lived connection per scrape —
 /// scrapes are ~1 Hz, so no event loop is warranted, and a stuck scraper
 /// can at worst wedge this one thread, never the serve path.
@@ -1193,8 +1191,8 @@ fn pool_main(shared: &Shared) {
                     Fetched::Failed("internal error: compute worker panicked".to_string())
                 });
                 match fetched {
-                    Fetched::Computed(payload) => Reply::Ok(payload, Some(false)),
-                    Fetched::Cached(payload) => Reply::Ok(payload, Some(true)),
+                    Fetched::Computed(payload) => Reply::Ok(payload, false),
+                    Fetched::Cached(payload) => Reply::Ok(payload, true),
                     Fetched::Degraded(payload, error) => Reply::Degraded(payload, error),
                     Fetched::Failed(error) => Reply::Refused(
                         Tally::PanicError,
@@ -1412,7 +1410,7 @@ fn loop_main(shared: &Shared, index: usize, wake_rx: &WakeRx) {
                 // The loop died mid-tenure (its connections die with it;
                 // their permits release on unwind). Respawn in place
                 // with a fresh poller rather than shrinking the pool.
-                shared.tally(index, Tally::LoopRespawn);
+                shared.hub.tally(index, Tally::LoopRespawn);
             }
         }
     }
@@ -1722,7 +1720,7 @@ fn adopt(
         .is_err()
     {
         free_slots.push(slot);
-        shared.tally(loop_index, Tally::Rejected);
+        shared.hub.tally(loop_index, Tally::Rejected);
         return; // conn drops, permit releases
     }
     conns[slot] = Some(conn);
@@ -1915,14 +1913,13 @@ fn handle_request(
     line: &str,
 ) {
     let started = Instant::now();
-    let start_us = shared.uptime_us();
     let sampled = ltrace.tick(shared.hub.sample_every());
     let mut trace = if sampled {
         Some(PendingTrace::start(
             &mut ltrace.ids,
             "unknown",
             loop_index,
-            start_us,
+            shared.micros_at(started),
         ))
     } else {
         None
@@ -1951,26 +1948,25 @@ fn handle_request(
         id: request.id,
         op,
         started,
-        start_us,
         epoch: snapshot.epoch(),
         trace,
     };
     let refuse =
         |message: &str| Reply::Refused(Tally::Error, protocol::err_envelope(&origin.id, message));
     let reply = match &request.query {
-        Query::Ping => Reply::Ok(Arc::from("{\"pong\":true}"), None),
+        Query::Ping => Reply::Ok(Arc::from("{\"pong\":true}"), false),
         Query::Spans => Reply::Ok(
             Arc::from(
                 osarch_core::metrics::serve_chains_chrome_json(&shared.hub.chains()).trim_end(),
             ),
-            None,
+            false,
         ),
         Query::Metrics => Reply::Ok(
             Arc::from(
                 osarch_core::metrics::metrics_snapshot_json(&shared.telemetry_snapshot())
                     .trim_end(),
             ),
-            None,
+            false,
         ),
         Query::Health { gossip } => {
             let (gauges, totals) = shared.gauges_and_totals();
@@ -1994,19 +1990,19 @@ fn handle_request(
                     snapshot.digest()
                 ));
             }
-            Reply::Ok(payload.into(), None)
+            Reply::Ok(payload.into(), false)
         }
         Query::Cluster => match &shared.cluster {
-            Some(cluster) => Reply::Ok(cluster.status_payload().into(), None),
+            Some(cluster) => Reply::Ok(cluster.status_payload().into(), false),
             None => refuse("cluster: not running in cluster mode"),
         },
         Query::Shutdown => {
             // Initiate before replying: shutdown must happen even when
             // the client hangs up without reading the acknowledgement.
             initiate_shutdown(shared);
-            Reply::Ok(Arc::from("{\"shutting_down\":true}"), None)
+            Reply::Ok(Arc::from("{\"shutting_down\":true}"), false)
         }
-        Query::SpecFetch => Reply::Ok(snapshot.fetch_payload().into(), None),
+        Query::SpecFetch => Reply::Ok(snapshot.fetch_payload().into(), false),
         Query::Admin {
             action,
             token,
@@ -2024,7 +2020,7 @@ fn handle_request(
                 // Admin replies report the post-action epoch: an
                 // activation's envelope carries the epoch it created.
                 origin.epoch = shared.registry.snapshot().epoch();
-                Reply::Ok(payload.into(), None)
+                Reply::Ok(payload.into(), false)
             }
             Err(message) => refuse(&message),
         },
@@ -2040,7 +2036,7 @@ fn handle_request(
                         // Inline hit: the whole cache stage is the lookup.
                         trace.stage_from_mark("cache", shared.uptime_us());
                     }
-                    Reply::Ok(hit, Some(true))
+                    Reply::Ok(hit, true)
                 }
                 None => {
                     // Miss (or in flight, or a relay): offload. The
@@ -2377,7 +2373,7 @@ fn activate_spec(shared: &Shared, loop_index: usize, name: &str) -> Result<Strin
         Err(_) => {
             // The candidate died mid-probe: automatic rollback to the
             // last-good content at a fresh epoch, candidate unstaged.
-            shared.tally(loop_index, Tally::ProbePanic);
+            shared.hub.tally(loop_index, Tally::ProbePanic);
             let restored = registry.rollback(Some(name));
             shared.cache.retain_prefix(restored.key_prefix());
             Ok(format!(
@@ -2405,26 +2401,20 @@ fn finish(shared: &Shared, loop_index: usize, origin: Origin, reply: Reply) -> T
         id,
         op,
         started,
-        start_us,
         epoch,
         mut trace,
     } = origin;
     let service = started.elapsed();
     let service_us = service.as_micros() as u64;
-    let (hit, envelope) = match reply {
-        Reply::Ok(payload, hit) => (
-            hit,
-            protocol::ok_envelope(&id, hit == Some(true), epoch, service_us, &payload),
-        ),
-        Reply::Degraded(payload, error) => {
-            shared.tally(loop_index, Tally::Degraded);
-            (
-                Some(true),
-                protocol::degraded_envelope(&id, epoch, service_us, &payload, &error),
-            )
+    let envelope = match reply {
+        Reply::Ok(payload, cached) => {
+            protocol::ok_envelope(&id, cached, epoch, service_us, &payload)
         }
-        // Served, but not a local cache event.
-        Reply::Relayed(envelope) => (None, envelope),
+        Reply::Degraded(payload, error) => {
+            shared.hub.tally(loop_index, Tally::Degraded);
+            protocol::degraded_envelope(&id, epoch, service_us, &payload, &error)
+        }
+        Reply::Relayed(envelope) => envelope,
         Reply::Refused(tally, envelope) => return refused(shared, loop_index, tally, envelope),
     };
     if service > shared.deadline {
@@ -2439,8 +2429,7 @@ fn finish(shared: &Shared, loop_index: usize, origin: Origin, reply: Reply) -> T
         loop_index,
         op_slot(op),
         service_us,
-        hit,
-        start_us / 1_000_000,
+        shared.micros_at(started) / 1_000_000,
     );
     if let Some(trace) = trace.as_mut() {
         trace.mark(shared.uptime_us());
@@ -2455,7 +2444,7 @@ fn finish(shared: &Shared, loop_index: usize, origin: Origin, reply: Reply) -> T
 /// An error ticket: count `tally` and deliver `envelope` faithfully — no
 /// write-path chaos, no trace.
 fn refused(shared: &Shared, loop_index: usize, tally: Tally, envelope: String) -> Ticket {
-    shared.tally(loop_index, tally);
+    shared.hub.tally(loop_index, tally);
     Ticket::Done {
         envelope,
         chaos: false,

@@ -33,7 +33,7 @@
 //!    with the soak seed as its telemetry seed, and every retained
 //!    trace id is on its loop's pure id stream;
 //! 7. **metrics validate** — a [`Phase::Scrape`] and every node's final
-//!    snapshot hold to the `osarch-metrics/1` schema;
+//!    snapshot hold to the `osarch-metrics/2` schema;
 //! 8. **zero drops**, when the scenario demands it — no load call fails
 //!    after retries and failover;
 //! 9. **ring membership** — a ring settles before load starts and, after
@@ -317,7 +317,7 @@ pub struct SoakReport {
     /// Node 0's retained trace ids per loop, in completion order — each
     /// list a subset of the loop's seeded id stream.
     pub trace_ids_by_loop: Vec<Vec<u64>>,
-    /// Node 0's final `osarch-metrics/1` snapshot.
+    /// Node 0's final `osarch-metrics/2` snapshot.
     pub metrics_snapshot: String,
     /// Node 0's sampled requests as an `osarch-trace/1` Chrome trace.
     pub chrome_trace: String,
@@ -1486,7 +1486,7 @@ pub fn cli(args: &[String]) -> Result<ExitCode, String> {
         (
             &metrics_out,
             &report.metrics_snapshot,
-            "osarch-metrics/1 snapshot",
+            "osarch-metrics/2 snapshot",
         ),
         (
             &trace_out,

@@ -2,7 +2,7 @@
 //!
 //! Connects to a running `osarch-serve` instance, issues one
 //! `{"op":"metrics"}` query per refresh (1 Hz by default), and renders
-//! the `osarch-metrics/1` snapshot as a plain-ANSI screen: throughput
+//! the `osarch-metrics/2` snapshot as a plain-ANSI screen: throughput
 //! (derived from the totals delta between refreshes), per-op tail
 //! percentiles out of the windowed histograms, event-loop lag, cache
 //! hit ratio, and the resilience counters. No TUI dependency — the only
@@ -90,7 +90,7 @@ pub struct OpRow {
 
 impl TopSnapshot {
     /// The dashboard's fields out of a `metrics` snapshot: the
-    /// `osarch-metrics/1` document itself, or a reply envelope carrying it
+    /// `osarch-metrics/2` document itself, or a reply envelope carrying it
     /// under `result`. Absent fields read as zero.
     #[must_use]
     pub fn from_json(doc: &Value<'_>) -> TopSnapshot {
@@ -328,9 +328,9 @@ mod tests {
         // A real snapshot out of the real emitter, so the scraper and
         // the producer cannot drift apart silently.
         let hub = osarch_telemetry::TelemetryHub::new(2, &crate::OP_NAMES, 64, 7);
-        hub.record_served(0, 1, 150, None, 3);
-        hub.record_served(0, 1, 950, None, 3);
-        hub.record_served(1, 0, 40, None, 3);
+        hub.record_served(0, 1, 150, 3);
+        hub.record_served(0, 1, 950, 3);
+        hub.record_served(1, 0, 40, 3);
         hub.record_loop_lag(0, 90, 3);
         let snapshot = hub.snapshot(
             4_500_000,

@@ -138,7 +138,7 @@ fn metrics_op_returns_a_validated_snapshot() {
     let payload = result_payload(&reply);
     osarch_core::metrics::validate_metrics_snapshot(payload)
         .unwrap_or_else(|reason| panic!("snapshot rejected: {reason}\n{payload}"));
-    assert!(payload.contains("\"schema\":\"osarch-metrics/1\""));
+    assert!(payload.contains("\"schema\":\"osarch-metrics/2\""));
     handle.stop();
 }
 
@@ -276,14 +276,14 @@ fn hub_survives_concurrent_record_merge_and_rotation() {
                 // rotation and retention pruning.
                 for i in 0..PHASE1 {
                     let now_s = i / 100; // 200 epochs deep, > retention
-                    hub.record_served(loop_index, 1, (i % 997) + 1, None, now_s);
+                    hub.record_served(loop_index, 1, (i % 997) + 1, now_s);
                     hub.record_loop_lag(loop_index, i % 53, now_s);
                 }
                 // Phase 2: a fixed epoch far past phase 1, so rotation
                 // prunes every phase-1 window and the final merged count
                 // is exact.
                 for i in 0..PHASE2 {
-                    hub.record_served(loop_index, 2, (i % 89) + 1, None, 10_000);
+                    hub.record_served(loop_index, 2, (i % 89) + 1, 10_000);
                 }
             });
         }
@@ -304,7 +304,7 @@ fn hub_survives_concurrent_record_merge_and_rotation() {
     // Roll every shard to the final epoch, then count: phase-2 records
     // all landed on op slot 2 ("table") and nothing was lost.
     for loop_index in 0..LOOPS {
-        hub.record_served(loop_index, 2, 1, None, 10_000);
+        hub.record_served(loop_index, 2, 1, 10_000);
     }
     let snap = hub.snapshot(
         1_000_000,
@@ -367,7 +367,6 @@ fn health_metrics_and_request_stats_count_one_mix_identically() {
     let doc = handle.metrics_snapshot_json();
     let snap = json::parse(&doc).expect("snapshot parses");
     let totals = &snap["totals"];
-    let window = &snap["window"];
     for (field, expected) in [
         ("requests", requests),
         ("errors", errors),
@@ -378,14 +377,16 @@ fn health_metrics_and_request_stats_count_one_mix_identically() {
     ] {
         assert_eq!(totals[field].as_u64(), Some(expected), "totals.{field}");
     }
-    for (field, expected) in [
-        ("requests", requests),
-        ("errors", errors),
-        ("hits", 3),
-        ("misses", 2),
-    ] {
-        assert_eq!(window[field].as_u64(), Some(expected), "window.{field}");
-    }
+    // Each served request is counted once: the op histograms hold one
+    // record per request, and no second counter block exists.
+    let recorded: u64 = snap["ops"]
+        .as_array()
+        .expect("ops")
+        .iter()
+        .map(|op| op["latency_us"]["count"].as_u64().expect("count"))
+        .sum();
+    assert_eq!(recorded, requests);
+    assert!(snap.get("window").is_none(), "{doc}");
     // The probe's payload is taken before the probe itself is counted.
     let reply = round_trip("{\"op\":\"health\",\"id\":1}");
     let envelope = json::parse(&reply).expect("health parses");

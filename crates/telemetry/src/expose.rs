@@ -1,14 +1,13 @@
 //! Prometheus-style text exposition over a [`MetricsSnapshot`].
 //!
 //! The text format is the scrape-friendly half of the exposition pair
-//! (the JSON half, schema `osarch-metrics/1`, lives in `osarch-core`'s
+//! (the JSON half, schema `osarch-metrics/2`, lives in `osarch-core`'s
 //! metrics module next to the other emitters). Counters carry a
 //! `_total` suffix, quantiles use the conventional `quantile` label,
 //! and every family written gets exactly one `# TYPE` line ahead of its
 //! samples — enough for a real Prometheus server or `osarch top` to
 //! consume.
 
-use crate::window::COUNTER_NAMES;
 use crate::{Histogram, MetricsSnapshot};
 use std::fmt::{Display, Write};
 
@@ -115,22 +114,6 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
         }
     }
 
-    // Window sums slide with the retention horizon and can fall, so they
-    // are gauges despite the historical `_total` suffix.
-    let _ = writeln!(
-        out,
-        "# window counters cover the last {} s",
-        snap.retention_s
-    );
-    for (name, value) in COUNTER_NAMES.iter().zip(snap.window) {
-        family(
-            &mut out,
-            &format!("osarch_window_{name}_total"),
-            "gauge",
-            value,
-        );
-    }
-
     if snap.ops.iter().any(|op| !op.hist.is_empty()) {
         let _ = writeln!(out, "# TYPE osarch_op_latency_us summary");
     }
@@ -168,7 +151,7 @@ mod tests {
     fn exposition_carries_counters_quantiles_and_labels() {
         let hub = TelemetryHub::new(1, &OPS, 64, 0);
         for us in [100u64, 200, 300, 4000] {
-            hub.record_served(0, 1, us, None, 0);
+            hub.record_served(0, 1, us, 0);
         }
         hub.record_loop_lag(0, 50, 0);
         let snap = hub.snapshot(
@@ -200,11 +183,9 @@ mod tests {
         );
         // The op with no records is omitted entirely.
         assert!(!text.contains("op=\"ping\""), "{text}");
-        assert!(text.contains("osarch_window_requests_total 4"), "{text}");
         for typed in [
             "osarch_requests_total counter",
             "osarch_cache_hit_ratio gauge",
-            "osarch_window_requests_total gauge",
             "osarch_op_latency_us summary",
         ] {
             assert!(text.contains(&format!("# TYPE {typed}\n")), "{typed}");

@@ -10,8 +10,9 @@
 //! The [`TelemetryHub`] is the serving layer's only recorder: a served
 //! request is one [`TelemetryHub::record_served`] call and every other
 //! counted event one [`TelemetryHub::tally`] call, each taking exactly
-//! one lock — the recording loop's own shard — to update the window and
-//! the lifetime total together.
+//! one lock — the recording loop's own shard. A served request adds its
+//! service time to its op's window histogram and one to the lifetime
+//! request total; the windows hold histograms only, never counters.
 //!
 //! The crate is `std`-only and near-leaf (it reuses `osarch-trace`'s
 //! event vocabulary for export compatibility but adds no other
@@ -30,8 +31,9 @@
 //!   when its 1 s window rotates and on an op's first record in a window;
 //! * **exact merges** — histograms share one fixed bucket layout, so
 //!   per-shard windows merge into global totals without loss;
-//! * **one record per event** — the window counter and the lifetime
-//!   total of an event move under the same lock, so they cannot drift.
+//! * **one count per event** — an event is counted once, in its shard's
+//!   lifetime [`Totals`]; how many requests a window saw is its op
+//!   histograms' count, so there is no second count to drift.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,10 +45,7 @@ pub mod window;
 
 pub use hist::{bucket_lower, bucket_upper, Histogram, BUCKETS, MAX_EXP, SUB_BITS};
 pub use trace::{mix64, PendingTrace, SpanChain, SpanRec, TraceIdGen};
-pub use window::{
-    WindowedMetrics, COUNTERS, COUNTER_DEGRADED, COUNTER_ERRORS, COUNTER_HITS, COUNTER_MISSES,
-    COUNTER_NAMES, COUNTER_REQUESTS, RETENTION_S,
-};
+pub use window::{WindowedMetrics, RETENTION_S};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,7 +145,7 @@ impl Totals {
 
 /// A counted serving event other than a served request. One
 /// [`TelemetryHub::tally`] call per occurrence advances every lifetime
-/// total the event implies and, where it has one, its window counter.
+/// total the event implies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tally {
     /// A request answered with an error envelope.
@@ -172,9 +171,8 @@ pub enum Tally {
 }
 
 impl Tally {
-    /// Advance `totals` for this event; returns the window counter the
-    /// event also bumps, if any.
-    fn apply(self, totals: &mut Totals) -> Option<usize> {
+    /// Advance `totals` for this event.
+    fn apply(self, totals: &mut Totals) {
         // The event's own lifetime total…
         match self {
             Tally::Error => {}
@@ -187,15 +185,9 @@ impl Tally {
         }
         // …then the reply it ended in: an error envelope or a stale value.
         match self {
-            Tally::Error | Tally::DeadlineMiss | Tally::PanicError => {
-                totals.errors += 1;
-                Some(COUNTER_ERRORS)
-            }
-            Tally::Degraded => {
-                totals.degraded += 1;
-                Some(COUNTER_DEGRADED)
-            }
-            _ => None,
+            Tally::Error | Tally::DeadlineMiss | Tally::PanicError => totals.errors += 1,
+            Tally::Degraded => totals.degraded += 1,
+            _ => {}
         }
     }
 }
@@ -253,8 +245,6 @@ pub struct MetricsSnapshot {
     pub queue_depth: Histogram,
     /// Buffer-arena occupancy samples.
     pub arena_buffers: Histogram,
-    /// Windowed event counters (see [`COUNTER_NAMES`]).
-    pub window: [u64; COUNTERS],
     /// Span chains sampled over the lifetime.
     pub chains_sampled: u64,
     /// Point-in-time gauges.
@@ -344,37 +334,18 @@ impl TelemetryHub {
     }
 
     /// Record one request answered `ok` under op slot `op`: its service
-    /// time, the window's `requests` counter plus `hits` (`hit` is
-    /// `Some(true)`) or `misses` (`Some(false)`) for a reply that went
-    /// through the cache, and the lifetime request total.
-    pub fn record_served(
-        &self,
-        loop_index: usize,
-        op: usize,
-        service_us: u64,
-        hit: Option<bool>,
-        now_s: u64,
-    ) {
+    /// time, in the window of second `now_s`, and the lifetime request
+    /// total.
+    pub fn record_served(&self, loop_index: usize, op: usize, service_us: u64, now_s: u64) {
         let mut shard = self.shard(loop_index);
         shard.totals.requests += 1;
-        let windows = &mut shard.windows;
-        windows.record_op(op, service_us, now_s);
-        windows.bump(COUNTER_REQUESTS, 1, now_s);
-        match hit {
-            Some(true) => windows.bump(COUNTER_HITS, 1, now_s),
-            Some(false) => windows.bump(COUNTER_MISSES, 1, now_s),
-            None => {}
-        }
+        shard.windows.record_op(op, service_us, now_s);
     }
 
-    /// Count one [`Tally`] event: its lifetime totals and its window
-    /// counter, if it has one.
-    pub fn tally(&self, loop_index: usize, event: Tally, now_s: u64) {
-        let mut guard = self.shard(loop_index);
-        let shard = &mut *guard;
-        if let Some(counter) = event.apply(&mut shard.totals) {
-            shard.windows.bump(counter, 1, now_s);
-        }
+    /// Count one [`Tally`] event in its lifetime totals, on loop
+    /// `loop_index`'s shard (any thread may count on behalf of a loop).
+    pub fn tally(&self, loop_index: usize, event: Tally) {
+        event.apply(&mut self.shard(loop_index).totals);
     }
 
     /// Lifetime totals of the hub-kept fields (requests and every
@@ -463,7 +434,6 @@ impl TelemetryHub {
         let mut loop_lag = Histogram::new();
         let mut queue_depth = Histogram::new();
         let mut arena = Histogram::new();
-        let mut window = [0u64; COUNTERS];
         for index in 0..self.shards.len() {
             self.shard(index).windows.merge_into(
                 now_s,
@@ -471,7 +441,6 @@ impl TelemetryHub {
                 &mut loop_lag,
                 &mut queue_depth,
                 &mut arena,
-                &mut window,
             );
         }
         MetricsSnapshot {
@@ -487,7 +456,6 @@ impl TelemetryHub {
             loop_lag_us: loop_lag,
             queue_depth,
             arena_buffers: arena,
-            window,
             chains_sampled: self.chains_sampled(),
             gauges,
             totals,
@@ -521,7 +489,7 @@ mod tests {
                         // Spread records over several window epochs so
                         // rotation happens concurrently with merging.
                         let now_s = i / (PER_WRITER / 4).max(1);
-                        hub.record_served(shard, (i % 3) as usize, i % 5_000, None, now_s);
+                        hub.record_served(shard, (i % 3) as usize, i % 5_000, now_s);
                         if i % 64 == 0 {
                             hub.record_loop_lag(shard, i % 300, now_s);
                         }
@@ -541,7 +509,7 @@ mod tests {
         let snap = hub.snapshot(3_999_999, Gauges::default(), Totals::default());
         let total: u64 = snap.ops.iter().map(|op| op.hist.count()).sum();
         assert_eq!(total, WRITERS as u64 * PER_WRITER);
-        assert_eq!(snap.window[COUNTER_REQUESTS], WRITERS as u64 * PER_WRITER);
+        assert_eq!(hub.totals().requests, WRITERS as u64 * PER_WRITER);
         let lag_expected: u64 = WRITERS as u64 * PER_WRITER.div_ceil(64);
         assert_eq!(snap.loop_lag_us.count(), lag_expected);
     }
@@ -563,7 +531,7 @@ mod tests {
     #[test]
     fn snapshot_carries_gauges_totals_and_ratio() {
         let hub = TelemetryHub::new(2, &OPS, 64, 5);
-        hub.record_served(0, 1, 150, None, 0);
+        hub.record_served(0, 1, 150, 0);
         hub.record_queue_depth(1, 3, 0);
         hub.record_arena(0, 7, 0);
         let totals = Totals {
@@ -592,11 +560,11 @@ mod tests {
     }
 
     #[test]
-    fn one_call_moves_the_window_and_the_lifetime_total_together() {
+    fn one_call_counts_each_event_once() {
         let hub = TelemetryHub::new(2, &OPS, 0, 3);
-        hub.record_served(0, 1, 40, Some(true), 0);
-        hub.record_served(1, 1, 900, Some(false), 0);
-        hub.record_served(1, 0, 5, None, 0);
+        hub.record_served(0, 1, 40, 0);
+        hub.record_served(1, 1, 900, 0);
+        hub.record_served(1, 0, 5, 0);
         for event in [
             Tally::Error,
             Tally::DeadlineMiss,
@@ -608,7 +576,7 @@ mod tests {
             Tally::FaultInjected,
             Tally::ConnOpened,
         ] {
-            hub.tally(0, event, 0);
+            hub.tally(0, event);
         }
         let totals = hub.totals();
         assert_eq!(totals.requests, 3);
@@ -622,13 +590,11 @@ mod tests {
         assert_eq!(totals.conns_opened, 1);
         assert_eq!(totals.cache_hits, 0, "cache fields are the caller's");
         let snap = hub.snapshot(500_000, Gauges::default(), totals);
-        assert_eq!(snap.window[COUNTER_REQUESTS], totals.requests);
-        assert_eq!(snap.window[COUNTER_ERRORS], totals.errors);
-        assert_eq!(snap.window[COUNTER_DEGRADED], totals.degraded);
-        assert_eq!(snap.window[COUNTER_HITS], 1);
-        assert_eq!(snap.window[COUNTER_MISSES], 1);
         assert_eq!(snap.ops[1].hist.count(), 2);
         assert_eq!(snap.ops[0].hist.count(), 1);
+        // The window's request count is its op histograms' count.
+        let windowed: u64 = snap.ops.iter().map(|op| op.hist.count()).sum();
+        assert_eq!(windowed, totals.requests);
         hub.loop_started();
         hub.loop_started();
         hub.loop_stopped();

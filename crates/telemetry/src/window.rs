@@ -6,7 +6,7 @@
 //! this module, so recorded values are a pure function of what the
 //! caller measured. One [`WindowedMetrics`] lives behind a mutex per
 //! loop shard; the loop thread is the only frequent writer, so the lock
-//! is effectively uncontended and merged totals across shards stay
+//! is effectively uncontended and histograms merged across shards stay
 //! exact (every record lands in exactly one shard's current window).
 
 use crate::hist::Histogram;
@@ -14,24 +14,6 @@ use std::collections::VecDeque;
 
 /// Window retention horizon in seconds.
 pub const RETENTION_S: u64 = 60;
-
-/// Per-window event counters, indexed by the `COUNTER_*` constants.
-pub const COUNTERS: usize = 5;
-
-/// Requests answered with an `ok` envelope (error envelopes count
-/// under [`COUNTER_ERRORS`] instead).
-pub const COUNTER_REQUESTS: usize = 0;
-/// Error envelopes (parse errors, deadline exceedances, failures).
-pub const COUNTER_ERRORS: usize = 1;
-/// Replies served from cache (inline hits and coalesced waits).
-pub const COUNTER_HITS: usize = 2;
-/// Replies that ran the computation.
-pub const COUNTER_MISSES: usize = 3;
-/// Degraded (stale-on-error) replies.
-pub const COUNTER_DEGRADED: usize = 4;
-
-/// Stable names for the window counters, in index order.
-pub const COUNTER_NAMES: [&str; COUNTERS] = ["requests", "errors", "hits", "misses", "degraded"];
 
 /// One 1-second aggregation window.
 #[derive(Debug)]
@@ -47,8 +29,6 @@ pub struct Window {
     pub queue_depth: Histogram,
     /// Recycled buffer-arena occupancy, sampled each housekeeping tick.
     pub arena_buffers: Histogram,
-    /// Event counters (see `COUNTER_*`).
-    pub counters: [u64; COUNTERS],
 }
 
 impl Window {
@@ -59,13 +39,11 @@ impl Window {
             loop_lag_us: Histogram::new(),
             queue_depth: Histogram::new(),
             arena_buffers: Histogram::new(),
-            counters: [0; COUNTERS],
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.counters.iter().all(|&c| c == 0)
-            && self.per_op.iter().all(Option::is_none)
+        self.per_op.iter().all(Option::is_none)
             && self.loop_lag_us.is_empty()
             && self.queue_depth.is_empty()
             && self.arena_buffers.is_empty()
@@ -144,16 +122,9 @@ impl WindowedMetrics {
         self.current.arena_buffers.record(buffers);
     }
 
-    /// Bump a window counter.
-    pub fn bump(&mut self, counter: usize, n: u64, now_s: u64) {
-        self.roll(now_s);
-        self.current.counters[counter] += n;
-    }
-
     /// Merge everything inside the retention horizon (the current window
-    /// plus retained ones) into the accumulator arrays. `per_op` must
-    /// have the shard's op count; the three gauge histograms and the
-    /// counter array aggregate across shards exactly.
+    /// plus retained ones) into the accumulators. `per_op` must have the
+    /// shard's op count; every histogram aggregates across shards exactly.
     pub fn merge_into(
         &mut self,
         now_s: u64,
@@ -161,7 +132,6 @@ impl WindowedMetrics {
         loop_lag: &mut Histogram,
         queue_depth: &mut Histogram,
         arena: &mut Histogram,
-        counters: &mut [u64; COUNTERS],
     ) {
         self.roll(now_s);
         for window in self.retained.iter().chain(std::iter::once(&self.current)) {
@@ -173,9 +143,6 @@ impl WindowedMetrics {
             loop_lag.merge(&window.loop_lag_us);
             queue_depth.merge(&window.queue_depth);
             arena.merge(&window.arena_buffers);
-            for (total, &n) in counters.iter_mut().zip(&window.counters) {
-                *total += n;
-            }
         }
     }
 
@@ -190,21 +157,13 @@ impl WindowedMetrics {
 mod tests {
     use super::*;
 
-    fn merged(metrics: &mut WindowedMetrics, now_s: u64) -> (Vec<Histogram>, [u64; COUNTERS]) {
+    fn merged(metrics: &mut WindowedMetrics, now_s: u64) -> (Vec<Histogram>, Histogram) {
         let mut per_op = vec![Histogram::new(); 2];
         let mut lag = Histogram::new();
         let mut depth = Histogram::new();
         let mut arena = Histogram::new();
-        let mut counters = [0u64; COUNTERS];
-        metrics.merge_into(
-            now_s,
-            &mut per_op,
-            &mut lag,
-            &mut depth,
-            &mut arena,
-            &mut counters,
-        );
-        (per_op, counters)
+        metrics.merge_into(now_s, &mut per_op, &mut lag, &mut depth, &mut arena);
+        (per_op, lag)
     }
 
     #[test]
@@ -213,9 +172,8 @@ mod tests {
         metrics.record_op(0, 100, 0);
         metrics.record_op(0, 200, 1);
         assert_eq!(metrics.retained_windows(), 1);
-        let (per_op, counters) = merged(&mut metrics, 1);
+        let (per_op, _) = merged(&mut metrics, 1);
         assert_eq!(per_op[0].count(), 2);
-        assert_eq!(counters[COUNTER_REQUESTS], 0);
     }
 
     #[test]
@@ -234,15 +192,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_aggregate_across_windows() {
+    fn gauges_aggregate_across_windows() {
         let mut metrics = WindowedMetrics::new(1);
-        metrics.bump(COUNTER_REQUESTS, 3, 5);
         metrics.record_loop_lag(40, 5);
-        metrics.bump(COUNTER_REQUESTS, 2, 6);
-        metrics.bump(COUNTER_ERRORS, 1, 6);
-        let (_, counters) = merged(&mut metrics, 6);
-        assert_eq!(counters[COUNTER_REQUESTS], 5);
-        assert_eq!(counters[COUNTER_ERRORS], 1);
+        metrics.record_loop_lag(70, 6);
+        metrics.record_op(0, 9, 6);
+        let (per_op, lag) = merged(&mut metrics, 6);
+        assert_eq!(lag.count(), 2);
+        assert_eq!(lag.max(), 70);
+        assert_eq!(per_op[0].count(), 1);
     }
 
     #[test]
