@@ -659,10 +659,13 @@ impl RulePass<'_> {
             _ => {}
         }
         if has_wb && state.wb_pending.may_exceed(0) {
-            let site = state.last_store.map_or_else(
-                || "an earlier store".to_string(),
-                |s| format!("the store at op {s}"),
-            );
+            // Named only on the paths that emit a finding.
+            let site = || {
+                state.last_store.map_or_else(
+                    || "an earlier store".to_string(),
+                    |s| format!("the store at op {s}"),
+                )
+            };
             match op {
                 MicroOp::SwitchAddressSpace(..) => out.push(self.finding(
                     "OA203",
@@ -671,7 +674,8 @@ impl RulePass<'_> {
                     Some(i),
                     format!(
                         "a path reaches this address-space switch with the write buffer \
-                         undrained: {site} may land in the old context"
+                         undrained: {} may land in the old context",
+                        site()
                     ),
                 )),
                 MicroOp::TrapReturn => out.push(self.finding(
@@ -680,8 +684,9 @@ impl RulePass<'_> {
                     b,
                     Some(i),
                     format!(
-                        "a path reaches this return-from-exception with {site} still \
-                         buffered: drain the write buffer first"
+                        "a path reaches this return-from-exception with {} still \
+                         buffered: drain the write buffer first",
+                        site()
                     ),
                 )),
                 MicroOp::TlbWriteEntry | MicroOp::TlbFlushPage(_) | MicroOp::TlbFlushAll => out
@@ -691,8 +696,9 @@ impl RulePass<'_> {
                         b,
                         Some(i),
                         format!(
-                            "TLB update reachable with {site} still buffered; a racing \
-                             refill may read a stale PTE"
+                            "TLB update reachable with {} still buffered; a racing \
+                             refill may read a stale PTE",
+                            site()
                         ),
                     )),
                 _ => {}
@@ -912,8 +918,8 @@ impl AbsintReport {
         self.findings
             .sort_by(|a, b| a.diag.sort_key().cmp(&b.diag.sort_key()));
         self.artifacts.sort_by(|a, b| {
-            let ka = (a.arch.map_or(usize::MAX, Arch::index), a.program.clone());
-            let kb = (b.arch.map_or(usize::MAX, Arch::index), b.program.clone());
+            let ka = (a.arch.map_or(usize::MAX, Arch::index), a.program.as_str());
+            let kb = (b.arch.map_or(usize::MAX, Arch::index), b.program.as_str());
             ka.cmp(&kb)
         });
     }

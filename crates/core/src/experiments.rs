@@ -3,7 +3,7 @@
 
 use crate::paper;
 use crate::report::{fmt_f, fmt_pct, Table};
-use crate::session::shared as session;
+use crate::session::{parallel_ordered, shared as session, Task};
 use osarch_cpu::{Arch, MicroOp, Program};
 use osarch_ipc::{
     cpu_scaling_forecast, lrpc_breakdown, lrpc_component, message_rpc_us, rpc_component,
@@ -11,6 +11,7 @@ use osarch_ipc::{
 };
 use osarch_kernel::{HandlerSet, Machine, Primitive};
 use osarch_mach::{simulate, syscall_switch_overhead_s, OsStructure};
+use osarch_mem::{Asid, Protection, Pte, Tlb, TlbConfig, TlbEntry};
 use osarch_threads::{
     lock_pair_us, parthenon_run, synapse_report, thread_state_table, LockStrategy, ThreadCosts,
     SYNAPSE_RATIO_RANGE,
@@ -493,23 +494,39 @@ pub fn vm_overloading() -> Table {
 /// versus the number of communicating address spaces.
 #[must_use]
 pub fn tlb_effectiveness() -> Table {
-    use osarch_mem::{Asid, Protection, Pte, Tlb, TlbConfig, TlbEntry};
+    // Six independent reference streams, each through its own fresh TLB:
+    // Clark & Emer's, then the kernelized sweep's, in row order.
+    let mut experiments: Vec<Task<'_, Vec<[String; 3]>>> = vec![Box::new(clark_emer_rows)];
+    for spaces in [2u16, 4, 6, 8, 16] {
+        experiments.push(Box::new(move || vec![kernelized_row(spaces)]));
+    }
     let mut table = Table::new("TLB effectiveness (Section 3.2)");
     table.headers(["Experiment", "Config", "Result"]);
+    for row in parallel_ordered(experiments).into_iter().flatten() {
+        table.row(row);
+    }
+    table.note("past ~5 communicating spaces the 64-entry TLB no longer holds the union");
+    table
+}
 
-    // --- Clark & Emer: share of references vs share of misses. ---
+/// Look `vpn` up in context `asid`, refilling the entry on a miss as a
+/// software-refilled TLB does. Returns whether it missed.
+fn touch(tlb: &mut Tlb, vpn: u32, asid: u16) -> bool {
+    let missed = tlb.lookup(vpn, Asid(asid)).is_none();
+    if missed {
+        tlb.insert(TlbEntry {
+            vpn,
+            asid: Some(Asid(asid)),
+            pte: Pte::new(vpn, Protection::RWX),
+            locked: false,
+        });
+    }
+    missed
+}
+
+/// Clark & Emer: share of references vs share of misses.
+fn clark_emer_rows() -> Vec<[String; 3]> {
     let mut tlb = Tlb::new(TlbConfig::tagged(64));
-    let mut lookup = |vpn: u32, asid: u16, misses: &mut u64| {
-        if tlb.lookup(vpn, Asid(asid)).is_none() {
-            *misses += 1;
-            tlb.insert(TlbEntry {
-                vpn,
-                asid: Some(Asid(asid)),
-                pte: Pte::new(vpn, Protection::RWX),
-                locked: false,
-            });
-        }
-    };
     let (mut user_misses, mut system_misses) = (0u64, 0u64);
     let (mut user_refs, mut system_refs) = (0u64, 0u64);
     for step in 0..200_000u32 {
@@ -518,62 +535,53 @@ pub fn tlb_effectiveness() -> Table {
             // page tables of whichever process is running).
             system_refs += 1;
             let vpn = 0x80_000 + (step * 7919) % 300;
-            lookup(vpn, 0, &mut system_misses);
+            system_misses += u64::from(touch(&mut tlb, vpn, 0));
         } else {
             // User reference: tight locality within the current process.
             user_refs += 1;
             let process = (step / 4000) % 4; // occasional context switch
             let vpn = process * 0x1000 + (step * 31) % 16;
-            lookup(vpn, process as u16 + 1, &mut user_misses);
+            user_misses += u64::from(touch(&mut tlb, vpn, process as u16 + 1));
         }
     }
     let total_misses = user_misses + system_misses;
     let system_ref_share = system_refs as f64 / (user_refs + system_refs) as f64;
     let system_miss_share = system_misses as f64 / total_misses as f64;
-    table.row([
-        "Clark & Emer reference share".to_string(),
-        "VAX-like, 64-entry TLB".to_string(),
-        format!("system = {} of references", fmt_pct(system_ref_share)),
-    ]);
-    table.row([
-        "Clark & Emer miss share".to_string(),
-        "paper: >2/3 of misses".to_string(),
-        format!("system = {} of misses", fmt_pct(system_miss_share)),
-    ]);
+    vec![
+        [
+            "Clark & Emer reference share".to_string(),
+            "VAX-like, 64-entry TLB".to_string(),
+            format!("system = {} of references", fmt_pct(system_ref_share)),
+        ],
+        [
+            "Clark & Emer miss share".to_string(),
+            "paper: >2/3 of misses".to_string(),
+            format!("system = {} of misses", fmt_pct(system_miss_share)),
+        ],
+    ]
+}
 
-    // --- Kernelized structure: miss rate vs number of address spaces. ---
-    for spaces in [2u16, 4, 6, 8, 16] {
-        let mut tlb = Tlb::new(TlbConfig::tagged(64));
-        let mut misses = 0u64;
-        let mut refs = 0u64;
-        // Round-robin RPC among `spaces` servers; each visit touches its
-        // 12-page working set three times (dispatch, work, reply).
-        for round in 0..2_000u32 {
-            let space = (round % u32::from(spaces)) as u16;
-            for _pass in 0..3 {
-                for page in 0..12u32 {
-                    refs += 1;
-                    let vpn = u32::from(space) * 0x100 + page;
-                    if tlb.lookup(vpn, Asid(space)).is_none() {
-                        misses += 1;
-                        tlb.insert(TlbEntry {
-                            vpn,
-                            asid: Some(Asid(space)),
-                            pte: Pte::new(vpn, Protection::RWX),
-                            locked: false,
-                        });
-                    }
-                }
+/// Kernelized structure: miss rate with `spaces` address spaces.
+fn kernelized_row(spaces: u16) -> [String; 3] {
+    let mut tlb = Tlb::new(TlbConfig::tagged(64));
+    let mut misses = 0u64;
+    let mut refs = 0u64;
+    // Round-robin RPC among `spaces` servers; each visit touches its
+    // 12-page working set three times (dispatch, work, reply).
+    for round in 0..2_000u32 {
+        let space = (round % u32::from(spaces)) as u16;
+        for _pass in 0..3 {
+            for page in 0..12u32 {
+                refs += 1;
+                misses += u64::from(touch(&mut tlb, u32::from(space) * 0x100 + page, space));
             }
         }
-        table.row([
-            "kernelized TLB pressure".to_string(),
-            format!("{spaces} address spaces x 12 pages"),
-            format!("miss rate {}", fmt_pct(misses as f64 / refs as f64)),
-        ]);
     }
-    table.note("past ~5 communicating spaces the 64-entry TLB no longer holds the union");
-    table
+    [
+        "kernelized TLB pressure".to_string(),
+        format!("{spaces} address spaces x 12 pages"),
+        format!("miss rate {}", fmt_pct(misses as f64 / refs as f64)),
+    ]
 }
 
 /// Kernel threads vs user threads vs scheduler activations (Section 4).

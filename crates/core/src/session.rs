@@ -10,15 +10,21 @@
 //!
 //! The report side is a named registry ([`REPORTS`]) — one entry per table
 //! the CLI can print — plus [`parallel_tables`], which generates
-//! independent tables concurrently with [`std::thread::scope`] while
-//! keeping output ordering (and therefore the rendered bytes) identical to
-//! a sequential run.
+//! independent tables concurrently while keeping output ordering (and
+//! therefore the rendered bytes) identical to a sequential run.
+//!
+//! Both run on one engine, [`parallel_ordered`]: one worker per available
+//! core (the calling thread among them), each pulling the next task
+//! index from a shared counter, each result landing in its task's slot.
+//! A task may call the engine again (the `tlb` and `ablations` tables
+//! split their own work this way); the nested call's caller works too, so
+//! it completes however busy the outer workers are.
 
 use crate::report::Table;
 use osarch_cpu::Arch;
 use osarch_kernel::{measure, PrimitiveMeasurement};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// A thread-safe, per-architecture memo of the four-primitive measurement.
 ///
@@ -66,13 +72,16 @@ impl MeasurementSession {
 
     /// Warm every architecture's slot, simulating concurrently.
     pub fn prime(&self) -> &MeasurementSession {
-        std::thread::scope(|scope| {
-            for arch in Arch::all() {
-                scope.spawn(move || {
-                    self.measurement(arch);
-                });
-            }
-        });
+        parallel_ordered(
+            Arch::all()
+                .into_iter()
+                .map(|arch| {
+                    Box::new(move || {
+                        self.measurement(arch);
+                    }) as Task<'_, ()>
+                })
+                .collect(),
+        );
         self
     }
 
@@ -103,21 +112,67 @@ pub fn shared() -> &'static MeasurementSession {
     SHARED.get_or_init(MeasurementSession::new)
 }
 
+/// One task of [`parallel_ordered`].
+pub type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
+
+/// Why no lock of [`parallel_ordered`] is poisoned: none is held while a
+/// task runs, so a panicking task cannot poison one.
+const UNPOISONED: &str = "no lock is held while a task runs";
+
 /// Run independent tasks concurrently, returning results in task order.
 ///
-/// The scheduling is concurrent but the output is deterministic: task `i`'s
-/// result lands in slot `i` regardless of completion order.
-pub fn parallel_ordered<T: Send>(tasks: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T> {
-    let mut results: Vec<Option<T>> = tasks.iter().map(|_| None).collect();
+/// `min(available_parallelism, tasks)` workers run them: the calling
+/// thread and one scoped thread for each other worker. Each worker takes
+/// the next unclaimed task index from one counter until none is left, so
+/// a worker that finishes early picks up the remaining tasks. The output
+/// is deterministic: task `i`'s result lands in slot `i` regardless of
+/// which worker ran it or when. A panicking task panics the caller once
+/// every worker has stopped.
+pub fn parallel_ordered<T: Send>(tasks: Vec<Task<'_, T>>) -> Vec<T> {
+    let workers = cores().min(tasks.len());
+    let tasks: Vec<Mutex<Option<Task<'_, T>>>> = tasks
+        .into_iter()
+        .map(|task| Mutex::new(Some(task)))
+        .collect();
+    let results: Vec<Mutex<Option<T>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        // Relaxed suffices: the counter only hands out distinct indices,
+        // and each task and result crosses threads under its own lock.
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(task) = tasks.get(index) else {
+            break;
+        };
+        let task = task
+            .lock()
+            .expect(UNPOISONED)
+            .take()
+            .expect("each task index is handed out once");
+        let result = task();
+        *results[index].lock().expect(UNPOISONED) = Some(result);
+    };
     std::thread::scope(|scope| {
-        for (slot, task) in results.iter_mut().zip(tasks) {
-            scope.spawn(move || *slot = Some(task()));
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
     results
         .into_iter()
-        .map(|result| result.expect("scoped task completed"))
+        .map(|result| {
+            result
+                .into_inner()
+                .expect(UNPOISONED)
+                .expect("every task ran")
+        })
         .collect()
+}
+
+/// The engine's worker count: the cores this process may run on (on
+/// Linux, its CPU affinity mask and cgroup quota), read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
 /// Generate tables concurrently, in the builders' order.
@@ -125,7 +180,7 @@ pub fn parallel_tables(builders: &[fn() -> Table]) -> Vec<Table> {
     parallel_ordered(
         builders
             .iter()
-            .map(|&build| Box::new(build) as Box<dyn FnOnce() -> Table + Send>)
+            .map(|&build| Box::new(build) as Task<'_, Table>)
             .collect(),
     )
 }

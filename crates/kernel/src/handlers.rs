@@ -930,15 +930,25 @@ impl CatalogEntry {
 /// added here is automatically covered by `osarch lint`.
 #[must_use]
 pub fn program_catalog(spec: &ArchSpec, layout: &KernelLayout) -> Vec<CatalogEntry> {
-    let handlers = HandlerSet::generate(spec, layout);
-    let mut entries: Vec<CatalogEntry> = Primitive::all()
-        .into_iter()
-        .map(|primitive| CatalogEntry {
-            primitive,
-            variant: None,
-            program: handlers.program(primitive).clone(),
-        })
-        .collect();
+    let HandlerSet {
+        syscall,
+        trap,
+        pte_change,
+        context_switch,
+    } = HandlerSet::generate(spec, layout);
+    let mut entries: Vec<CatalogEntry> = [
+        (Primitive::NullSyscall, syscall),
+        (Primitive::Trap, trap),
+        (Primitive::PteChange, pte_change),
+        (Primitive::ContextSwitch, context_switch),
+    ]
+    .into_iter()
+    .map(|(primitive, program)| CatalogEntry {
+        primitive,
+        variant: None,
+        program,
+    })
+    .collect();
     for variant in Variant::all() {
         if variant.arch() == spec.arch {
             entries.push(CatalogEntry {

@@ -8,8 +8,6 @@
 
 use crate::addr::Asid;
 use crate::pagetable::Pte;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Replacement policy for a full TLB set. Deterministic policies keep the
 /// simulation reproducible.
@@ -129,41 +127,102 @@ pub struct TlbStats {
 pub struct Tlb {
     config: TlbConfig,
     entries: Vec<Option<TlbEntry>>,
-    /// `(vpn, tag)` of every valid entry, packed as `vpn << 32 | tag`, →
-    /// its slot. The tag is ASID+1 for a tagged, non-global entry and 0 for
-    /// a global entry or any entry of an untagged TLB, so it is exactly the
-    /// key `insert`'s same-page update matches on, and no two valid entries
-    /// share one.
-    index: HashMap<u64, usize, BuildHasherDefault<SlotHasher>>,
+    /// `(vpn, tag)` of every valid entry, packed as `tag << 32 | vpn`, →
+    /// its slot. The tag is ASID+1 for a tagged, non-global entry and 0
+    /// for a global entry or any entry of an untagged TLB, so it is
+    /// exactly the key `insert`'s same-page update matches on, and no two
+    /// valid entries share one.
+    index: SlotIndex,
     /// Valid entries.
     valid: usize,
     /// Valid global entries: while there are none, a tagged lookup needs
     /// only its own context's key.
     globals: usize,
+    /// The page and context of the last `lookup` that missed, until the
+    /// next `fill`: no resident entry matches them, so an `insert` of an
+    /// entry that would match needs no same-page probe (the refill after a
+    /// miss).
+    missed: Option<(u32, Asid)>,
     next_victim: usize,
     lcg_state: u32,
     stats: TlbStats,
 }
 
-/// The index's hasher: one multiply per word, rotated on `finish` so the
-/// well-mixed high bits pick the bucket (the `FxHash` idiom). The keys are
-/// the simulator's own small integers, so no flooding resistance is needed.
-#[derive(Default)]
-struct SlotHasher(u64);
+/// An open-addressed map from a packed `(vpn, tag)` key to a slot. The
+/// table is a power of two at least eight times the entry count, so it is
+/// at most an eighth full: nearly every key sits in its home cell (a
+/// Fibonacci hash of the key), and every probe ends at an empty cell.
+/// Collisions probe linearly, and a removal shifts later keys of its run
+/// back into the hole, so no tombstones build up and a key is always
+/// found before the first empty cell after its home.
+#[derive(Debug, Clone)]
+struct SlotIndex {
+    /// `(key, slot)` pairs; [`SlotIndex::EMPTY`] marks a free cell.
+    cells: Vec<(u64, usize)>,
+    /// `64 - log2(cells.len())`: the home cell is the top bits of the
+    /// hashed key.
+    shift: u32,
+}
 
-impl Hasher for SlotHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
+impl SlotIndex {
+    /// No key reaches it: a tag is at most `u16::MAX + 1`.
+    const EMPTY: u64 = u64::MAX;
+
+    fn new(entries: usize) -> SlotIndex {
+        let len = (8 * entries).next_power_of_two();
+        SlotIndex {
+            cells: vec![(SlotIndex::EMPTY, 0); len],
+            shift: 64 - len.trailing_zeros(),
         }
     }
 
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
     }
 
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
+    fn next(&self, cell: usize) -> usize {
+        (cell + 1) & (self.cells.len() - 1)
+    }
+
+    /// The cell holding `key`, else the empty cell that ends its probe.
+    fn cell_of(&self, key: u64) -> usize {
+        let mut cell = self.home(key);
+        while self.cells[cell].0 != key && self.cells[cell].0 != SlotIndex::EMPTY {
+            cell = self.next(cell);
+        }
+        cell
+    }
+
+    fn get(&self, key: u64) -> Option<usize> {
+        let (found, slot) = self.cells[self.cell_of(key)];
+        (found == key).then_some(slot)
+    }
+
+    /// Map `key` (absent) to `slot`.
+    fn insert(&mut self, key: u64, slot: usize) {
+        let cell = self.cell_of(key);
+        debug_assert_eq!(self.cells[cell].0, SlotIndex::EMPTY, "key already indexed");
+        self.cells[cell] = (key, slot);
+    }
+
+    /// Unmap `key` (present). Each later key of its run whose home is not
+    /// between the hole and itself then moves back into the hole, leaving
+    /// a new hole where it was; so every key stays reachable from its home
+    /// without crossing an empty cell, and none moves ahead of its home.
+    fn remove(&mut self, key: u64) {
+        let mut hole = self.cell_of(key);
+        debug_assert_eq!(self.cells[hole].0, key, "key not indexed");
+        let mask = self.cells.len() - 1;
+        let mut cell = self.next(hole);
+        while self.cells[cell].0 != SlotIndex::EMPTY {
+            let home = self.home(self.cells[cell].0);
+            if cell.wrapping_sub(home) & mask >= cell.wrapping_sub(hole) & mask {
+                self.cells[hole] = self.cells[cell];
+                hole = cell;
+            }
+            cell = self.next(cell);
+        }
+        self.cells[hole] = (SlotIndex::EMPTY, 0);
     }
 }
 
@@ -183,9 +242,10 @@ impl Tlb {
         Tlb {
             config,
             entries: vec![None; config.entries],
-            index: HashMap::with_capacity_and_hasher(config.entries, BuildHasherDefault::default()),
+            index: SlotIndex::new(config.entries),
             valid: 0,
             globals: 0,
+            missed: None,
             next_victim: 0,
             lcg_state: 0x2545_f491,
             stats: TlbStats::default(),
@@ -222,7 +282,7 @@ impl Tlb {
             Some(Asid(owner)) if self.config.tagged => u64::from(owner) + 1,
             _ => 0,
         };
-        u64::from(vpn) << 32 | tag
+        tag << 32 | u64::from(vpn)
     }
 
     /// The first slot, in slot order, whose entry matches `vpn` in context
@@ -230,18 +290,19 @@ impl Tlb {
     /// the global one; on an untagged TLB the one entry for the page.
     fn find(&self, vpn: u32, asid: Asid) -> Option<usize> {
         if !self.config.tagged {
-            return self.index.get(&self.key(vpn, None)).copied();
+            return self.index.get(self.key(vpn, None));
         }
-        let own = self.index.get(&self.key(vpn, Some(asid))).copied();
+        let own = self.index.get(self.key(vpn, Some(asid)));
         if self.globals == 0 {
             return own;
         }
-        let global = self.index.get(&self.key(vpn, None)).copied();
+        let global = self.index.get(self.key(vpn, None));
         own.into_iter().chain(global).min()
     }
 
     /// Put `entry` in `slot`, returning what the slot held.
     fn fill(&mut self, slot: usize, entry: TlbEntry) -> Option<TlbEntry> {
+        self.missed = None;
         let old = self.clear(slot);
         self.index.insert(self.key(entry.vpn, entry.asid), slot);
         self.entries[slot] = Some(entry);
@@ -253,25 +314,28 @@ impl Tlb {
     /// Empty `slot`, returning what it held.
     fn clear(&mut self, slot: usize) -> Option<TlbEntry> {
         let old = self.entries[slot].take()?;
-        self.index.remove(&self.key(old.vpn, old.asid));
+        self.index.remove(self.key(old.vpn, old.asid));
         self.valid -= 1;
         self.globals -= usize::from(old.asid.is_none());
         Some(old)
     }
 
     /// Look up `vpn` in context `asid`, recording a hit or miss.
+    #[inline]
     pub fn lookup(&mut self, vpn: u32, asid: Asid) -> Option<Pte> {
         let hit = self.probe(vpn, asid).map(|entry| entry.pte);
         if hit.is_some() {
             self.stats.hits += 1;
         } else {
             self.stats.misses += 1;
+            self.missed = Some((vpn, asid));
         }
         hit
     }
 
     /// Look up without touching statistics (for introspection).
     #[must_use]
+    #[inline]
     pub fn probe(&self, vpn: u32, asid: Asid) -> Option<TlbEntry> {
         self.find(vpn, asid).and_then(|slot| self.entries[slot])
     }
@@ -282,9 +346,15 @@ impl Tlb {
     ///
     /// Returns the evicted entry, if any.
     pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
-        // Same-page update.
-        if let Some(&slot) = self.index.get(&self.key(entry.vpn, entry.asid)) {
-            return self.fill(slot, entry);
+        // Same-page update, unless the last lookup missed on a page and
+        // context this entry would match: then no entry shares its key.
+        let refill = self.missed.is_some_and(|(vpn, asid)| {
+            vpn == entry.vpn && (!self.config.tagged || entry.asid.is_none_or(|own| own == asid))
+        });
+        if !refill {
+            if let Some(slot) = self.index.get(self.key(entry.vpn, entry.asid)) {
+                return self.fill(slot, entry);
+            }
         }
         // Free slot.
         if self.valid < self.config.entries {

@@ -600,13 +600,17 @@ proptest! {
 
     /// The indexed TLB gives the scanning oracle's answers, victims,
     /// statistics and occupancy on any shape and operation sequence, and
-    /// after every operation `probe` agrees on every key. Pages come from
-    /// a span just wider than the TLB, so sets fill and evict; ASID pick 3
-    /// inserts a global entry.
+    /// `probe` agrees on every key. Each case runs a short random sequence,
+    /// probing every key after every operation, then a seeded stream of
+    /// 3,000 operations, mostly refills, over twice as many pages as the
+    /// TLB holds: its keys replace each other in the index hundreds of
+    /// times, so runs of colliding keys form, wrap past the table's end
+    /// and are shifted back on removal. ASID pick 3 inserts a global entry.
     #[test]
     fn indexed_tlb_matches_the_scanning_oracle(
         shape in (prop_oneof![1usize..8, 8usize..14, 14usize..21, Just(64usize)], any::<bool>(), 0usize..4, any::<bool>()),
-        ops in proptest::collection::vec((0u8..24, 0u32..1024, 0u16..4, 0u32..1_000_000), 1..200),
+        ops in proptest::collection::vec((0u8..25, 0u32..1024, 0u16..4, 0u32..1_000_000), 1..200),
+        seed in any::<u64>(),
     ) {
         let (entries, tagged, lockable, fifo) = shape;
         let config = TlbConfig {
@@ -615,34 +619,89 @@ proptest! {
             lockable: lockable.min(entries),
             replacement: if fifo { Replacement::Fifo } else { Replacement::PseudoRandom },
         };
-        let span = entries as u32 + 4;
         let mut tlb = Tlb::new(config);
         let mut oracle = scan::ScanTlb::new(config);
+        let span = entries as u32 + 4;
         for (kind, vpn, pick, pfn) in ops {
-            let vpn = vpn % span;
-            let asid = Asid(pick);
-            let entry = TlbEntry {
-                vpn,
-                asid: (pick < 3).then_some(asid),
-                pte: Pte::new(pfn, Protection::RW),
-                locked: false,
+            tlb_step(&mut tlb, &mut oracle, kind, vpn % span, pick, pfn)?;
+            probe_every_key(&tlb, &oracle, span)?;
+        }
+        let span = 2 * entries as u32 + 3;
+        let mut state = seed;
+        for step in 1..=3_000 {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut word = state;
+            word = (word ^ (word >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            word = (word ^ (word >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            word ^= word >> 31;
+            let kind = match word % 200 {
+                0..=119 => 24,
+                120..=139 => 0,
+                140..=159 => 8,
+                160..=165 => 16,
+                166..=185 => 18,
+                186..=193 => 21,
+                194..=198 => 22,
+                _ => 23,
             };
-            match kind {
-                0..=7 => prop_assert_eq!(tlb.lookup(vpn, asid), oracle.lookup(vpn, asid)),
-                8..=15 => prop_assert_eq!(tlb.insert(entry), oracle.insert(entry)),
-                16 | 17 => prop_assert_eq!(tlb.insert_locked(entry), oracle.insert_locked(entry)),
-                18..=20 => prop_assert_eq!(tlb.flush_page(vpn, asid), oracle.flush_page(vpn, asid)),
-                21 => prop_assert_eq!(tlb.flush_asid(asid), oracle.flush_asid(asid)),
-                22 => prop_assert_eq!(tlb.flush_unlocked(), oracle.flush_unlocked()),
-                _ => prop_assert_eq!(tlb.flush_all(), oracle.flush_all()),
-            }
-            prop_assert_eq!(tlb.stats(), oracle.stats());
-            prop_assert_eq!(tlb.len(), oracle.len());
-            for vpn in 0..span {
-                for pick in 0..4 {
-                    prop_assert_eq!(tlb.probe(vpn, Asid(pick)), oracle.probe(vpn, Asid(pick)));
-                }
+            let (vpn, pick, pfn) = ((word >> 8) as u32 % span, (word >> 40) as u16 % 4, (word >> 44) as u32);
+            tlb_step(&mut tlb, &mut oracle, kind, vpn, pick, pfn)?;
+            if step % 500 == 0 {
+                probe_every_key(&tlb, &oracle, span)?;
             }
         }
     }
+}
+
+/// Apply one operation to both TLBs and compare what they return, then
+/// their statistics and occupancy. `kind` 0–7 looks up, 8–15 inserts,
+/// 16–17 inserts locked, 18–20 flushes a page, 21 an ASID, 22 every
+/// unlocked entry, 23 everything, and 24 refills: a lookup and, on a
+/// miss, an insert of the missed page, as a miss handler does (the
+/// indexed TLB skips its same-page probe there).
+fn tlb_step(
+    tlb: &mut Tlb,
+    oracle: &mut scan::ScanTlb,
+    kind: u8,
+    vpn: u32,
+    pick: u16,
+    pfn: u32,
+) -> Result<(), TestCaseError> {
+    let asid = Asid(pick);
+    let entry = TlbEntry {
+        vpn,
+        asid: (pick < 3).then_some(asid),
+        pte: Pte::new(pfn, Protection::RW),
+        locked: false,
+    };
+    match kind {
+        0..=7 => prop_assert_eq!(tlb.lookup(vpn, asid), oracle.lookup(vpn, asid)),
+        8..=15 => prop_assert_eq!(tlb.insert(entry), oracle.insert(entry)),
+        16 | 17 => prop_assert_eq!(tlb.insert_locked(entry), oracle.insert_locked(entry)),
+        18..=20 => prop_assert_eq!(tlb.flush_page(vpn, asid), oracle.flush_page(vpn, asid)),
+        21 => prop_assert_eq!(tlb.flush_asid(asid), oracle.flush_asid(asid)),
+        22 => prop_assert_eq!(tlb.flush_unlocked(), oracle.flush_unlocked()),
+        23 => prop_assert_eq!(tlb.flush_all(), oracle.flush_all()),
+        _ => {
+            let hit = tlb.lookup(vpn, asid);
+            prop_assert_eq!(hit, oracle.lookup(vpn, asid));
+            if hit.is_none() {
+                prop_assert_eq!(tlb.insert(entry), oracle.insert(entry));
+            }
+        }
+    }
+    prop_assert_eq!(tlb.stats(), oracle.stats());
+    prop_assert_eq!(tlb.len(), oracle.len());
+    Ok(())
+}
+
+/// `probe` agrees on every page below `span` in every context.
+fn probe_every_key(tlb: &Tlb, oracle: &scan::ScanTlb, span: u32) -> Result<(), TestCaseError> {
+    for vpn in 0..span {
+        for pick in 0..4 {
+            prop_assert_eq!(tlb.probe(vpn, Asid(pick)), oracle.probe(vpn, Asid(pick)));
+        }
+    }
+    Ok(())
 }
