@@ -133,20 +133,19 @@ pub struct CacheStats {
     pub flush_cycles: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u32,
-    asid: Option<Asid>,
-    dirty: bool,
-}
-
 /// A set-associative tag store (no data is simulated — only timing and
 /// occupancy matter for the paper's analysis).
 ///
 /// The ways of every set sit in one flat, set-major array: set `s` is
-/// `lines[s * assoc..(s + 1) * assoc]`, so building a cache costs the same
-/// two allocations (lines and round-robin victims) whatever its geometry,
-/// a DECstation's 16,384 direct-mapped sets included.
+/// `ways[s * assoc..(s + 1) * assoc]`. A way is one `u64` holding the line's
+/// tag, its context tag (the ASID on a tagged virtual cache, which always
+/// has one, else 0), a valid bit and a dirty bit; an empty way is 0, so a
+/// new tag store is allocated zeroed, and pages the allocator takes fresh
+/// from the system are mapped only where an access touches them. A
+/// set-associative cache keeps each set's round-robin victim beside the
+/// ways; a direct-mapped cache always replaces way 0 and keeps none.
+/// [`Cache::new`] works out the geometry (set count and line shift) once,
+/// so an access shifts and divides once.
 ///
 /// # Example
 ///
@@ -162,29 +161,47 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Option<Line>>,
-    victim: Vec<usize>,
+    /// `config.sets()`: the one divisor of an access.
+    sets: u32,
+    /// log2 of `config.line_bytes`.
+    line_shift: u32,
+    ways: Vec<u64>,
+    /// Each set's next round-robin victim; empty when direct mapped.
+    victim: Vec<u32>,
     stats: CacheStats,
 }
 
 impl Cache {
+    /// Set in every resident way, so an empty way (0) matches no line.
+    const VALID: u64 = 1 << 48;
+    /// Set in a resident way whose line a store dirtied (write-back).
+    const DIRTY: u64 = 1 << 49;
+
     /// An empty cache.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero lines or associativity).
+    /// Panics if the geometry is degenerate (zero lines or associativity) or
+    /// the line size is not a power of two.
     #[must_use]
     pub fn new(config: CacheConfig) -> Cache {
         assert!(
             config.line_bytes > 0 && config.size_bytes >= config.line_bytes,
             "degenerate cache geometry"
         );
+        assert!(
+            config.line_bytes.is_power_of_two(),
+            "cache line size must be a power of two"
+        );
         assert!(config.assoc > 0, "associativity must be positive");
-        let sets = config.sets() as usize;
+        let sets = config.sets();
+        let victims = if config.assoc == 1 { 0 } else { sets as usize };
         Cache {
             config,
-            lines: vec![None; sets * config.assoc as usize],
-            victim: vec![0; sets],
+            sets,
+            line_shift: config.line_bytes.trailing_zeros(),
+            ways: vec![0; sets as usize * config.assoc as usize],
+            victim: vec![0; victims],
             stats: CacheStats::default(),
         }
     }
@@ -196,37 +213,38 @@ impl Cache {
     }
 
     fn index_and_tag(&self, addr: u32) -> (usize, u32) {
-        let line_addr = addr / self.config.line_bytes;
-        let set = (line_addr % self.config.sets()) as usize;
-        let tag = line_addr / self.config.sets();
-        (set, tag)
+        let line_addr = addr >> self.line_shift;
+        ((line_addr % self.sets) as usize, line_addr / self.sets)
     }
 
-    fn effective_asid(&self, asid: Asid) -> Option<Asid> {
+    /// The context tag of `asid`'s lines: the ASID on a tagged virtual
+    /// cache, else 0.
+    fn context(&self, asid: Asid) -> u16 {
         match (self.config.addressing, self.config.tagged) {
-            (Addressing::Virtual, true) => Some(asid),
-            _ => None,
+            (Addressing::Virtual, true) => asid.0,
+            _ => 0,
         }
+    }
+
+    /// The way a resident, clean line with `tag` and context `ctx` holds.
+    fn resident(tag: u32, ctx: u16) -> u64 {
+        Cache::VALID | u64::from(ctx) << 32 | u64::from(tag)
     }
 
     /// Access the line containing `addr` in context `asid`.
     pub fn access(&mut self, addr: u32, asid: Asid, kind: AccessKind) -> CacheOutcome {
         let (set, tag) = self.index_and_tag(addr);
-        let ctx = self.effective_asid(asid);
+        let line = Cache::resident(tag, self.context(asid));
         let assoc = self.config.assoc as usize;
-        let ways = &mut self.lines[set * assoc..(set + 1) * assoc];
-        let hit_way = ways
-            .iter()
-            .position(|line| matches!(line, Some(l) if l.tag == tag && l.asid == ctx));
+        let ways = &mut self.ways[set * assoc..(set + 1) * assoc];
+        let hit_way = ways.iter().position(|&way| way & !Cache::DIRTY == line);
         let write = matches!(kind, AccessKind::Write);
         match hit_way {
             Some(way) => {
                 if write {
                     self.stats.write_hits += 1;
                     if self.config.write_policy == WritePolicy::Back {
-                        if let Some(line) = &mut ways[way] {
-                            line.dirty = true;
-                        }
+                        ways[way] |= Cache::DIRTY;
                     }
                 } else {
                     self.stats.read_hits += 1;
@@ -247,19 +265,17 @@ impl Cache {
                 // Write-through caches don't allocate on write misses.
                 let allocate = !write || self.config.write_policy == WritePolicy::Back;
                 if allocate {
-                    let way = match ways.iter().position(std::option::Option::is_none) {
+                    let way = match ways.iter().position(|&way| way == 0) {
                         Some(free) => free,
+                        None if assoc == 1 => 0,
                         None => {
-                            let victim = self.victim[set];
-                            self.victim[set] = (victim + 1) % assoc;
-                            victim
+                            let victim = &mut self.victim[set];
+                            let way = *victim as usize;
+                            *victim = (*victim + 1) % self.config.assoc;
+                            way
                         }
                     };
-                    ways[way] = Some(Line {
-                        tag,
-                        asid: ctx,
-                        dirty: write,
-                    });
+                    ways[way] = if write { line | Cache::DIRTY } else { line };
                 }
                 CacheOutcome {
                     hit: false,
@@ -273,24 +289,14 @@ impl Cache {
     /// pre-condition measurements, as the paper's repeated-call methodology does.
     pub fn warm(&mut self, addr: u32, asid: Asid) {
         let (set, tag) = self.index_and_tag(addr);
-        let ctx = self.effective_asid(asid);
+        let line = Cache::resident(tag, self.context(asid));
         let assoc = self.config.assoc as usize;
-        let ways = &mut self.lines[set * assoc..(set + 1) * assoc];
-        if ways
-            .iter()
-            .any(|line| matches!(line, Some(l) if l.tag == tag && l.asid == ctx))
-        {
+        let ways = &mut self.ways[set * assoc..(set + 1) * assoc];
+        if ways.iter().any(|&way| way & !Cache::DIRTY == line) {
             return;
         }
-        let way = ways
-            .iter()
-            .position(std::option::Option::is_none)
-            .unwrap_or(0);
-        ways[way] = Some(Line {
-            tag,
-            asid: ctx,
-            dirty: false,
-        });
+        let way = ways.iter().position(|&way| way == 0).unwrap_or(0);
+        ways[way] = line;
     }
 
     /// Invalidate every line; returns the cycle cost of the sweep.
@@ -300,10 +306,9 @@ impl Cache {
     /// expensive").
     pub fn flush_all(&mut self) -> u32 {
         let mut flushed = 0u64;
-        for line in &mut self.lines {
-            if line.take().is_some() {
-                flushed += 1;
-            }
+        for way in self.ways.iter_mut().filter(|way| **way != 0) {
+            *way = 0;
+            flushed += 1;
         }
         self.stats.lines_flushed += flushed;
         let cycles = self.config.lines() * self.config.flush_cycles_per_line;
@@ -324,19 +329,19 @@ impl Cache {
             return (0, 0);
         }
         let page_base = page_addr & !(crate::addr::PAGE_SIZE - 1);
-        let ctx = self.effective_asid(asid);
+        let ctx = self.context(asid);
         let mut flushed = 0u64;
         let assoc = self.config.assoc as usize;
-        for (set_idx, set) in self.lines.chunks_exact_mut(assoc).enumerate() {
-            for line in set.iter_mut() {
-                if let Some(l) = line {
-                    // Reconstruct the line's address from tag and set index.
-                    let line_addr =
-                        (l.tag * self.config.sets() + set_idx as u32) * self.config.line_bytes;
-                    if line_addr & !(crate::addr::PAGE_SIZE - 1) == page_base && l.asid == ctx {
-                        *line = None;
-                        flushed += 1;
-                    }
+        for (set_idx, set) in self.ways.chunks_exact_mut(assoc).enumerate() {
+            for way in set.iter_mut().filter(|way| **way != 0) {
+                // Reconstruct the line's address from tag and set index.
+                let tag = *way as u32;
+                let line_addr = (tag * self.sets + set_idx as u32) << self.line_shift;
+                if line_addr & !(crate::addr::PAGE_SIZE - 1) == page_base
+                    && *way & !Cache::DIRTY == Cache::resident(tag, ctx)
+                {
+                    *way = 0;
+                    flushed += 1;
                 }
             }
         }
@@ -350,7 +355,7 @@ impl Cache {
     /// Number of valid lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lines.iter().filter(|line| line.is_some()).count()
+        self.ways.iter().filter(|&&way| way != 0).count()
     }
 
     /// True when no lines are valid.
@@ -483,5 +488,29 @@ mod tests {
     #[should_panic(expected = "degenerate")]
     fn zero_size_cache_panics() {
         let _ = Cache::new(CacheConfig::physical(0, 16, WritePolicy::Through, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_line_panics() {
+        let _ = Cache::new(CacheConfig::physical(960, 24, WritePolicy::Through, 1));
+    }
+
+    #[test]
+    fn a_way_is_one_word_and_a_direct_mapped_cache_keeps_no_victims() {
+        // The DECstation's 64 KB of 4-byte lines: 16,384 direct-mapped sets.
+        let decstation = Cache::new(CacheConfig::physical(65536, 4, WritePolicy::Through, 9));
+        assert_eq!(decstation.ways.len(), 16_384);
+        assert!(std::mem::size_of_val(&decstation.ways[0]) <= 8);
+        assert_eq!(
+            decstation.victim.capacity(),
+            0,
+            "way 0 is always the victim"
+        );
+        let host_bytes = std::mem::size_of_val(decstation.ways.as_slice());
+        assert!(host_bytes <= 128 * 1024, "{host_bytes} bytes of tag store");
+        // A two-way cache keeps one victim per set.
+        let i860 = Cache::new(CacheConfig::virtual_untagged(8192, 32, 12));
+        assert_eq!(i860.victim.len(), 128);
     }
 }

@@ -297,10 +297,28 @@ pub const SPARC_LEVEL_FANOUT: [usize; 3] = [256, 64, 64];
 
 #[derive(Debug, Clone)]
 enum Node {
-    /// An interior pointer table.
-    Table(Vec<Option<Node>>),
+    /// An interior pointer table: its present entries, by index.
+    Table(BTreeMap<usize, Node>),
     /// A terminal entry mapping everything below this point.
     Leaf(Pte),
+}
+
+impl Node {
+    /// Terminal entries at or below this node.
+    fn leaves(&self) -> usize {
+        match self {
+            Node::Table(entries) => entries.values().map(Node::leaves).sum(),
+            Node::Leaf(_) => 1,
+        }
+    }
+
+    /// Pointer tables at or below this node.
+    fn tables(&self) -> usize {
+        match self {
+            Node::Table(entries) => 1 + entries.values().map(Node::tables).sum::<usize>(),
+            Node::Leaf(_) => 0,
+        }
+    }
 }
 
 /// A SPARC/Cypress-style three-level page table.
@@ -309,20 +327,22 @@ enum Node {
 /// 256 KB region with a single PTE, so "a single TLB entry can be used to hold
 /// the mapping for this entire region" (Section 3.2). Install such regions
 /// with [`MultiLevelPageTable::map_region`].
-#[derive(Debug, Clone)]
+///
+/// Each table holds only its present entries, and a table whose last entry
+/// is unmapped goes with it, so an address space with k terminal entries
+/// costs O(k) host memory rather than a 256-entry root plus 64-entry
+/// tables. The walk the model charges is the SPARC's all the same: one
+/// descriptor per level down to the terminal entry.
+#[derive(Debug, Clone, Default)]
 pub struct MultiLevelPageTable {
-    root: Vec<Option<Node>>,
-    mapped: usize,
+    root: BTreeMap<usize, Node>,
 }
 
 impl MultiLevelPageTable {
     /// An empty three-level table.
     #[must_use]
     pub fn new() -> MultiLevelPageTable {
-        MultiLevelPageTable {
-            root: vec![None; SPARC_LEVEL_FANOUT[0]],
-            mapped: 0,
-        }
+        MultiLevelPageTable::default()
     }
 
     /// Bits of address below each level's coverage: level 0 entries cover
@@ -341,135 +361,99 @@ impl MultiLevelPageTable {
     /// Install a terminal entry at `level` (0 = 16 MB region, 1 = 256 KB
     /// region, 2 = single page), mapping the whole region containing `va`.
     ///
-    /// Any finer-grained mappings under the region are replaced.
+    /// The entry replaces whatever its slot held: a terminal entry, or a
+    /// table with every finer mapping under the region. A walk that meets a
+    /// coarser terminal entry on the way down replaces it with a table, so
+    /// a page mapped inside a mapped region leaves the rest of that region
+    /// unmapped.
     pub fn map_region(&mut self, va: VirtAddr, pte: Pte, level: usize) {
         assert!(level < 3, "level must be 0, 1 or 2");
         let idx = Self::indices(va);
-        let slot0 = &mut self.root[idx[0]];
-        if level == 0 {
-            *slot0 = Some(Node::Leaf(pte));
-            self.mapped += 1;
-            return;
-        }
-        let table1 = match slot0 {
-            Some(Node::Table(t)) => t,
-            _ => {
-                *slot0 = Some(Node::Table(vec![None; SPARC_LEVEL_FANOUT[1]]));
-                match slot0 {
-                    Some(Node::Table(t)) => t,
-                    _ => unreachable!(),
-                }
+        let mut table = &mut self.root;
+        for &index in &idx[..level] {
+            let slot = table.entry(index).or_insert(Node::Table(BTreeMap::new()));
+            if let Node::Leaf(_) = slot {
+                *slot = Node::Table(BTreeMap::new());
             }
-        };
-        let slot1 = &mut table1[idx[1]];
-        if level == 1 {
-            *slot1 = Some(Node::Leaf(pte));
-            self.mapped += 1;
-            return;
+            let Node::Table(next) = slot else {
+                unreachable!("the slot holds a table")
+            };
+            table = next;
         }
-        let table2 = match slot1 {
-            Some(Node::Table(t)) => t,
-            _ => {
-                *slot1 = Some(Node::Table(vec![None; SPARC_LEVEL_FANOUT[2]]));
-                match slot1 {
-                    Some(Node::Table(t)) => t,
-                    _ => unreachable!(),
-                }
-            }
-        };
-        if table2[idx[2]].is_none() {
-            self.mapped += 1;
-        }
-        table2[idx[2]] = Some(Node::Leaf(pte));
+        table.insert(idx[level], Node::Leaf(pte));
     }
 
     /// Depth at which a walk for `va` terminates (1..=3), or `None` if unmapped.
     #[must_use]
     pub fn walk_depth(&self, va: VirtAddr) -> Option<u32> {
-        let idx = Self::indices(va);
-        match self.root[idx[0]].as_ref()? {
-            Node::Leaf(_) => Some(1),
-            Node::Table(t1) => match t1[idx[1]].as_ref()? {
-                Node::Leaf(_) => Some(2),
-                Node::Table(t2) => match t2[idx[2]].as_ref()? {
-                    Node::Leaf(_) => Some(3),
-                    Node::Table(_) => None,
-                },
-            },
+        self.walk(va).map(|(depth, _)| depth)
+    }
+
+    /// Pointer tables below the root. With the root they are the host
+    /// memory this table holds beside its terminal entries, and each leads
+    /// to at least one terminal entry, since an unmap drops the tables it
+    /// empties.
+    #[must_use]
+    pub fn tables(&self) -> usize {
+        self.root.values().map(Node::tables).sum()
+    }
+
+    /// The terminal entry a walk for `va` reaches, with its depth.
+    fn walk(&self, va: VirtAddr) -> Option<(u32, Pte)> {
+        let mut table = &self.root;
+        for (depth, index) in (1..).zip(Self::indices(va)) {
+            match table.get(&index)? {
+                Node::Table(next) => table = next,
+                Node::Leaf(pte) => return Some((depth, *pte)),
+            }
         }
+        None
     }
 
     fn leaf_mut(&mut self, va: VirtAddr) -> Option<&mut Pte> {
-        let idx = Self::indices(va);
-        match self.root[idx[0]].as_mut()? {
-            Node::Leaf(pte) => Some(pte),
-            Node::Table(t1) => match t1[idx[1]].as_mut()? {
-                Node::Leaf(pte) => Some(pte),
-                Node::Table(t2) => match t2[idx[2]].as_mut()? {
-                    Node::Leaf(pte) => Some(pte),
-                    Node::Table(_) => None,
-                },
-            },
+        let mut table = &mut self.root;
+        for index in Self::indices(va) {
+            match table.get_mut(&index)? {
+                Node::Table(next) => table = next,
+                Node::Leaf(pte) => return Some(pte),
+            }
         }
+        None
     }
-}
 
-impl Default for MultiLevelPageTable {
-    fn default() -> Self {
-        MultiLevelPageTable::new()
+    /// Remove the terminal entry the walk down `idx` reaches in `table`,
+    /// and every table that this leaves empty.
+    fn remove_leaf(table: &mut BTreeMap<usize, Node>, idx: &[usize]) -> Option<Pte> {
+        let (&index, rest) = idx.split_first()?;
+        let old = match table.get_mut(&index)? {
+            Node::Table(next) => {
+                let old = Self::remove_leaf(next, rest)?;
+                if !next.is_empty() {
+                    return Some(old);
+                }
+                old
+            }
+            Node::Leaf(pte) => *pte,
+        };
+        table.remove(&index);
+        Some(old)
     }
 }
 
 impl PageTable for MultiLevelPageTable {
     fn translate(&self, va: VirtAddr) -> Option<Pte> {
-        let idx = Self::indices(va);
-        let pte = match self.root[idx[0]].as_ref()? {
-            Node::Leaf(pte) => *pte,
-            Node::Table(t1) => match t1[idx[1]].as_ref()? {
-                Node::Leaf(pte) => *pte,
-                Node::Table(t2) => match t2[idx[2]].as_ref()? {
-                    Node::Leaf(pte) => *pte,
-                    Node::Table(_) => return None,
-                },
-            },
-        };
+        let (_, pte) = self.walk(va)?;
         pte.valid.then_some(pte)
     }
 
+    /// Install a single page, as [`MultiLevelPageTable::map_region`] does
+    /// at level 2: a region entry above the page is replaced by tables.
     fn map(&mut self, va: VirtAddr, pte: Pte) {
         self.map_region(va, pte, 2);
     }
 
     fn unmap(&mut self, va: VirtAddr) -> Option<Pte> {
-        let idx = Self::indices(va);
-        let slot0 = self.root[idx[0]].as_mut()?;
-        match slot0 {
-            Node::Leaf(pte) => {
-                let old = *pte;
-                self.root[idx[0]] = None;
-                self.mapped -= 1;
-                Some(old)
-            }
-            Node::Table(t1) => {
-                let slot1 = t1[idx[1]].as_mut()?;
-                match slot1 {
-                    Node::Leaf(pte) => {
-                        let old = *pte;
-                        t1[idx[1]] = None;
-                        self.mapped -= 1;
-                        Some(old)
-                    }
-                    Node::Table(t2) => {
-                        let old = match t2[idx[2]].take()? {
-                            Node::Leaf(pte) => pte,
-                            Node::Table(_) => return None,
-                        };
-                        self.mapped -= 1;
-                        Some(old)
-                    }
-                }
-            }
-        }
+        Self::remove_leaf(&mut self.root, &Self::indices(va))
     }
 
     fn protect(&mut self, va: VirtAddr, prot: Protection) -> bool {
@@ -488,8 +472,10 @@ impl PageTable for MultiLevelPageTable {
         self.walk_depth(va).unwrap_or(3)
     }
 
+    /// Terminal entries, counted by walking the tree: a region counts
+    /// once, however many pages it maps.
     fn mapped_pages(&self) -> usize {
-        self.mapped
+        self.root.values().map(Node::leaves).sum()
     }
 
     fn kind(&self) -> PageTableKind {
@@ -679,6 +665,54 @@ mod tests {
         assert_eq!(table.unmap(VirtAddr(0x5000)).unwrap().pfn, 3);
         assert_eq!(table.translate(VirtAddr(0x5000)), None);
         assert_eq!(table.mapped_pages(), 0);
+    }
+
+    #[test]
+    fn three_level_count_is_the_terminal_entries_after_replacement() {
+        // The same level-0 region mapped twice is one entry.
+        let mut table = MultiLevelPageTable::new();
+        table.map_region(VirtAddr(0x0100_0000), pte(1), 0);
+        table.map_region(VirtAddr(0x0100_0000), pte(2), 0);
+        assert_eq!(table.mapped_pages(), 1);
+
+        // A level-0 region replaces the two pages under it, and unmapping
+        // it leaves nothing mapped.
+        let mut table = MultiLevelPageTable::new();
+        table.map(VirtAddr(0x0100_0000), pte(1));
+        table.map(VirtAddr(0x0104_0000), pte(2));
+        table.map_region(VirtAddr(0x0100_0000), pte(3), 0);
+        assert_eq!(table.mapped_pages(), 1);
+        assert_eq!(table.unmap(VirtAddr(0x0104_0000)).map(|p| p.pfn), Some(3));
+        assert_eq!(table.translate(VirtAddr(0x0100_0000)), None);
+        assert_eq!(table.mapped_pages(), 0);
+
+        // A page mapped inside a region replaces the region's entry: the
+        // rest of the region no longer translates.
+        let mut table = MultiLevelPageTable::new();
+        table.map_region(VirtAddr(0x0200_0000), pte(4), 1);
+        table.map(VirtAddr(0x0201_0000), pte(5));
+        assert_eq!(table.mapped_pages(), 1);
+        assert_eq!(table.translate(VirtAddr(0x0201_0000)).unwrap().pfn, 5);
+        assert_eq!(table.translate(VirtAddr(0x0200_0000)), None);
+    }
+
+    #[test]
+    fn three_level_tables_follow_the_mapped_entries() {
+        let mut table = MultiLevelPageTable::new();
+        assert_eq!(table.tables(), 0, "an empty space holds no tables");
+        table.map(VirtAddr(0x0123_4000), pte(1));
+        table.map(VirtAddr(0x0123_5000), pte(2));
+        assert_eq!(table.tables(), 2, "one level-1 and one level-2 table");
+        table.map(VirtAddr(0xff00_0000), pte(3));
+        assert_eq!(table.tables(), 4);
+        table.unmap(VirtAddr(0x0123_4000));
+        assert_eq!(table.tables(), 4);
+        table.unmap(VirtAddr(0x0123_5000));
+        assert_eq!(table.tables(), 2, "a table goes with its last entry");
+        // A region replaces the tables under it.
+        table.map_region(VirtAddr(0xff00_0000), pte(4), 0);
+        assert_eq!(table.tables(), 0);
+        assert_eq!(table.mapped_pages(), 1);
     }
 
     #[test]

@@ -157,23 +157,35 @@ pub struct Tlb {
 /// found before the first empty cell after its home.
 #[derive(Debug, Clone)]
 struct SlotIndex {
-    /// `(key, slot)` pairs; [`SlotIndex::EMPTY`] marks a free cell.
-    cells: Vec<(u64, usize)>,
+    /// `key << SLOT_BITS | slot`, one `u64` a cell: a key is at most 49
+    /// bits (a 17-bit tag above a 32-bit page number), which leaves 15 for
+    /// the slot. [`SlotIndex::EMPTY`] marks a free cell.
+    cells: Vec<u64>,
     /// `64 - log2(cells.len())`: the home cell is the top bits of the
     /// hashed key.
     shift: u32,
 }
 
 impl SlotIndex {
-    /// No key reaches it: a tag is at most `u16::MAX + 1`.
+    /// Bits of a cell that hold the slot.
+    const SLOT_BITS: u32 = 15;
+    /// Slots a cell can name: the most entries an indexed TLB may have.
+    const MAX_ENTRIES: usize = 1 << SlotIndex::SLOT_BITS;
+    const SLOT_MASK: u64 = SlotIndex::MAX_ENTRIES as u64 - 1;
+    /// No key reaches it: a tag is at most `u16::MAX + 1`, so the key part
+    /// of a filled cell is below `2^49 - 1`.
     const EMPTY: u64 = u64::MAX;
 
     fn new(entries: usize) -> SlotIndex {
         let len = (8 * entries).next_power_of_two();
         SlotIndex {
-            cells: vec![(SlotIndex::EMPTY, 0); len],
+            cells: vec![SlotIndex::EMPTY; len],
             shift: 64 - len.trailing_zeros(),
         }
+    }
+
+    fn key(cell: u64) -> u64 {
+        cell >> SlotIndex::SLOT_BITS
     }
 
     fn home(&self, key: u64) -> usize {
@@ -187,22 +199,22 @@ impl SlotIndex {
     /// The cell holding `key`, else the empty cell that ends its probe.
     fn cell_of(&self, key: u64) -> usize {
         let mut cell = self.home(key);
-        while self.cells[cell].0 != key && self.cells[cell].0 != SlotIndex::EMPTY {
+        while SlotIndex::key(self.cells[cell]) != key && self.cells[cell] != SlotIndex::EMPTY {
             cell = self.next(cell);
         }
         cell
     }
 
     fn get(&self, key: u64) -> Option<usize> {
-        let (found, slot) = self.cells[self.cell_of(key)];
-        (found == key).then_some(slot)
+        let found = self.cells[self.cell_of(key)];
+        (SlotIndex::key(found) == key).then_some((found & SlotIndex::SLOT_MASK) as usize)
     }
 
     /// Map `key` (absent) to `slot`.
     fn insert(&mut self, key: u64, slot: usize) {
         let cell = self.cell_of(key);
-        debug_assert_eq!(self.cells[cell].0, SlotIndex::EMPTY, "key already indexed");
-        self.cells[cell] = (key, slot);
+        debug_assert_eq!(self.cells[cell], SlotIndex::EMPTY, "key already indexed");
+        self.cells[cell] = key << SlotIndex::SLOT_BITS | slot as u64;
     }
 
     /// Unmap `key` (present). Each later key of its run whose home is not
@@ -211,18 +223,18 @@ impl SlotIndex {
     /// without crossing an empty cell, and none moves ahead of its home.
     fn remove(&mut self, key: u64) {
         let mut hole = self.cell_of(key);
-        debug_assert_eq!(self.cells[hole].0, key, "key not indexed");
+        debug_assert_eq!(SlotIndex::key(self.cells[hole]), key, "key not indexed");
         let mask = self.cells.len() - 1;
         let mut cell = self.next(hole);
-        while self.cells[cell].0 != SlotIndex::EMPTY {
-            let home = self.home(self.cells[cell].0);
+        while self.cells[cell] != SlotIndex::EMPTY {
+            let home = self.home(SlotIndex::key(self.cells[cell]));
             if cell.wrapping_sub(home) & mask >= cell.wrapping_sub(hole) & mask {
                 self.cells[hole] = self.cells[cell];
                 hole = cell;
             }
             cell = self.next(cell);
         }
-        self.cells[hole] = (SlotIndex::EMPTY, 0);
+        self.cells[hole] = SlotIndex::EMPTY;
     }
 }
 
@@ -231,10 +243,15 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `config.entries` is zero or `config.lockable > config.entries`.
+    /// Panics if `config.entries` is zero or above 32,768 (the index names a
+    /// slot in 15 bits), or if `config.lockable > config.entries`.
     #[must_use]
     pub fn new(config: TlbConfig) -> Tlb {
         assert!(config.entries > 0, "a TLB must have at least one entry");
+        assert!(
+            config.entries <= SlotIndex::MAX_ENTRIES,
+            "a TLB may have at most 32,768 entries"
+        );
         assert!(
             config.lockable <= config.entries,
             "cannot lock more slots than exist"
@@ -617,5 +634,27 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_entry_tlb_panics() {
         let _ = Tlb::new(TlbConfig::tagged(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32,768 entries")]
+    fn oversized_tlb_panics() {
+        let _ = Tlb::new(TlbConfig::tagged(32_769));
+    }
+
+    #[test]
+    fn index_cells_are_one_word_and_name_the_last_slot() {
+        let mut tlb = Tlb::new(TlbConfig::tagged(SlotIndex::MAX_ENTRIES));
+        assert_eq!(std::mem::size_of_val(&tlb.index.cells[0]), 8);
+        assert_eq!(tlb.index.cells.len(), 8 * SlotIndex::MAX_ENTRIES);
+        // The largest key (tag u16::MAX + 1, page u32::MAX) in the last slot.
+        let last = SlotIndex::MAX_ENTRIES - 1;
+        let key = tlb.key(u32::MAX, Some(Asid(u16::MAX)));
+        assert!(key < 1 << 49);
+        tlb.index.insert(key, last);
+        assert_eq!(tlb.index.get(key), Some(last));
+        tlb.index.remove(key);
+        assert_eq!(tlb.index.get(key), None);
+        assert_eq!(Tlb::new(TlbConfig::tagged(64)).index.cells.len() * 8, 4096);
     }
 }

@@ -4,7 +4,7 @@ use osarch_mem::{
     AccessKind, Addressing, Asid, Cache, CacheConfig, CacheOutcome, CacheStats, LinearPageTable,
     MultiLevelPageTable, PageTable, Protection, Pte, Replacement, SoftwarePageTable, Tlb,
     TlbConfig, TlbEntry, TlbStats, VirtAddr, WriteBuffer, WriteBufferConfig, WritePolicy,
-    PAGE_SIZE,
+    PAGE_SIZE, SPARC_LEVEL_FANOUT,
 };
 use proptest::prelude::*;
 
@@ -349,6 +349,186 @@ mod scan {
     }
 }
 
+/// The three-level table as it was before each level held only its present
+/// entries: a 256-entry root and 64-entry tables of `Option<Node>`, with the
+/// same replace rule and walk, and an unmap that leaves emptied tables in
+/// place. `sparse_three_level_table_matches_the_dense_oracle` checks
+/// [`MultiLevelPageTable`] against it. Its running count of mapped pages
+/// added one for every region mapped over others, so it counts terminal
+/// entries by walking its tree instead.
+mod dense {
+    use super::{Protection, Pte, VirtAddr, SPARC_LEVEL_FANOUT};
+
+    const LEVEL_SHIFT: [u32; 3] = [24, 18, 12];
+
+    #[derive(Debug, Clone)]
+    enum Node {
+        Table(Vec<Option<Node>>),
+        Leaf(Pte),
+    }
+
+    impl Node {
+        fn leaves(&self) -> usize {
+            match self {
+                Node::Table(entries) => entries.iter().flatten().map(Node::leaves).sum(),
+                Node::Leaf(_) => 1,
+            }
+        }
+
+        /// Tables at or below this node that lead to a terminal entry.
+        fn live_tables(&self) -> usize {
+            match self {
+                Node::Table(entries) if self.leaves() > 0 => {
+                    1 + entries
+                        .iter()
+                        .flatten()
+                        .map(Node::live_tables)
+                        .sum::<usize>()
+                }
+                _ => 0,
+            }
+        }
+    }
+
+    pub struct DenseTable {
+        root: Vec<Option<Node>>,
+    }
+
+    impl DenseTable {
+        pub fn new() -> DenseTable {
+            DenseTable {
+                root: vec![None; SPARC_LEVEL_FANOUT[0]],
+            }
+        }
+
+        fn indices(va: VirtAddr) -> [usize; 3] {
+            let raw = va.0;
+            [
+                (raw >> LEVEL_SHIFT[0]) as usize % SPARC_LEVEL_FANOUT[0],
+                (raw >> LEVEL_SHIFT[1]) as usize % SPARC_LEVEL_FANOUT[1],
+                (raw >> LEVEL_SHIFT[2]) as usize % SPARC_LEVEL_FANOUT[2],
+            ]
+        }
+
+        pub fn map_region(&mut self, va: VirtAddr, pte: Pte, level: usize) {
+            let idx = Self::indices(va);
+            let slot0 = &mut self.root[idx[0]];
+            if level == 0 {
+                *slot0 = Some(Node::Leaf(pte));
+                return;
+            }
+            if !matches!(slot0, Some(Node::Table(_))) {
+                *slot0 = Some(Node::Table(vec![None; SPARC_LEVEL_FANOUT[1]]));
+            }
+            let Some(Node::Table(table1)) = slot0 else {
+                unreachable!()
+            };
+            let slot1 = &mut table1[idx[1]];
+            if level == 1 {
+                *slot1 = Some(Node::Leaf(pte));
+                return;
+            }
+            if !matches!(slot1, Some(Node::Table(_))) {
+                *slot1 = Some(Node::Table(vec![None; SPARC_LEVEL_FANOUT[2]]));
+            }
+            let Some(Node::Table(table2)) = slot1 else {
+                unreachable!()
+            };
+            table2[idx[2]] = Some(Node::Leaf(pte));
+        }
+
+        pub fn walk_depth(&self, va: VirtAddr) -> Option<u32> {
+            let idx = Self::indices(va);
+            match self.root[idx[0]].as_ref()? {
+                Node::Leaf(_) => Some(1),
+                Node::Table(t1) => match t1[idx[1]].as_ref()? {
+                    Node::Leaf(_) => Some(2),
+                    Node::Table(t2) => match t2[idx[2]].as_ref()? {
+                        Node::Leaf(_) => Some(3),
+                        Node::Table(_) => None,
+                    },
+                },
+            }
+        }
+
+        fn leaf_mut(&mut self, va: VirtAddr) -> Option<&mut Pte> {
+            let idx = Self::indices(va);
+            match self.root[idx[0]].as_mut()? {
+                Node::Leaf(pte) => Some(pte),
+                Node::Table(t1) => match t1[idx[1]].as_mut()? {
+                    Node::Leaf(pte) => Some(pte),
+                    Node::Table(t2) => match t2[idx[2]].as_mut()? {
+                        Node::Leaf(pte) => Some(pte),
+                        Node::Table(_) => None,
+                    },
+                },
+            }
+        }
+
+        pub fn translate(&self, va: VirtAddr) -> Option<Pte> {
+            let idx = Self::indices(va);
+            let pte = match self.root[idx[0]].as_ref()? {
+                Node::Leaf(pte) => *pte,
+                Node::Table(t1) => match t1[idx[1]].as_ref()? {
+                    Node::Leaf(pte) => *pte,
+                    Node::Table(t2) => match t2[idx[2]].as_ref()? {
+                        Node::Leaf(pte) => *pte,
+                        Node::Table(_) => return None,
+                    },
+                },
+            };
+            pte.valid.then_some(pte)
+        }
+
+        pub fn unmap(&mut self, va: VirtAddr) -> Option<Pte> {
+            let idx = Self::indices(va);
+            match self.root[idx[0]].as_mut()? {
+                Node::Leaf(pte) => {
+                    let old = *pte;
+                    self.root[idx[0]] = None;
+                    Some(old)
+                }
+                Node::Table(t1) => match t1[idx[1]].as_mut()? {
+                    Node::Leaf(pte) => {
+                        let old = *pte;
+                        t1[idx[1]] = None;
+                        Some(old)
+                    }
+                    Node::Table(t2) => match t2[idx[2]].take()? {
+                        Node::Leaf(pte) => Some(pte),
+                        Node::Table(_) => None,
+                    },
+                },
+            }
+        }
+
+        pub fn protect(&mut self, va: VirtAddr, prot: Protection) -> bool {
+            match self.leaf_mut(va) {
+                Some(pte) => {
+                    *pte = pte.with_prot(prot);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        pub fn walk_mem_refs(&self, va: VirtAddr) -> u32 {
+            self.walk_depth(va).unwrap_or(3)
+        }
+
+        /// Terminal entries, counted by walking the tree.
+        pub fn leaves(&self) -> usize {
+            self.root.iter().flatten().map(Node::leaves).sum()
+        }
+
+        /// Tables below the root that lead to a terminal entry: the tables
+        /// left once every emptied one is dropped.
+        pub fn live_tables(&self) -> usize {
+            self.root.iter().flatten().map(Node::live_tables).sum()
+        }
+    }
+}
+
 /// A cache geometry from its parts: `sets` sets of `assoc` ways of
 /// `line_bytes`, with physical (0), tagged-virtual (1) or untagged-virtual
 /// (2) addressing.
@@ -530,9 +710,9 @@ proptest! {
     }
 }
 
-// The flat cache and the sparse linear table against reference
-// implementations: cheap enough to explore many more cases than the block
-// above.
+// The flat cache, the sparse linear and three-level tables and the indexed
+// TLB against reference implementations: cheap enough to explore many more
+// cases than the block above.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -564,6 +744,54 @@ proptest! {
             for &vpn in &vpns {
                 let probe = VirtAddr((vpn << 12) | 0x123);
                 prop_assert_eq!(linear.translate(probe), reference.translate(probe));
+            }
+        }
+    }
+
+    /// The sparse three-level table answers as the dense oracle does after
+    /// any sequence of page maps, region maps at all three levels, unmaps
+    /// and protects over 48 pages: three 16 MB regions (the first, second
+    /// and last) by four 256 KB regions by four pages, so regions and the
+    /// pages under them replace each other. After every step `translate`
+    /// (at two offsets), `walk_depth` and `walk_mem_refs` agree on every
+    /// page, `unmap` and `protect` return the same, `mapped_pages` is the
+    /// oracle's count of terminal entries, and `tables` is the oracle's
+    /// tables that still lead to one.
+    #[test]
+    fn sparse_three_level_table_matches_the_dense_oracle(
+        ops in proptest::collection::vec((0u8..10, 0usize..48, 0u32..1_000_000, arb_prot(), any::<bool>()), 1..200),
+    ) {
+        let pages: Vec<VirtAddr> = [0x00u32, 0x01, 0xff]
+            .into_iter()
+            .flat_map(|region| [0u32, 1, 2, 63].into_iter().map(move |sub| region << 24 | sub << 18))
+            .flat_map(|base| [0u32, 1, 5, 63].into_iter().map(move |page| VirtAddr(base | page << 12)))
+            .collect();
+        let mut sparse = MultiLevelPageTable::new();
+        let mut oracle = dense::DenseTable::new();
+        for (kind, pick, pfn, prot, valid) in ops {
+            let va = pages[pick];
+            let pte = Pte { valid, ..Pte::new(pfn, prot) };
+            match kind {
+                0..=2 => {
+                    sparse.map(va, pte);
+                    oracle.map_region(va, pte, 2);
+                }
+                3..=5 => {
+                    let level = usize::from(kind - 3);
+                    sparse.map_region(va, pte, level);
+                    oracle.map_region(va, pte, level);
+                }
+                6 | 7 => prop_assert_eq!(sparse.unmap(va), oracle.unmap(va)),
+                _ => prop_assert_eq!(sparse.protect(va, prot), oracle.protect(va, prot)),
+            }
+            prop_assert_eq!(sparse.mapped_pages(), oracle.leaves());
+            prop_assert_eq!(sparse.tables(), oracle.live_tables());
+            for &page in &pages {
+                for probe in [page, page.offset(0xabc)] {
+                    prop_assert_eq!(sparse.translate(probe), oracle.translate(probe));
+                }
+                prop_assert_eq!(sparse.walk_depth(page), oracle.walk_depth(page));
+                prop_assert_eq!(sparse.walk_mem_refs(page), oracle.walk_mem_refs(page));
             }
         }
     }
