@@ -8,8 +8,8 @@
 //! along this witness path", and its artifacts say "proved along every
 //! path". On the kernel catalog's straight-line programs the abstract
 //! semantics is exact (no joins, no widening), which is what lets the clean
-//! catalog earn `proved` verdicts with zero `unknown`s; loops — real ones
-//! from assembled [`IsaProgram`]s or synthetic test CFGs — bring widening
+//! catalog earn `proved` verdicts with zero `unknown`s; loops — in the
+//! synthetic CFGs [`AbsintAnalyzer::check_cfg`] accepts — bring widening
 //! into play, and any invariant whose interval was widened away degrades
 //! honestly to `unknown` instead of claiming a proof.
 //!
@@ -28,8 +28,7 @@ use crate::cfg::Cfg;
 use crate::diagnostics::{Diagnostic, Severity};
 use crate::domain::{AbsState, Interval, Tri, POS_INF};
 use osarch_cpu::{Arch, ArchSpec, MicroOp, Phase, Program};
-use osarch_isa::IsaProgram;
-use osarch_kernel::{program_catalog, KernelLayout, Primitive};
+use osarch_kernel::{program_catalog, CatalogEntry, KernelLayout, Primitive};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -147,9 +146,8 @@ pub struct InvariantResult {
 /// what was refuted (and where), and how hard the fixpoint worked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProofArtifact {
-    /// The architecture the program was generated for (`None` for
-    /// architecture-neutral assembled programs).
-    pub arch: Option<Arch>,
+    /// The architecture the program was generated for.
+    pub arch: Arch,
     /// The program name.
     pub program: String,
     /// Per-invariant verdicts, in stable order.
@@ -391,7 +389,6 @@ impl AbsintAnalyzer {
             cfg,
             ops,
             fix: &fix,
-            arch: Some(spec.arch),
         }
         .run();
         findings.sort_by(|a, b| a.diag.sort_key().cmp(&b.diag.sort_key()));
@@ -399,81 +396,45 @@ impl AbsintAnalyzer {
         ProgramAnalysis { findings, artifact }
     }
 
-    /// Analyze an assembled program: real branch targets, reachability
-    /// (OA208), and loop-widening behaviour. The kernel-resource
-    /// invariants are vacuous here — ISA instructions carry none of the
-    /// window/buffer/maintenance vocabulary — so the artifact reports
-    /// structure only.
+    /// Analyze every program of one catalog of `spec`'s programs — the
+    /// one pass the other entry points share, and the proof gate of live
+    /// spec activation, which builds the catalog once for both gates.
     #[must_use]
-    pub fn check_isa(&self, program: &IsaProgram, name: &str) -> ProgramAnalysis {
-        let cfg = Cfg::from_isa(program, name);
-        let transfer = |_: usize, _: &mut AbsState| {};
-        let fix = solve(&cfg, &transfer);
-        let mut findings = Vec::new();
-        unreachable_blocks(&cfg, &fix, None, &mut findings);
-        findings.sort_by(|a, b| a.diag.sort_key().cmp(&b.diag.sort_key()));
-        let artifact = ProofArtifact {
-            arch: None,
-            program: name.to_string(),
-            invariants: Vec::new(),
-            iterations: fix.iterations,
-            blocks: cfg.blocks.len(),
-            edges: cfg.edge_count(),
-            domain_width: AbsState::COMPONENTS,
-            widened: fix.widen_points.iter().any(|&w| w),
-        };
-        ProgramAnalysis { findings, artifact }
-    }
-
-    /// Analyze every program the kernel generates for one architecture.
-    #[must_use]
-    pub fn analyze_arch(&self, arch: Arch) -> AbsintReport {
+    pub fn check_catalog(&self, spec: &ArchSpec, catalog: &[CatalogEntry]) -> AbsintReport {
         let mut report = AbsintReport::empty();
-        self.extend_with_arch(arch, &mut report);
-        report.architectures = 1;
-        report.finish();
-        report
-    }
-
-    /// Analyze every program the kernel generates for an explicit spec —
-    /// the proof pass behind live spec activation, where there is no
-    /// closed [`Arch`] to name.
-    #[must_use]
-    pub fn analyze_spec(&self, spec: &ArchSpec) -> AbsintReport {
-        let mut report = AbsintReport::empty();
-        let layout = KernelLayout::for_spec(spec);
-        for entry in program_catalog(spec, &layout) {
+        for entry in catalog {
             let analysis = self.check_program(spec, Some(entry.primitive), &entry.program);
             report.findings.extend(analysis.findings);
             report.artifacts.push(analysis.artifact);
-            report.programs_checked += 1;
         }
+        report.programs_checked = catalog.len();
         report.architectures = 1;
         report.finish();
         report
     }
 
-    /// Analyze all architectures' programs — the CI entry point.
+    /// Analyze every program the kernel generates for a spec. A built-in
+    /// architecture is analyzed through its `arch.spec()`.
     #[must_use]
-    pub fn analyze_all(&self) -> AbsintReport {
-        let mut report = AbsintReport::empty();
-        for arch in Arch::all() {
-            self.extend_with_arch(arch, &mut report);
-        }
-        report.architectures = Arch::all().len();
-        report.finish();
-        report
+    pub fn analyze_spec(&self, spec: &ArchSpec) -> AbsintReport {
+        self.check_catalog(spec, &program_catalog(spec, &KernelLayout::for_spec(spec)))
     }
 
-    fn extend_with_arch(&self, arch: Arch, report: &mut AbsintReport) {
-        let spec = arch.spec();
-        let layout = KernelLayout::for_spec(&spec);
-        for entry in program_catalog(&spec, &layout) {
-            let analysis = self.check_program(&spec, Some(entry.primitive), &entry.program);
-            report.findings.extend(analysis.findings);
-            report.artifacts.push(analysis.artifact);
-            report.programs_checked += 1;
+    /// Analyze all architectures' programs — the CI entry point. The
+    /// per-architecture reports merge in [`Arch::all`] order; both sorts
+    /// are stable, so the order matches one sort over the concatenation.
+    #[must_use]
+    pub fn analyze_all(&self) -> AbsintReport {
+        let mut all = AbsintReport::empty();
+        for arch in Arch::all() {
+            let report = self.analyze_spec(&arch.spec());
+            all.findings.extend(report.findings);
+            all.artifacts.extend(report.artifacts);
+            all.programs_checked += report.programs_checked;
+            all.architectures += report.architectures;
         }
+        all.finish();
+        all
     }
 
     fn artifact(
@@ -530,7 +491,7 @@ impl AbsintAnalyzer {
             },
         ];
         ProofArtifact {
-            arch: Some(spec.arch),
+            arch: spec.arch,
             program: cfg.name.clone(),
             invariants,
             iterations: fix.iterations,
@@ -565,7 +526,6 @@ struct RulePass<'a> {
     cfg: &'a Cfg,
     ops: &'a [(Phase, MicroOp)],
     fix: &'a Fixpoint,
-    arch: Option<Arch>,
 }
 
 impl RulePass<'_> {
@@ -587,7 +547,7 @@ impl RulePass<'_> {
             diag: Diagnostic {
                 code,
                 severity,
-                arch: self.arch,
+                arch: Some(self.spec.arch),
                 program: self.cfg.name.clone(),
                 op_index,
                 message,
@@ -615,7 +575,7 @@ impl RulePass<'_> {
             }
             self.check_loop_head(b, &mut out);
         }
-        unreachable_blocks(self.cfg, self.fix, self.arch, &mut out);
+        unreachable_blocks(self.cfg, self.fix, self.spec.arch, &mut out);
         out
     }
 
@@ -865,9 +825,8 @@ impl RulePass<'_> {
     }
 }
 
-/// OA208: blocks the fixpoint never reached. Shared between the kernel and
-/// ISA pipelines.
-fn unreachable_blocks(cfg: &Cfg, fix: &Fixpoint, arch: Option<Arch>, out: &mut Vec<Finding>) {
+/// OA208: blocks the fixpoint never reached.
+fn unreachable_blocks(cfg: &Cfg, fix: &Fixpoint, arch: Arch, out: &mut Vec<Finding>) {
     for (b, block) in cfg.blocks.iter().enumerate() {
         if b == 0 || fix.in_states[b].is_some() || block.start >= block.end {
             continue;
@@ -876,7 +835,7 @@ fn unreachable_blocks(cfg: &Cfg, fix: &Fixpoint, arch: Option<Arch>, out: &mut V
             diag: Diagnostic {
                 code: "OA208",
                 severity: Severity::Warn,
-                arch,
+                arch: Some(arch),
                 program: cfg.name.clone(),
                 op_index: Some(block.start),
                 message: format!(
@@ -917,11 +876,8 @@ impl AbsintReport {
     fn finish(&mut self) {
         self.findings
             .sort_by(|a, b| a.diag.sort_key().cmp(&b.diag.sort_key()));
-        self.artifacts.sort_by(|a, b| {
-            let ka = (a.arch.map_or(usize::MAX, Arch::index), a.program.as_str());
-            let kb = (b.arch.map_or(usize::MAX, Arch::index), b.program.as_str());
-            ka.cmp(&kb)
-        });
+        self.artifacts
+            .sort_by(|a, b| (a.arch.index(), &a.program).cmp(&(b.arch.index(), &b.program)));
     }
 
     /// Every finding, in deterministic order.

@@ -3,7 +3,7 @@
 use crate::diagnostics::{Diagnostic, Severity};
 use crate::rules::{default_rules, Rule, RuleContext};
 use osarch_cpu::{Arch, ArchSpec, Program};
-use osarch_kernel::{program_catalog, KernelLayout, Primitive};
+use osarch_kernel::{program_catalog, CatalogEntry, KernelLayout, Primitive};
 
 /// The static analyzer: an ordered set of rules plus the drivers that walk
 /// the kernel's program catalog.
@@ -62,60 +62,50 @@ impl Analyzer {
         diagnostics
     }
 
-    /// Analyze every program the kernel generates for one architecture:
-    /// the four primitive handlers plus the applicable what-if variants.
+    /// Run every rule over every program of one catalog of `spec`'s
+    /// programs — the one pass the other entry points share, and the
+    /// lint gate of live spec activation, which builds the catalog once
+    /// for both gates.
     #[must_use]
-    pub fn analyze_arch(&self, arch: Arch) -> AnalysisReport {
-        let mut report = AnalysisReport::empty();
-        self.extend_with_arch(arch, &mut report);
-        report.architectures = 1;
+    pub fn check_catalog(&self, spec: &ArchSpec, catalog: &[CatalogEntry]) -> AnalysisReport {
+        let mut report = AnalysisReport {
+            diagnostics: catalog
+                .iter()
+                .flat_map(|entry| self.check_program(spec, Some(entry.primitive), &entry.program))
+                .collect(),
+            programs_checked: catalog.len(),
+            architectures: 1,
+        };
         report.finish();
         report
     }
 
-    /// Analyze every program the kernel generates for an explicit spec —
-    /// the entry point for runtime-loaded (`osarch-spec/1`) architectures,
-    /// where there is no closed [`Arch`] to name.
+    /// Analyze every program the kernel generates for a spec: the four
+    /// primitive handlers plus the applicable what-if variants. A built-in
+    /// architecture is analyzed through its `arch.spec()`.
     #[must_use]
     pub fn analyze_spec(&self, spec: &ArchSpec) -> AnalysisReport {
-        let mut report = AnalysisReport::empty();
-        let layout = KernelLayout::for_spec(spec);
-        for entry in program_catalog(spec, &layout) {
-            report.diagnostics.extend(self.check_program(
-                spec,
-                Some(entry.primitive),
-                &entry.program,
-            ));
-            report.programs_checked += 1;
-        }
-        report.architectures = 1;
-        report.finish();
-        report
+        self.check_catalog(spec, &program_catalog(spec, &KernelLayout::for_spec(spec)))
     }
 
-    /// Analyze all architectures' programs — the CI entry point.
+    /// Analyze all architectures' programs — the CI entry point. The
+    /// per-architecture reports merge in [`Arch::all`] order; the sort is
+    /// stable, so the order matches one sort over the concatenation.
     #[must_use]
     pub fn analyze_all(&self) -> AnalysisReport {
-        let mut report = AnalysisReport::empty();
+        let mut all = AnalysisReport {
+            diagnostics: Vec::new(),
+            programs_checked: 0,
+            architectures: 0,
+        };
         for arch in Arch::all() {
-            self.extend_with_arch(arch, &mut report);
+            let report = self.analyze_spec(&arch.spec());
+            all.diagnostics.extend(report.diagnostics);
+            all.programs_checked += report.programs_checked;
+            all.architectures += report.architectures;
         }
-        report.architectures = Arch::all().len();
-        report.finish();
-        report
-    }
-
-    fn extend_with_arch(&self, arch: Arch, report: &mut AnalysisReport) {
-        let spec = arch.spec();
-        let layout = KernelLayout::for_spec(&spec);
-        for entry in program_catalog(&spec, &layout) {
-            report.diagnostics.extend(self.check_program(
-                &spec,
-                Some(entry.primitive),
-                &entry.program,
-            ));
-            report.programs_checked += 1;
-        }
+        all.finish();
+        all
     }
 }
 
@@ -128,14 +118,6 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
-    fn empty() -> AnalysisReport {
-        AnalysisReport {
-            diagnostics: Vec::new(),
-            programs_checked: 0,
-            architectures: 0,
-        }
-    }
-
     fn finish(&mut self) {
         self.diagnostics
             .sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));

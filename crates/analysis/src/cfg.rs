@@ -1,26 +1,14 @@
 //! Control-flow graphs for the abstract interpreter.
 //!
-//! Two program families flow into the same [`Cfg`] shape:
-//!
-//! * **Assembled [`IsaProgram`]s** have real control flow — `beq`/`bne`/
-//!   `blt` fall through or branch to a resolved instruction index, `j`/`jal`
-//!   transfer unconditionally, `jr` is indirect, `halt` exits. Basic blocks
-//!   are split at the classical leaders (entry, every static target, every
-//!   instruction after a transfer), so loops appear as back edges and the
-//!   fixpoint engine must iterate to convergence.
-//! * **Generated kernel [`Program`]s** are straight-line micro-op sequences
-//!   whose structure lives in their phase tags: blocks are the phase
-//!   segments, edges the fall-throughs between them. Their CFGs are chains,
-//!   which the engine solves exactly (no widening, no precision loss) — the
-//!   property the clean-catalog `proved` verdicts rest on.
-//!
-//! Indirect jumps (`jr`) have no static successor; the builder treats them
-//! as exits. That is conservative for reachability (OA208 never calls code
-//! reachable *only* through an indirect jump "unreachable" — `jr r31`
-//! return edges pair with the `jal` fall-through edge instead).
+//! Generated kernel [`Program`]s are straight-line micro-op sequences whose
+//! structure lives in their phase tags: blocks are the phase segments,
+//! edges the fall-throughs between them. Their CFGs are chains, which the
+//! engine solves exactly (no widening, no precision loss) — the property
+//! the clean-catalog `proved` verdicts rest on. [`Cfg::synthetic`] builds
+//! arbitrary graphs, loops included, for the tests that drive joins and
+//! widening.
 
 use osarch_cpu::Program;
-use osarch_isa::IsaProgram;
 
 /// One basic block: a half-open op-index range plus its CFG edges.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,8 +17,7 @@ pub struct Block {
     pub start: usize,
     /// One past the index of the last op in the block.
     pub end: usize,
-    /// Successor block indices, in deterministic (target, fall-through)
-    /// order.
+    /// Successor block indices, in the order the edges were built.
     pub succs: Vec<usize>,
     /// Predecessor block indices, ascending.
     pub preds: Vec<usize>,
@@ -120,94 +107,6 @@ impl Cfg {
         }
     }
 
-    /// Build the CFG of an assembled program from its real branch and jump
-    /// targets. Out-of-range targets (the OA102 lint) are dropped rather
-    /// than crashing the builder — the lint owns that complaint.
-    #[must_use]
-    pub fn from_isa(program: &IsaProgram, name: &str) -> Cfg {
-        let instrs = program.instrs();
-        if instrs.is_empty() {
-            return Cfg {
-                name: name.to_string(),
-                op_count: 0,
-                blocks: vec![Block {
-                    start: 0,
-                    end: 0,
-                    succs: Vec::new(),
-                    preds: Vec::new(),
-                }],
-            };
-        }
-        // Leaders: entry, every in-range static target, every instruction
-        // after a control transfer.
-        let mut leader = vec![false; instrs.len()];
-        leader[0] = true;
-        for (i, instr) in instrs.iter().enumerate() {
-            if let Some(target) = instr.target() {
-                if target < instrs.len() {
-                    leader[target] = true;
-                }
-            }
-            if instr.is_control_transfer() && i + 1 < instrs.len() {
-                leader[i + 1] = true;
-            }
-        }
-        let starts: Vec<usize> = (0..instrs.len()).filter(|&i| leader[i]).collect();
-        let block_index_of = |op: usize| -> Option<usize> {
-            if op >= instrs.len() {
-                return None;
-            }
-            match starts.binary_search(&op) {
-                Ok(i) => Some(i),
-                Err(i) => Some(i - 1),
-            }
-        };
-        let mut blocks: Vec<Block> = starts
-            .iter()
-            .enumerate()
-            .map(|(i, &start)| Block {
-                start,
-                end: starts.get(i + 1).copied().unwrap_or(instrs.len()),
-                succs: Vec::new(),
-                preds: Vec::new(),
-            })
-            .collect();
-        for block in &mut blocks {
-            let instr = &instrs[block.end - 1];
-            let mut succs: Vec<usize> = Vec::new();
-            if let Some(target) = instr.target() {
-                if let Some(index) = block_index_of(target) {
-                    succs.push(index);
-                }
-            }
-            if instr.falls_through() {
-                if let Some(index) = block_index_of(block.end) {
-                    if !succs.contains(&index) {
-                        succs.push(index);
-                    }
-                }
-            }
-            block.succs = succs;
-        }
-        let edges: Vec<(usize, usize)> = blocks
-            .iter()
-            .enumerate()
-            .flat_map(|(i, b)| b.succs.iter().map(move |&s| (i, s)))
-            .collect();
-        for (from, to) in edges {
-            blocks[to].preds.push(from);
-        }
-        for block in &mut blocks {
-            block.preds.sort_unstable();
-            block.preds.dedup();
-        }
-        Cfg {
-            name: name.to_string(),
-            op_count: instrs.len(),
-            blocks,
-        }
-    }
-
     /// A hand-built CFG for tests and synthetic loop programs: `ranges`
     /// are the block op ranges, `edges` the `(from, to)` pairs.
     ///
@@ -254,7 +153,6 @@ impl Cfg {
 mod tests {
     use super::*;
     use osarch_cpu::{MicroOp, Phase};
-    use osarch_isa::assemble;
 
     #[test]
     fn kernel_cfg_is_a_chain_of_phase_segments() {
@@ -272,37 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn isa_cfg_finds_the_loop_back_edge() {
-        let program = assemble(
-            "        li   r1, 3
-             loop:   addi r1, r1, -1
-                     bne  r1, r0, loop
-                     halt",
-        )
-        .expect("assembles");
-        let cfg = Cfg::from_isa(&program, "loop");
-        assert_eq!(cfg.blocks.len(), 3); // [li] [addi,bne] [halt]
-        assert!(cfg.has_back_edge());
-        // The branch block reaches both the loop head and the halt.
-        assert_eq!(cfg.blocks[1].succs, vec![1, 2]);
-    }
-
-    #[test]
-    fn isa_cfg_treats_jr_as_an_exit_and_skips_bad_targets() {
-        let program = assemble("jr r31\n nop\n halt").expect("assembles");
-        let cfg = Cfg::from_isa(&program, "jr");
-        assert!(cfg.blocks[0].succs.is_empty(), "jr has no static successor");
-        // The nop after the jr is a separate (unreached) block.
-        assert_eq!(cfg.blocks.len(), 2);
-        assert!(cfg.blocks[1].preds.is_empty());
-    }
-
-    #[test]
     fn empty_programs_still_have_an_entry_block() {
         let cfg = Cfg::from_kernel(&Program::builder("empty").build());
         assert_eq!(cfg.blocks.len(), 1);
         assert_eq!(cfg.op_count, 0);
-        let cfg = Cfg::from_isa(&assemble("; none").expect("assembles"), "empty");
-        assert_eq!(cfg.blocks.len(), 1);
     }
 }

@@ -13,7 +13,7 @@ use osarch_analysis::{
     absint_rule_table, default_rules, AbsintReport, AnalysisReport, Severity, Verdict,
 };
 use osarch_cpu::{Arch, ExecStats, Phase};
-use osarch_kernel::{Primitive, PrimitiveTrace};
+use osarch_kernel::{Primitive, PrimitiveMeasurement, PrimitiveTrace};
 use osarch_trace::json::{self, Value};
 use osarch_trace::{Category, CounterRegistry, Event, EventKind};
 use std::fmt::Write as _;
@@ -154,13 +154,7 @@ pub fn bench_json() -> String {
 /// shared [`crate::session`], so repeated requests never re-simulate.
 #[must_use]
 pub fn measure_json(arch: Arch, primitive: Primitive) -> String {
-    let m = session().measurement(arch);
-    format!(
-        "{{\"arch\":\"{}\",\"clock_mhz\":{},\"primitive\":{}}}",
-        json_escape(&arch.to_string()),
-        json_number(m.clock_mhz),
-        stats_json(snake_name(primitive), m.stats(primitive), m.clock_mhz)
-    )
+    primitive_json(&arch.to_string(), session().measurement(arch), primitive)
 }
 
 /// One (loaded spec, primitive) measurement as a JSON object — the
@@ -170,10 +164,19 @@ pub fn measure_json(arch: Arch, primitive: Primitive) -> String {
 /// shared session cache only prices the seven built-ins).
 #[must_use]
 pub fn measure_spec_json(name: &str, spec: &osarch_cpu::ArchSpec, primitive: Primitive) -> String {
-    let m = osarch_kernel::measure_with_spec(spec.clone());
+    primitive_json(
+        name,
+        &osarch_kernel::measure_with_spec(spec.clone()),
+        primitive,
+    )
+}
+
+/// The `measure` payload both renderers share: `label` in the `arch`
+/// field, then the clock and one primitive's statistics.
+fn primitive_json(label: &str, m: &PrimitiveMeasurement, primitive: Primitive) -> String {
     format!(
         "{{\"arch\":\"{}\",\"clock_mhz\":{},\"primitive\":{}}}",
-        json_escape(name),
+        json_escape(label),
         json_number(m.clock_mhz),
         stats_json(snake_name(primitive), m.stats(primitive), m.clock_mhz)
     )
@@ -823,9 +826,6 @@ pub fn absint_json(report: &AbsintReport) -> String {
         .artifacts()
         .iter()
         .map(|a| {
-            let arch = a
-                .arch
-                .map_or_else(|| "null".to_string(), |ar| format!("\"{ar}\""));
             let invariants: Vec<String> = a
                 .invariants
                 .iter()
@@ -843,10 +843,10 @@ pub fn absint_json(report: &AbsintReport) -> String {
                 })
                 .collect();
             format!(
-                "{{\"arch\":{},\"program\":\"{}\",\"invariants\":[{}],\
+                "{{\"arch\":\"{}\",\"program\":\"{}\",\"invariants\":[{}],\
                  \"iterations\":{},\"blocks\":{},\"edges\":{},\
                  \"domain_width\":{},\"widened\":{}}}",
-                arch,
+                a.arch,
                 json_escape(&a.program),
                 invariants.join(","),
                 a.iterations,

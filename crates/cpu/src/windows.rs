@@ -121,12 +121,6 @@ impl WindowEngine {
     pub fn fills(&self) -> u64 {
         self.fills
     }
-
-    /// Words moved per spill or fill.
-    #[must_use]
-    pub fn words_per_transfer(&self) -> u32 {
-        self.config.words_per_window
-    }
 }
 
 #[cfg(test)]

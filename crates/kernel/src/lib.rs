@@ -41,9 +41,9 @@ pub use handlers::{
 pub use layout::{KernelLayout, PCB_STRIDE};
 pub use machine::{Machine, USER2_ASID, USER_ASID};
 pub use measure::{
-    measure, measure_fresh, measure_with_spec, methodology_context_switch_us,
-    methodology_pte_time_us, methodology_trap_time_us, simulation_count, PrimitiveCosts,
-    PrimitiveMeasurement, PrimitiveTimes,
+    measure, measure_fresh, measure_with_spec, methodology_special_syscall_us,
+    methodology_trap_time_us, simulation_count, PrimitiveCosts, PrimitiveMeasurement,
+    PrimitiveTimes,
 };
 pub use process::{Process, ProcessId, Scheduler, Thread, ThreadId, ThreadState};
 pub use tracing::{trace_all, trace_primitive, PrimitiveTrace};

@@ -200,31 +200,19 @@ pub fn methodology_trap_time_us(arch: Arch) -> f64 {
 }
 
 /// Reproduce the paper's special-system-call methodology for the PTE
-/// change: "The time to change a page table entry (PTE) and to context
-/// switch was measured by writing special system calls, and then
-/// subtracting the system call time from the measured time."
+/// change and the context switch: "The time to change a page table entry
+/// (PTE) and to context switch was measured by writing special system
+/// calls, and then subtracting the system call time from the measured
+/// time." The special call is the null system call with `primitive`'s
+/// handler appended.
 #[must_use]
-pub fn methodology_pte_time_us(arch: Arch) -> f64 {
+pub fn methodology_special_syscall_us(arch: Arch, primitive: Primitive) -> f64 {
     let mut machine = Machine::new(arch);
     let spec = machine.spec().clone();
     let layout = *machine.layout();
     let handlers = HandlerSet::generate(&spec, &layout);
     let mut special = handlers.syscall.clone();
-    special.append(&handlers.pte_change);
-    let special_us = machine.measure(&special).micros(spec.clock_mhz);
-    let syscall_us = machine.measure(&handlers.syscall).micros(spec.clock_mhz);
-    (special_us - syscall_us).max(0.0)
-}
-
-/// The special-system-call methodology for the context switch.
-#[must_use]
-pub fn methodology_context_switch_us(arch: Arch) -> f64 {
-    let mut machine = Machine::new(arch);
-    let spec = machine.spec().clone();
-    let layout = *machine.layout();
-    let handlers = HandlerSet::generate(&spec, &layout);
-    let mut special = handlers.syscall.clone();
-    special.append(&handlers.context_switch);
+    special.append(handlers.program(primitive));
     let special_us = machine.measure(&special).micros(spec.clock_mhz);
     let syscall_us = machine.measure(&handlers.syscall).micros(spec.clock_mhz);
     (special_us - syscall_us).max(0.0)
@@ -352,8 +340,8 @@ mod tests {
         // bias the paper's measurements embed.
         for arch in [Arch::Cvax, Arch::R3000, Arch::Sparc] {
             let direct = measure(arch).times_us();
-            let pte = methodology_pte_time_us(arch);
-            let ctx = methodology_context_switch_us(arch);
+            let pte = methodology_special_syscall_us(arch, Primitive::PteChange);
+            let ctx = methodology_special_syscall_us(arch, Primitive::ContextSwitch);
             assert!(
                 (pte / direct.pte_change - 1.0).abs() < 0.5,
                 "{arch} pte: subtractive {pte:.2} vs direct {:.2}",

@@ -194,18 +194,6 @@ impl Scheduler {
         self.space_switches
     }
 
-    /// Number of threads created.
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Number of processes created.
-    #[must_use]
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
-    }
-
     /// Look up a thread.
     #[must_use]
     pub fn thread(&self, id: ThreadId) -> Option<&Thread> {

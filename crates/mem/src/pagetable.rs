@@ -496,28 +496,17 @@ impl PageTable for MultiLevelPageTable {
 #[derive(Debug, Clone, Default)]
 pub struct SoftwarePageTable {
     entries: BTreeMap<u32, Pte>,
-    /// Memory references charged per refill lookup.
-    lookup_refs: u32,
 }
 
 impl SoftwarePageTable {
-    /// An empty table charging two memory references per refill lookup (a
-    /// hash/probe plus the entry itself).
+    /// Memory references charged per refill lookup: a hash/probe plus the
+    /// entry itself.
+    const LOOKUP_REFS: u32 = 2;
+
+    /// An empty table.
     #[must_use]
     pub fn new() -> SoftwarePageTable {
-        SoftwarePageTable {
-            entries: BTreeMap::new(),
-            lookup_refs: 2,
-        }
-    }
-
-    /// An empty table with an explicit per-lookup memory-reference charge.
-    #[must_use]
-    pub fn with_lookup_refs(lookup_refs: u32) -> SoftwarePageTable {
-        SoftwarePageTable {
-            entries: BTreeMap::new(),
-            lookup_refs,
-        }
+        SoftwarePageTable::default()
     }
 }
 
@@ -545,7 +534,7 @@ impl PageTable for SoftwarePageTable {
     }
 
     fn walk_mem_refs(&self, _va: VirtAddr) -> u32 {
-        self.lookup_refs
+        Self::LOOKUP_REFS
     }
 
     fn mapped_pages(&self) -> usize {
@@ -723,6 +712,12 @@ mod tests {
         assert_eq!(table.mapped_pages(), 2);
         assert_eq!(table.walk_mem_refs(VirtAddr(0xf000_0000)), 2);
         assert_eq!(table.translate(VirtAddr(0xf000_0123)).unwrap().pfn, 2);
+        let default = SoftwarePageTable::default();
+        assert_eq!(
+            default.walk_mem_refs(VirtAddr(0x1000)),
+            2,
+            "as new() charges"
+        );
     }
 
     #[test]

@@ -421,12 +421,6 @@ impl MemorySystem {
         self.spaces.get(&asid)
     }
 
-    /// Number of existing address spaces (including the kernel's).
-    #[must_use]
-    pub fn space_count(&self) -> usize {
-        self.spaces.len()
-    }
-
     /// Map a fresh physical page at `va` in `asid` with protection `prot`.
     /// Returns the PTE installed, or `None` when the space doesn't exist.
     pub fn map_page(&mut self, asid: Asid, va: VirtAddr, prot: Protection) -> Option<Pte> {
@@ -773,11 +767,6 @@ impl MemorySystem {
     #[must_use]
     pub fn tlb(&self) -> Option<&Tlb> {
         self.tlb.as_ref()
-    }
-
-    /// Mutably borrow the TLB, if present.
-    pub fn tlb_mut(&mut self) -> Option<&mut Tlb> {
-        self.tlb.as_mut()
     }
 
     /// Borrow the cache, if present.

@@ -303,7 +303,7 @@ impl Query {
             Query::Lint { arch } => {
                 let analyzer = osarch_core::Analyzer::new();
                 let report = match arch {
-                    Some(arch) => analyzer.analyze_arch(*arch),
+                    Some(arch) => analyzer.analyze_spec(&arch.spec()),
                     None => analyzer.analyze_all(),
                 };
                 metrics::lint_json(&report).trim_end().to_string()
@@ -311,7 +311,7 @@ impl Query {
             Query::Analyze { arch } => {
                 let analyzer = osarch_core::AbsintAnalyzer::new();
                 let report = match arch {
-                    Some(arch) => analyzer.analyze_arch(*arch),
+                    Some(arch) => analyzer.analyze_spec(&arch.spec()),
                     None => analyzer.analyze_all(),
                 };
                 metrics::absint_json(&report).trim_end().to_string()

@@ -2294,11 +2294,12 @@ fn handle_admin(
     }
 }
 
-/// The activation pipeline: staged doc → parse → lint gate → absint
-/// proof gate → epoch commit → measurement probe under panic
-/// containment. A probe failure (including an injected `CorruptSpec`
-/// fault) rolls the registry back to last-good automatically; the reply
-/// reports which way it went.
+/// The activation pipeline: staged doc → parse → one program catalog →
+/// lint gate → absint proof gate (both over that catalog) → epoch commit
+/// → one `measure_with_spec` probe under panic containment. A probe
+/// failure (including an injected `CorruptSpec` fault) rolls the
+/// registry back to last-good automatically; the reply reports which way
+/// it went.
 fn activate_spec(shared: &Shared, loop_index: usize, name: &str) -> Result<String, String> {
     let registry = &shared.registry;
     let swap_started = Instant::now();
@@ -2307,9 +2308,12 @@ fn activate_spec(shared: &Shared, loop_index: usize, name: &str) -> Result<Strin
         .ok_or_else(|| format!("spec-activate: {name:?} is not staged (spec-load it first)"))?;
     let (_, spec) =
         osarch_cpu::ArchSpec::from_json(&doc).map_err(|e| format!("spec-activate: {e}"))?;
+    // Both gates read one catalog of the candidate's programs.
+    let catalog =
+        osarch_kernel::program_catalog(&spec, &osarch_kernel::KernelLayout::for_spec(&spec));
     // Gate 1: the lint rules that run over every builtin must pass for
     // the candidate too (warnings allowed, errors fatal).
-    let lint = osarch_core::Analyzer::new().analyze_spec(&spec);
+    let lint = osarch_core::Analyzer::new().check_catalog(&spec, &catalog);
     if !lint.passes(false) {
         return Err(format!(
             "spec-activate: {name:?} fails lint ({} diagnostics)",
@@ -2318,7 +2322,7 @@ fn activate_spec(shared: &Shared, loop_index: usize, name: &str) -> Result<Strin
     }
     // Gate 2: the abstract-interpretation verifier must produce a proof
     // artifact with zero refuted obligations.
-    let absint = osarch_core::AbsintAnalyzer::new().analyze_spec(&spec);
+    let absint = osarch_core::AbsintAnalyzer::new().check_catalog(&spec, &catalog);
     let (_, refuted, _) = absint.verdict_counts();
     if refuted > 0 {
         return Err(format!(
@@ -2335,9 +2339,9 @@ fn activate_spec(shared: &Shared, loop_index: usize, name: &str) -> Result<Strin
         format!("spec-activate: lost a concurrent activation race (active epoch {active}); retry")
     })?;
     shared.cache.retain_prefix(committed.key_prefix());
-    // Probe: measure every primitive of the candidate under panic
-    // containment. This is where a corrupt spec blows up — and where
-    // chaos pretends one did.
+    // Probe: measure the committed candidate's four primitives once,
+    // under panic containment. This is where a corrupt spec blows up —
+    // and where chaos pretends one did.
     let probe = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if shared.inject(loop_index, Failpoint::CorruptSpec) {
             panic!("chaos: injected spec corruption during the activation probe");
@@ -2345,9 +2349,7 @@ fn activate_spec(shared: &Shared, loop_index: usize, name: &str) -> Result<Strin
         let spec = committed
             .spec(name)
             .expect("the spec was committed under this name one line ago");
-        for primitive in osarch_kernel::Primitive::all() {
-            let _ = osarch_core::metrics::measure_spec_json(name, spec, primitive);
-        }
+        let _ = osarch_kernel::measure_with_spec(spec.clone());
     }));
     let swap_us = swap_started.elapsed().as_micros() as u64;
     registry.record_swap_latency(swap_us);

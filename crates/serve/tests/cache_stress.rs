@@ -153,7 +153,7 @@ fn analyze_queries_single_flight_with_byte_identical_replies() {
         assert!(was_cached);
         let analyzer = AbsintAnalyzer::new();
         let report = match query {
-            Query::Analyze { arch: Some(arch) } => analyzer.analyze_arch(*arch),
+            Query::Analyze { arch: Some(arch) } => analyzer.analyze_spec(&arch.spec()),
             Query::Analyze { arch: None } => analyzer.analyze_all(),
             other => unreachable!("{other:?}"),
         };

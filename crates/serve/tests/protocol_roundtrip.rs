@@ -146,7 +146,7 @@ fn cached_replies_are_byte_identical_to_direct_emitter_output() {
     // emitter output byte for byte, and repeats arrive from the cache
     // unchanged.
     let expected = {
-        let report = osarch_core::AbsintAnalyzer::new().analyze_arch(Arch::Sparc);
+        let report = osarch_core::AbsintAnalyzer::new().analyze_spec(&Arch::Sparc.spec());
         metrics::absint_json(&report).trim_end().to_string()
     };
     let request = "{\"op\":\"analyze\",\"arch\":\"sparc\",\"id\":3}";

@@ -10,12 +10,20 @@
 //! 3. a degraded (last-good) reply can only carry the value computed at
 //!    the *same* epoch: a fresh epoch with no history fails hard rather
 //!    than leaking the previous epoch's stale payload.
+//!
+//! And the activation gates in front of the cache: a spec that fails
+//! lint is refused over the wire with a one-line error, and the refusal
+//! changes neither the registry nor the cached built-ins.
 
+use osarch_core::metrics::json_escape;
 use osarch_cpu::Arch;
 use osarch_kernel::Primitive;
-use osarch_serve::{Query, ShardedCache, SpecSnapshot};
+use osarch_serve::{Query, Server, ServerConfig, ShardedCache, SpecSnapshot};
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Barrier;
+use std::time::Duration;
 
 /// The whole cacheable query space, indexed densely so proptest can
 /// draw from it with a plain integer strategy.
@@ -200,4 +208,93 @@ fn a_fresh_epoch_never_inherits_the_previous_epochs_last_good() {
         osarch_serve::Fetched::Failed(_) => {}
         other => panic!("the reaped epoch must recompute from scratch, got {other:?}"),
     }
+}
+
+/// A line-at-a-time client for the admin-plane test.
+struct Client {
+    reader: BufReader<TcpStream>,
+    stream: TcpStream,
+}
+
+impl Client {
+    const TOKEN: &'static str = "gate-token";
+
+    fn call(&mut self, line: &str) -> String {
+        writeln!(self.stream, "{line}").expect("send");
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("recv");
+        assert!(reply.ends_with('\n'), "{line}: torn reply {reply:?}");
+        reply.trim_end().to_string()
+    }
+
+    fn admin(&mut self, action: &str, rest: &str) -> String {
+        let token = Client::TOKEN;
+        self.call(&format!(
+            "{{\"op\":\"admin\",\"action\":\"{action}\",\"token\":\"{token}\"{rest}}}"
+        ))
+    }
+
+    /// The registry's epoch, digest, swap count and rollback count, as
+    /// `spec-list` reports them.
+    fn registry_state(&mut self) -> String {
+        let reply = self.admin("spec-list", "");
+        let action = "\"action\":\"spec-list\",";
+        let start = reply.find(action).expect("a spec-list reply") + action.len();
+        let end = reply.find(",\"active\":").expect("an active list");
+        reply[start..end].to_string()
+    }
+}
+
+#[test]
+fn a_spec_that_fails_lint_is_refused_and_changes_nothing() {
+    let server = Server::start(&ServerConfig {
+        admin_token: Some(Client::TOKEN.to_string()),
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut client = Client {
+        reader: BufReader::new(stream.try_clone().expect("clone")),
+        stream,
+    };
+    let before = client.registry_state();
+    assert!(before.starts_with("\"epoch\":1,"), "{before}");
+    let measure = "{\"op\":\"measure\",\"arch\":\"cvax\",\"primitive\":\"syscall\"}";
+    let warm = client.call(measure);
+    assert!(warm.contains("\"cached\":false,\"epoch\":1,"), "{warm}");
+
+    // CVAX with a branch delay slot breaks OA001 (and absint proves the
+    // spec); CVAX saving 33 trap registers breaks OA004 (and absint
+    // refutes OA204). Lint, the first gate, refuses both. No known spec
+    // passes lint and fails absint, so the second gate stays undriven.
+    for (name, field, diagnostics) in [
+        ("slotted-cvax", "\"has_delay_slots\":true", 5),
+        ("hoarding-cvax", "\"trap_saved_registers\":33", 2),
+    ] {
+        let doc = format!(
+            "{{\"schema\":\"osarch-spec/1\",\"name\":\"{name}\",\"base\":\"cvax\",{field}}}"
+        );
+        let staged = client.admin("spec-load", &format!(",\"spec\":\"{}\"", json_escape(&doc)));
+        assert!(staged.contains("\"ok\":true"), "{staged}");
+        let refused = client.admin("spec-activate", &format!(",\"name\":\"{name}\""));
+        let error = format!("spec-activate: \"{name}\" fails lint ({diagnostics} diagnostics)");
+        assert!(
+            refused.contains(&format!(
+                "\"ok\":false,\"error\":\"{}\"}}",
+                json_escape(&error)
+            )),
+            "{refused}"
+        );
+        assert_eq!(
+            client.registry_state(),
+            before,
+            "a refused activation moved the registry"
+        );
+        let hit = client.call(measure);
+        assert!(hit.contains("\"cached\":true,\"epoch\":1,"), "{hit}");
+    }
+    server.stop();
 }

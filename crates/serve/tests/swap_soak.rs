@@ -1,9 +1,18 @@
 //! The live spec hot-swap soaks at the configuration CI runs, on one
-//! node and on a ring: each holds every invariant, and a same-seed rerun
+//! node and on a ring: each holds every invariant, a same-seed rerun
 //! replays every seeded artifact — the rollback stream, the final
-//! registry digest, the victim and the transcript — exactly.
+//! registry digest, the victim and the transcript — exactly, and the
+//! transcript matches the seed-42 golden `osarch chaos --swap` writes.
+//! A change that moves a failpoint draw or a rollback moves a line of
+//! the golden; regenerate `tests/golden/swap_transcript.txt` with
+//! `osarch chaos --swap --seed 42 --swaps 12 --transcript-out PATH` and
+//! `tests/golden/swap_cluster_transcript.txt` with `osarch chaos --swap
+//! --cluster --seed 42 --transcript-out PATH` only when it is meant to.
 
 use osarch_serve::soak::{self, Scenario, SoakReport};
+
+const GOLDEN: &str = include_str!("../../../tests/golden/swap_transcript.txt");
+const GOLDEN_CLUSTER: &str = include_str!("../../../tests/golden/swap_cluster_transcript.txt");
 
 fn swap_soak(scenario: &Scenario) -> SoakReport {
     let report = soak::run(scenario).expect("swap soak starts");
@@ -13,6 +22,17 @@ fn swap_soak(scenario: &Scenario) -> SoakReport {
         report.violations
     );
     report
+}
+
+/// The transcript file `--transcript-out` writes for a passing soak.
+fn transcript_file(report: &SoakReport) -> String {
+    let mut file: String = report
+        .transcript
+        .iter()
+        .map(|line| format!("{line}\n"))
+        .collect();
+    file.push_str("PASS: all invariants held\n");
+    file
 }
 
 #[test]
@@ -31,6 +51,11 @@ fn swap_soak_forces_rollbacks_and_replays_from_its_seed() {
         .transcript
         .iter()
         .any(|line| line.contains("rolled back")));
+    assert_eq!(
+        transcript_file(&first),
+        GOLDEN,
+        "the seed-42 swap transcript moved"
+    );
 
     // Torn admin replies differ run to run; the transcript may not.
     let second = swap_soak(&scenario);
@@ -55,6 +80,11 @@ fn swap_cluster_soak_converges_every_node_and_replays_from_its_seed() {
         .transcript
         .iter()
         .any(|line| line.starts_with("kill: node")));
+    assert_eq!(
+        transcript_file(&first),
+        GOLDEN_CLUSTER,
+        "the seed-42 cluster swap transcript moved"
+    );
 
     let second = swap_soak(&scenario);
     assert_eq!(first.victim, second.victim, "the kill schedule must replay");

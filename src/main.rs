@@ -304,7 +304,7 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
     args.finish()?;
     let analyzer = Analyzer::new();
     let report = match arch {
-        Some(arch) => analyzer.analyze_arch(arch),
+        Some(arch) => analyzer.analyze_spec(&arch.spec()),
         None => analyzer.analyze_all(),
     };
     if json {
@@ -329,7 +329,7 @@ fn analyze(args: &[String]) -> Result<ExitCode, String> {
     args.finish()?;
     let analyzer = AbsintAnalyzer::new();
     let report = match arch {
-        Some(arch) => analyzer.analyze_arch(arch),
+        Some(arch) => analyzer.analyze_spec(&arch.spec()),
         None => analyzer.analyze_all(),
     };
     let doc = metrics::absint_json(&report);
