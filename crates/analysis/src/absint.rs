@@ -547,7 +547,7 @@ impl RulePass<'_> {
             diag: Diagnostic {
                 code,
                 severity,
-                arch: Some(self.spec.arch),
+                arch: self.spec.arch,
                 program: self.cfg.name.clone(),
                 op_index,
                 message,
@@ -835,7 +835,7 @@ fn unreachable_blocks(cfg: &Cfg, fix: &Fixpoint, arch: Arch, out: &mut Vec<Findi
             diag: Diagnostic {
                 code: "OA208",
                 severity: Severity::Warn,
-                arch: Some(arch),
+                arch,
                 program: cfg.name.clone(),
                 op_index: Some(block.start),
                 message: format!(

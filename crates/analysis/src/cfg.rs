@@ -51,6 +51,7 @@ impl Cfg {
     /// Whether the graph has a back edge (an edge to a block that starts
     /// at or before the source block) — the loop test that decides whether
     /// widening can ever be needed.
+    #[cfg(test)]
     #[must_use]
     pub fn has_back_edge(&self) -> bool {
         self.blocks
@@ -60,6 +61,7 @@ impl Cfg {
     }
 
     /// The block containing op index `op`, if any.
+    #[cfg(test)]
     #[must_use]
     pub fn block_of(&self, op: usize) -> Option<usize> {
         self.blocks.iter().position(|b| b.start <= op && op < b.end)

@@ -52,9 +52,8 @@ pub struct Diagnostic {
     pub code: &'static str,
     /// How bad it is.
     pub severity: Severity,
-    /// The architecture the program was generated for. `None` for
-    /// architecture-neutral programs (assembled [`osarch_isa::IsaProgram`]s).
-    pub arch: Option<Arch>,
+    /// The architecture the program was generated for.
+    pub arch: Arch,
     /// The name of the offending program.
     pub program: String,
     /// The index of the offending op or instruction, when the finding
@@ -71,7 +70,7 @@ impl Diagnostic {
     #[must_use]
     pub fn sort_key(&self) -> (usize, &str, &'static str, usize, &str) {
         (
-            self.arch.map_or(usize::MAX, Arch::index),
+            self.arch.index(),
             &self.program,
             self.code,
             self.op_index.unwrap_or(usize::MAX),
@@ -82,11 +81,13 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let arch = self.arch.map_or_else(|| "-".to_string(), |a| a.to_string());
         write!(
             f,
             "{} {:7} {:6} {}",
-            self.code, self.severity, arch, self.program
+            self.code,
+            self.severity,
+            self.arch.to_string(),
+            self.program
         )?;
         if let Some(index) = self.op_index {
             write!(f, " @{index}")?;
@@ -112,7 +113,7 @@ mod tests {
         let d = Diagnostic {
             code: "OA001",
             severity: Severity::Error,
-            arch: Some(Arch::Sparc),
+            arch: Arch::Sparc,
             program: "demo".to_string(),
             op_index: Some(7),
             message: "broken".to_string(),
@@ -122,12 +123,11 @@ mod tests {
         assert!(text.contains("SPARC"));
         assert!(text.contains("@7"));
         assert!(text.contains("broken"));
-        let neutral = Diagnostic {
-            arch: None,
+        let whole_program = Diagnostic {
             op_index: None,
             ..d
         };
-        assert!(neutral.to_string().contains(" - "));
+        assert!(!whole_program.to_string().contains('@'));
     }
 
     #[test]
@@ -140,9 +140,9 @@ mod tests {
             op_index: None,
             message: String::new(),
         };
-        let a = mk(Some(Arch::Cvax), "z", "OA002");
-        let b = mk(Some(Arch::Sparc), "a", "OA001");
-        let c = mk(None, "a", "OA001");
+        let a = mk(Arch::Cvax, "z", "OA002");
+        let b = mk(Arch::Sparc, "a", "OA001");
+        let c = mk(Arch::Sparc, "b", "OA001");
         assert!(a.sort_key() < b.sort_key());
         assert!(b.sort_key() < c.sort_key());
     }

@@ -155,18 +155,6 @@ impl Tri {
         }
     }
 
-    /// Whether the property is feasible on some path.
-    #[must_use]
-    pub fn possible(self) -> bool {
-        !matches!(self, Tri::No)
-    }
-
-    /// Whether the property holds on every path.
-    #[must_use]
-    pub fn certain(self) -> bool {
-        matches!(self, Tri::Yes)
-    }
-
     /// Short label for artifacts and messages.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -332,7 +320,6 @@ mod tests {
         assert_eq!(Tri::No.join(Tri::Yes), Tri::Maybe);
         assert_eq!(Tri::Yes.join(Tri::Yes), Tri::Yes);
         assert_eq!(Tri::Maybe.join(Tri::No), Tri::Maybe);
-        assert!(Tri::Maybe.possible() && !Tri::Maybe.certain());
     }
 
     #[test]

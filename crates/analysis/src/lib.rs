@@ -26,7 +26,6 @@
 //! | OA006 | control-register-legality | special-register runs fit the architecture |
 //! | OA007 | feature-legality | only instructions the architecture implements |
 //! | OA008 | redundant-maintenance | no unnecessary cache/TLB maintenance |
-//! | OA101–OA103 | isa-lint | assembled [`osarch_isa::IsaProgram`] structure |
 //!
 //! # Abstract interpretation
 //!
@@ -53,9 +52,9 @@
 //!
 //! On straight-line programs OA201–OA204 coincide exactly with
 //! OA002–OA004 (a property test enforces this); on branching or looping
-//! control flow they see paths the linear scan cannot. OA001, OA005–OA008,
-//! and the OA1xx ISA lints are syntactic or spec-level with no dataflow
-//! analog — both rule packs run side by side.
+//! control flow they see paths the linear scan cannot. OA001 and
+//! OA005–OA008 are syntactic or spec-level with no dataflow analog —
+//! both rule packs run side by side.
 //!
 //! # Example
 //!
@@ -72,7 +71,6 @@ pub mod absint;
 pub mod cfg;
 pub mod diagnostics;
 pub mod domain;
-pub mod isa_lint;
 pub mod rules;
 
 mod analyzer;
@@ -85,5 +83,4 @@ pub use analyzer::{AnalysisReport, Analyzer};
 pub use cfg::Cfg;
 pub use diagnostics::{Diagnostic, Severity};
 pub use domain::{AbsState, Interval, Tri};
-pub use isa_lint::{check_isa_program, check_isa_program_for};
 pub use rules::{default_rules, Rule, RuleContext};

@@ -39,7 +39,7 @@ impl RuleContext<'_> {
         Diagnostic {
             code,
             severity,
-            arch: Some(self.spec.arch),
+            arch: self.spec.arch,
             program: self.program.name().to_string(),
             op_index,
             message: message.into(),

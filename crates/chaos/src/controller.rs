@@ -14,7 +14,7 @@
 //! chaos soak asserts is identical across same-seed runs.
 
 use crate::failpoint::Failpoint;
-use crate::rng::mix64;
+use osarch_trace::SplitMix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -75,12 +75,14 @@ impl ChaosController {
         self.config
     }
 
-    /// The decision word for draw `index` at `fp`: a keyed hash, not a
-    /// marched stream, so concurrent draws share no mutable state.
+    /// The decision word for draw `index` at `fp`: a keyed hash (the
+    /// first draw of a SplitMix64 stream), not a marched stream, so
+    /// concurrent draws share no mutable state.
     fn word(&self, fp: Failpoint, index: u64) -> u64 {
+        let hash = |key| SplitMix64::new(key).next_u64();
         let lane =
-            mix64(self.config.seed ^ (fp.index() as u64 + 1).wrapping_mul(0xA5A5_A5A5_A5A5_A5A5));
-        mix64(lane ^ index)
+            hash(self.config.seed ^ (fp.index() as u64 + 1).wrapping_mul(0xA5A5_A5A5_A5A5_A5A5));
+        hash(lane ^ index)
     }
 
     /// Whether draw `index` at `fp` is a planned fault.
@@ -118,7 +120,7 @@ impl ChaosController {
         let span = hi.saturating_sub(lo).saturating_add(1);
         // Re-mix so the duration is independent of the injection decision
         // bits, but still a pure function of (seed, fp, index).
-        let jitter = ((u128::from(mix64(self.word(fp, index))) * u128::from(span)) >> 64) as u64;
+        let jitter = SplitMix64::new(self.word(fp, index)).range(span);
         Some(Duration::from_micros(lo + jitter))
     }
 

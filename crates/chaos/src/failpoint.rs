@@ -113,23 +113,6 @@ impl Failpoint {
             Failpoint::SwapLoopDeath => "swap/mid-swap-loop-death",
         }
     }
-
-    /// Whether this failpoint fires inside the server process (as opposed
-    /// to the driving client).
-    #[must_use]
-    pub fn is_server_side(self) -> bool {
-        matches!(
-            self,
-            Failpoint::AcceptDrop
-                | Failpoint::ComputePanic
-                | Failpoint::ComputeDelay
-                | Failpoint::WritePartial
-                | Failpoint::WriteStall
-                | Failpoint::WorkerDeath
-                | Failpoint::CorruptSpec
-                | Failpoint::SwapLoopDeath
-        )
-    }
 }
 
 impl fmt::Display for Failpoint {
@@ -150,20 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_distinct_and_sided() {
+    fn labels_are_distinct() {
         let mut labels: Vec<&str> = Failpoint::ALL.iter().map(|fp| fp.label()).collect();
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), Failpoint::COUNT);
-        let server_side = Failpoint::ALL
-            .iter()
-            .filter(|fp| fp.is_server_side())
-            .count();
-        assert_eq!(server_side, 8);
-        assert!(Failpoint::ComputePanic.is_server_side());
-        assert!(Failpoint::CorruptSpec.is_server_side());
-        assert!(Failpoint::SwapLoopDeath.is_server_side());
-        assert!(!Failpoint::ConnReset.is_server_side());
-        assert!(!Failpoint::NodeKill.is_server_side());
     }
 }

@@ -35,9 +35,7 @@
 pub mod controller;
 pub mod failpoint;
 pub mod quiet;
-pub mod rng;
 
 pub use controller::{ChaosConfig, ChaosController};
 pub use failpoint::Failpoint;
 pub use quiet::QuietChaosPanics;
-pub use rng::{mix64, ChaosRng};

@@ -8,6 +8,8 @@
 //! placement is a pure function of the node list — every node computes
 //! the same ring from the same seeds without coordination.
 
+use osarch_trace::{fnv1a, mix64, GAMMA};
+
 /// Default virtual nodes per physical node. 128 keeps every node's
 /// ownership within ±15% of fair share (property-tested) while the ring
 /// stays a few KiB.
@@ -21,26 +23,14 @@ pub const DEFAULT_VNODES: usize = 128;
 /// the tail down too. Changing it re-keys the whole ring.
 const RING_SALT: u64 = 0x159;
 
-/// SplitMix64 finalizer: diffuses FNV's weak low bits so vnode points
-/// spread uniformly over the circle.
-#[must_use]
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over the bytes, then mixed. This is the one hash both sides
-/// of the protocol must agree on: servers decide ownership with it and
-/// routing clients pick targets with it.
+/// FNV-1a over the bytes, then mixed with the SplitMix64 finalizer,
+/// which diffuses FNV's weak low bits so points spread uniformly over
+/// the circle. This is the one hash both sides of the protocol must
+/// agree on: servers decide ownership with it and routing clients pick
+/// targets with it.
 #[must_use]
 pub fn key_hash(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    mix64(h)
+    mix64(fnv1a(key.bytes()))
 }
 
 /// The consistent-hash ring over a fixed node list.
@@ -71,7 +61,7 @@ impl Ring {
             for vnode in 0..vnodes {
                 // Golden-ratio stride keeps per-node point sequences
                 // decorrelated even for addresses differing in one digit.
-                let point = mix64(base ^ (vnode as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let point = mix64(base ^ (vnode as u64).wrapping_mul(GAMMA));
                 points.push((point, index));
             }
         }

@@ -2,7 +2,7 @@
 //! Sections 2.5, 3.2 and 3.3, measured against the baseline machines.
 
 use crate::report::{fmt_f, Table};
-use osarch_cpu::{Arch, MicroOp, Program};
+use osarch_cpu::Arch;
 use osarch_kernel::{variant_baseline, variant_program, Machine, Variant};
 use osarch_mem::{
     MultiLevelPageTable, PageTable, Protection, Pte, Tlb, TlbConfig, TlbEntry, VirtAddr,
@@ -227,30 +227,30 @@ pub fn ablation_table() -> Table {
     table
 }
 
-/// A micro-check that the i860 PTE change collapses without the virtual
-/// cache sweep — the counterfactual behind Table 2's 559-instruction row.
-#[must_use]
-pub fn i860_pte_without_flush_instructions() -> (u64, u64) {
-    let mut machine = Machine::new(Arch::I860);
-    let spec = machine.spec().clone();
-    let layout = *machine.layout();
-    let baseline = machine
-        .measure(&osarch_kernel::pte_change(&spec, &layout))
-        .instructions;
-    // The same update without the sweep: just the table write and TLB op.
-    let mut b = Program::builder("i860-pte-no-flush");
-    b.load(layout.pte_area).load(layout.pte_area.offset(4));
-    b.alu(6);
-    b.store(layout.pte_area.offset(4));
-    b.op(MicroOp::TlbFlushPage(layout.user_page));
-    b.alu(12);
-    let variant = machine.measure(&b.build()).instructions;
-    (baseline, variant)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osarch_cpu::{MicroOp, Program};
+
+    /// A micro-check that the i860 PTE change collapses without the virtual
+    /// cache sweep — the counterfactual behind Table 2's 559-instruction row.
+    fn i860_pte_without_flush_instructions() -> (u64, u64) {
+        let mut machine = Machine::new(Arch::I860);
+        let spec = machine.spec().clone();
+        let layout = *machine.layout();
+        let baseline = machine
+            .measure(&osarch_kernel::pte_change(&spec, &layout))
+            .instructions;
+        // The same update without the sweep: just the table write and TLB op.
+        let mut b = Program::builder("i860-pte-no-flush");
+        b.load(layout.pte_area).load(layout.pte_area.offset(4));
+        b.alu(6);
+        b.store(layout.pte_area.offset(4));
+        b.op(MicroOp::TlbFlushPage(layout.user_page));
+        b.alu(12);
+        let variant = machine.measure(&b.build()).instructions;
+        (baseline, variant)
+    }
 
     #[test]
     fn every_proposed_improvement_actually_improves() {

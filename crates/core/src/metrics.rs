@@ -82,10 +82,6 @@ pub fn json_number(value: f64) -> String {
     format!("{value}")
 }
 
-fn json_f64(value: f64) -> String {
-    json_number(value)
-}
-
 fn snake_name(primitive: Primitive) -> &'static str {
     primitive.tag()
 }
@@ -112,7 +108,7 @@ fn stats_json(name: &str, stats: &ExecStats, clock_mhz: f64) -> String {
             "\"phases\":[{}]}}"
         ),
         name,
-        json_f64(stats.micros(clock_mhz)),
+        json_number(stats.micros(clock_mhz)),
         stats.instructions,
         stats.cycles,
         stats.wb_stall_cycles,
@@ -133,7 +129,7 @@ pub fn arch_json(arch: Arch) -> String {
     format!(
         "{{\"arch\":\"{}\",\"clock_mhz\":{},\"primitives\":[{}]}}",
         json_escape(&arch.to_string()),
-        json_f64(m.clock_mhz),
+        json_number(m.clock_mhz),
         primitives.join(",")
     )
 }
@@ -762,18 +758,15 @@ pub fn lint_json(report: &AnalysisReport) -> String {
         .diagnostics()
         .iter()
         .map(|d| {
-            let arch = d
-                .arch
-                .map_or_else(|| "null".to_string(), |a| format!("\"{a}\""));
             let op = d
                 .op_index
                 .map_or_else(|| "null".to_string(), |i| i.to_string());
             format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"arch\":{},\"program\":\"{}\",\
+                "{{\"code\":\"{}\",\"severity\":\"{}\",\"arch\":\"{}\",\"program\":\"{}\",\
                  \"op\":{},\"message\":\"{}\"}}",
                 json_escape(d.code),
                 d.severity.label(),
-                arch,
+                d.arch,
                 json_escape(&d.program),
                 op,
                 json_escape(&d.message)
@@ -862,18 +855,15 @@ pub fn absint_json(report: &AbsintReport) -> String {
         .iter()
         .map(|f| {
             let d = &f.diag;
-            let arch = d
-                .arch
-                .map_or_else(|| "null".to_string(), |a| format!("\"{a}\""));
             let op = d
                 .op_index
                 .map_or_else(|| "null".to_string(), |i| i.to_string());
             format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"arch\":{},\"program\":\"{}\",\
+                "{{\"code\":\"{}\",\"severity\":\"{}\",\"arch\":\"{}\",\"program\":\"{}\",\
                  \"op\":{},\"message\":\"{}\",\"witness\":{}}}",
                 json_escape(d.code),
                 d.severity.label(),
-                arch,
+                d.arch,
                 json_escape(&d.program),
                 op,
                 json_escape(&d.message),
@@ -1005,7 +995,7 @@ pub fn chrome_trace_json(trace: &PrimitiveTrace) -> String {
         TRACE_SCHEMA,
         json_escape(&trace.arch.to_string()),
         trace.primitive.tag(),
-        json_f64(trace.clock_mhz),
+        json_number(trace.clock_mhz),
         trace.stats.cycles,
         trace.stats.instructions,
     )
@@ -1082,7 +1072,9 @@ mod tests {
             requests: 1200,
             errors: 0,
             throughput_rps: 400.0,
-            latency: crate::stats::LatencySummary::from_unsorted(&[100, 200, 300]),
+            latency: crate::stats::LatencySummary::from_histogram(
+                &osarch_telemetry::Histogram::from_values(&[100, 200, 300]),
+            ),
             latency_hist: osarch_telemetry::Histogram::from_values(&[100, 200, 300]).sparse(),
             hits: 1172,
             misses: 28,
@@ -1288,7 +1280,9 @@ mod tests {
             throughput_rps: 1200.0,
             baseline_rps: 400.0,
             speedup: 3.0,
-            latency: crate::stats::LatencySummary::from_unsorted(&[100, 200, 300]),
+            latency: crate::stats::LatencySummary::from_histogram(
+                &osarch_telemetry::Histogram::from_values(&[100, 200, 300]),
+            ),
             per_node: vec![
                 ("127.0.0.1:4101".to_string(), 1180),
                 ("127.0.0.1:4102".to_string(), 1240),

@@ -1,43 +1,15 @@
-//! Latency-percentile helpers for the serving layer.
+//! Latency summaries for the serving layer.
 //!
 //! The paper's argument is about *fixed per-operation overheads*; the
 //! serving layer makes the same argument at request granularity, so its
 //! benchmark output reports the latency distribution, not just a mean.
 //!
-//! Two sources feed a [`LatencySummary`]:
-//!
-//! * **exhaustive samples** ([`LatencySummary::from_sorted`]) — exact
-//!   nearest-rank percentiles, but holding every sample gets expensive,
-//!   and a *capped* reservoir silently under-reports the tail once it
-//!   stops admitting samples (the high-volume bug this module's
-//!   `samples`/`sampled` fields now expose);
-//! * **mergeable log-linear histograms**
-//!   ([`LatencySummary::from_histogram`]) — every observation counted,
-//!   ≤ 1/16 relative quantization error, constant memory. The serve
-//!   stack and loadgen report through these; the reservoir survives
-//!   only as a cross-check in tests.
+//! A [`LatencySummary`] reads a mergeable log-linear [`Histogram`]:
+//! every observation counted, ≤ 1/16 relative quantization error,
+//! constant memory. The serve stack and loadgen both report through
+//! one.
 
 use osarch_telemetry::Histogram;
-
-/// Nearest-rank percentile of a **sorted** sample set.
-///
-/// `q` is in `[0, 100]`. An empty slice yields 0. The nearest-rank method
-/// always returns an observed sample (no interpolation), which keeps the
-/// output stable across platforms.
-///
-/// # Panics
-///
-/// Panics when `q` is outside `[0, 100]`.
-#[must_use]
-pub fn percentile(sorted: &[u64], q: f64) -> u64 {
-    assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
-    if sorted.is_empty() {
-        return 0;
-    }
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input not sorted");
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
 
 /// Summary of a latency distribution, in the sample unit (microseconds
 /// by convention).
@@ -45,11 +17,11 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
 pub struct LatencySummary {
     /// Observations the summary describes.
     pub count: u64,
-    /// Samples actually retained to compute it. Equal to `count` unless
-    /// the source was a capped reservoir that stopped admitting.
+    /// Samples the percentiles read. A histogram counts every
+    /// observation, so this equals `count`.
     pub samples: u64,
-    /// Whether the percentiles come from a subsample (`samples < count`)
-    /// — when true, tail percentiles may under-report.
+    /// Whether the percentiles come from a subsample (`samples < count`),
+    /// whose tail may under-report. Never true for a histogram.
     pub sampled: bool,
     /// Median (50th percentile).
     pub p50: u64,
@@ -66,48 +38,6 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarize an unsorted sample set (sorts a copy; the input order is
-    /// irrelevant). An empty set summarizes to all zeros.
-    #[must_use]
-    pub fn from_unsorted(samples: &[u64]) -> LatencySummary {
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        LatencySummary::from_sorted(&sorted)
-    }
-
-    /// Summarize an already-sorted sample set without copying. The set is
-    /// taken as exhaustive (`samples == count`, `sampled: false`); use
-    /// [`LatencySummary::from_reservoir`] when it was capped.
-    #[must_use]
-    pub fn from_sorted(sorted: &[u64]) -> LatencySummary {
-        LatencySummary::from_reservoir(sorted, sorted.len() as u64)
-    }
-
-    /// Summarize a capped reservoir: `sorted` holds the retained samples,
-    /// `observed` the true observation count. Marks the summary `sampled`
-    /// when the reservoir dropped observations, so consumers know the
-    /// tail may be under-reported.
-    #[must_use]
-    pub fn from_reservoir(sorted: &[u64], observed: u64) -> LatencySummary {
-        let samples = sorted.len() as u64;
-        let mean = if sorted.is_empty() {
-            0.0
-        } else {
-            sorted.iter().sum::<u64>() as f64 / samples as f64
-        };
-        LatencySummary {
-            count: observed.max(samples),
-            samples,
-            sampled: observed > samples,
-            p50: percentile(sorted, 50.0),
-            p90: percentile(sorted, 90.0),
-            p99: percentile(sorted, 99.0),
-            p999: percentile(sorted, 99.9),
-            max: sorted.last().copied().unwrap_or(0),
-            mean,
-        }
-    }
-
     /// Summarize a log-linear histogram: every observation is counted
     /// (never `sampled`); percentiles carry the bucket quantization
     /// (≤ 1/16 relative error), and `max` is exact.
@@ -132,78 +62,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_nearest_rank() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50);
-        assert_eq!(percentile(&sorted, 99.0), 99);
-        assert_eq!(percentile(&sorted, 100.0), 100);
-        assert_eq!(percentile(&sorted, 0.0), 1);
-        assert_eq!(percentile(&[7], 99.0), 7);
-        assert_eq!(percentile(&[], 50.0), 0);
-    }
-
-    #[test]
-    fn summary_matches_hand_computation() {
-        let s = LatencySummary::from_unsorted(&[5, 1, 3, 2, 4]);
-        assert_eq!(s.count, 5);
-        assert_eq!(s.samples, 5);
-        assert!(!s.sampled);
-        assert_eq!(s.p50, 3);
-        assert_eq!(s.p99, 5);
-        assert_eq!(s.p999, 5);
-        assert_eq!(s.max, 5);
-        assert!((s.mean - 3.0).abs() < 1e-12);
-        let empty = LatencySummary::from_unsorted(&[]);
-        assert_eq!((empty.count, empty.p50, empty.max), (0, 0, 0));
-        assert_eq!(empty.mean, 0.0);
-        assert!(!empty.sampled);
-    }
-
-    #[test]
-    fn capped_reservoirs_are_flagged_as_sampled() {
-        // A reservoir that stopped admitting at 4 of 10 observations: the
-        // summary must say so instead of silently reporting a clean tail.
-        let retained = [1u64, 2, 3, 4];
-        let s = LatencySummary::from_reservoir(&retained, 10);
-        assert_eq!(s.count, 10);
-        assert_eq!(s.samples, 4);
-        assert!(s.sampled);
-        assert_eq!(s.max, 4);
-    }
-
-    #[test]
     fn histogram_summary_counts_every_observation() {
-        // The reservoir cross-check the satellite asks for: fill well past
-        // a hypothetical cap; the histogram path sees every value while a
-        // capped reservoir's tail stops dead at the cap boundary.
-        const CAP: usize = 1000;
-        let values: Vec<u64> = (1..=4 * CAP as u64).collect();
-        let reservoir: Vec<u64> = values.iter().copied().take(CAP).collect();
-        let capped = LatencySummary::from_reservoir(&reservoir, values.len() as u64);
-        assert!(capped.sampled);
-        // The capped reservoir reports p999 ~ CAP; the real p999 is ~4x.
-        assert!(capped.p999 <= CAP as u64);
-
-        let hist = Histogram::from_values(&values);
-        let full = LatencySummary::from_histogram(&hist);
+        let values: Vec<u64> = (1..=4000).collect();
+        let full = LatencySummary::from_histogram(&Histogram::from_values(&values));
         assert!(!full.sampled);
-        assert_eq!(full.count, values.len() as u64);
-        assert_eq!(full.max, 4 * CAP as u64);
-        let exact = percentile(&values, 99.9);
+        assert_eq!((full.count, full.samples), (4000, 4000));
+        assert_eq!(full.max, 4000);
+        // The exact nearest-rank p999 of 1..=4000 is 3996; the bucket
+        // quantization may only round it up, by at most 1/16.
+        let exact = 3996;
         assert!(full.p999 >= exact, "{} < {exact}", full.p999);
         assert!(
-            (full.p999 - exact) as f64 <= exact as f64 / 16.0 + 1.0,
+            full.p999 - exact <= exact / 16 + 1,
             "{} vs {exact}",
             full.p999
         );
         // The histogram mean is exact (sum and count are exact).
-        let true_mean = values.iter().sum::<u64>() as f64 / values.len() as f64;
-        assert!((full.mean - true_mean).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile out of range")]
-    fn percentile_rejects_out_of_range() {
-        let _ = percentile(&[1], 101.0);
+        assert!((full.mean - 2000.5).abs() < 1e-9);
     }
 }

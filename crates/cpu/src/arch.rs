@@ -281,6 +281,7 @@ impl ArchSpec {
 
     /// Total words of processor state a thread context switch moves
     /// (Table 6: registers + FP state + miscellaneous state).
+    #[cfg(test)]
     #[must_use]
     pub fn thread_state_words(&self) -> u32 {
         self.int_registers + self.fp_state_words + self.misc_state_words

@@ -194,59 +194,15 @@ impl MicroOp {
         )
     }
 
-    /// Whether this op owns a delay slot when the architecture exposes its
-    /// pipeline (`ArchSpec::has_delay_slots`): exactly the control
-    /// transfers. On interlocked pipelines no op has a delay slot, whatever
-    /// this returns — the architecture gate belongs to the caller. The ISA
-    /// lint uses the same semantics for assembled code: a single trailing
-    /// instruction after a final unconditional jump is that jump's delay
-    /// slot, not code that falls off the end.
-    #[must_use]
-    pub fn has_delay_slot(&self) -> bool {
-        self.is_control_transfer()
-    }
-
     /// Whether this op writes memory through the normal store path (and so
     /// lands in a write buffer when the machine has one). Window spills and
-    /// atomic operations count; microcoded memory traffic is accounted
-    /// separately via [`MicroOp::microcoded_mem_refs`].
+    /// atomic operations count; microcoded memory traffic does not.
     #[must_use]
     pub fn writes_memory(&self) -> bool {
         matches!(
             self,
             MicroOp::Store(_) | MicroOp::SaveWindow(_) | MicroOp::AtomicTas(_)
         )
-    }
-
-    /// Whether this op reads memory (loads, window fills, atomics).
-    #[must_use]
-    pub fn reads_memory(&self) -> bool {
-        matches!(
-            self,
-            MicroOp::Load(_) | MicroOp::RestoreWindow(_) | MicroOp::AtomicTas(_)
-        )
-    }
-
-    /// Whether this op updates translation state (TLB writes and flushes,
-    /// wholesale address-space installs).
-    #[must_use]
-    pub fn is_tlb_maintenance(&self) -> bool {
-        matches!(
-            self,
-            MicroOp::TlbWriteEntry
-                | MicroOp::TlbFlushPage(_)
-                | MicroOp::TlbFlushAll
-                | MicroOp::SwitchAddressSpace(..)
-        )
-    }
-
-    /// Memory references a microcoded op performs, zero for everything else.
-    #[must_use]
-    pub fn microcoded_mem_refs(&self) -> u32 {
-        match self {
-            MicroOp::Microcoded { mem_refs, .. } => *mem_refs,
-            _ => 0,
-        }
     }
 
     /// Words this op moves to memory when saving state: one per store, a
@@ -328,11 +284,6 @@ impl Program {
     /// Iterate over the phase-tagged ops in execution order.
     pub fn iter(&self) -> std::slice::Iter<'_, (Phase, MicroOp)> {
         self.ops.iter()
-    }
-
-    /// Count the ops satisfying `predicate`.
-    pub fn count_ops(&self, predicate: impl Fn(&MicroOp) -> bool) -> usize {
-        self.ops.iter().filter(|(_, op)| predicate(op)).count()
     }
 
     /// The sequence of distinct phases, in first-use order with consecutive
@@ -643,15 +594,12 @@ mod tests {
         assert!(MicroOp::Store(VirtAddr(0)).writes_memory());
         assert!(MicroOp::SaveWindow(VirtAddr(0)).writes_memory());
         assert!(!MicroOp::Load(VirtAddr(0)).writes_memory());
-        assert!(MicroOp::RestoreWindow(VirtAddr(0)).reads_memory());
-        assert!(MicroOp::TlbFlushAll.is_tlb_maintenance());
-        assert!(MicroOp::SwitchAddressSpace(Asid(1), Asid(2)).is_tlb_maintenance());
         assert_eq!(
             MicroOp::Microcoded {
                 cycles: 9,
                 mem_refs: 4
             }
-            .microcoded_mem_refs(),
+            .save_words(16),
             4
         );
         assert_eq!(MicroOp::SaveWindow(VirtAddr(0)).save_words(16), 16);
@@ -679,7 +627,6 @@ mod tests {
                 Phase::EntryExit
             ]
         );
-        assert_eq!(program.count_ops(MicroOp::is_control_transfer), 1);
         assert_eq!(program.iter().count(), program.len());
         assert_eq!((&program).into_iter().count(), program.len());
     }

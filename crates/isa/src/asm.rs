@@ -87,40 +87,6 @@ pub enum Instr {
     Halt,
 }
 
-impl Instr {
-    /// The static control-transfer target, when the instruction has one
-    /// (branches, jumps and calls; `jr` is indirect and has none).
-    #[must_use]
-    pub fn target(&self) -> Option<usize> {
-        match self {
-            Instr::Branch { target, .. } | Instr::Jump { target } | Instr::Jal { target } => {
-                Some(*target)
-            }
-            _ => None,
-        }
-    }
-
-    /// Whether this instruction transfers control — the assembled-code
-    /// mirror of [`osarch_cpu::MicroOp::is_control_transfer`]: on a
-    /// delayed-branch architecture exactly these instructions own a delay
-    /// slot.
-    #[must_use]
-    pub fn is_control_transfer(&self) -> bool {
-        matches!(
-            self,
-            Instr::Branch { .. } | Instr::Jump { .. } | Instr::Jal { .. } | Instr::Jr { .. }
-        )
-    }
-
-    /// Whether execution can continue at the next instruction: everything
-    /// except unconditional transfers (`j`, `jr`) and `halt`. Conditional
-    /// branches fall through on the untaken arm; `jal` returns.
-    #[must_use]
-    pub fn falls_through(&self) -> bool {
-        !matches!(self, Instr::Jump { .. } | Instr::Jr { .. } | Instr::Halt)
-    }
-}
-
 /// Three-register ALU operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]

@@ -12,10 +12,8 @@ use crate::costs::EventCosts;
 use crate::simulate::DecompositionModel;
 use osarch_kernel::{Scheduler, ThreadId};
 use osarch_mem::Asid;
-use osarch_trace::{Category, Event, NullTracer, Tracer};
+use osarch_trace::{Category, Event, NullTracer, SplitMix64, Tracer, GAMMA};
 use osarch_workloads::Workload;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Trace pids for the three simulated processes.
 const APP_PID: u32 = 1;
@@ -70,6 +68,7 @@ pub struct EventSimResult {
 
 impl EventSimResult {
     /// System calls per service request.
+    #[cfg(test)]
     #[must_use]
     pub fn syscalls_per_request(&self) -> f64 {
         self.syscalls as f64 / self.requests as f64
@@ -200,7 +199,7 @@ fn run_events<T: Tracer>(
     clock: &mut MachClock<'_, T>,
 ) -> EventSimResult {
     let mut room = MachineRoom::new();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed ^ GAMMA);
     let mut syscalls = 0u64;
     // rpcs_per_service = 1 + P(nested cache-manager RPC).
     let nested_probability = (workload.rpcs_per_service - 1.0).clamp(0.0, 1.0);
@@ -214,7 +213,7 @@ fn run_events<T: Tracer>(
             APP_PID,
             UNIX_PID,
         );
-        if rng.gen_bool(nested_probability) {
+        if rng.chance(nested_probability) {
             // The Unix server's work requires the file cache manager. From
             // the application's point of view this nests: the app is
             // already blocked; the server becomes the client.

@@ -24,6 +24,7 @@ pub struct TraceReplay {
 
 impl TraceReplay {
     /// Relative disagreement between replay and aggregate model (0 = exact).
+    #[cfg(test)]
     #[must_use]
     pub fn disagreement(&self) -> f64 {
         (self.primitive_time_s - self.aggregate_prediction_s).abs() / self.aggregate_prediction_s

@@ -139,6 +139,7 @@ impl Pager {
     }
 
     /// Is the page resident?
+    #[cfg(test)]
     #[must_use]
     pub fn is_resident(&self, asid: Asid, va: VirtAddr) -> bool {
         self.index.contains_key(&(asid, va.vpn()))
@@ -219,6 +220,7 @@ impl Pager {
 
     /// Evict every page of one address space (process death). Returns the
     /// number of pages released.
+    #[cfg(test)]
     pub fn evict_space(&mut self, asid: Asid) -> usize {
         let mut released = 0;
         for slot in 0..self.frames.len() {

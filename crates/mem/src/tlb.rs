@@ -8,6 +8,7 @@
 
 use crate::addr::Asid;
 use crate::pagetable::Pte;
+use osarch_trace::GAMMA;
 
 /// Replacement policy for a full TLB set. Deterministic policies keep the
 /// simulation reproducible.
@@ -189,7 +190,7 @@ impl SlotIndex {
     }
 
     fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+        (key.wrapping_mul(GAMMA) >> self.shift) as usize
     }
 
     fn next(&self, cell: usize) -> usize {

@@ -855,14 +855,9 @@ proptest! {
             probe_every_key(&tlb, &oracle, span)?;
         }
         let span = 2 * entries as u32 + 3;
-        let mut state = seed;
+        let mut rng = osarch_trace::SplitMix64::new(seed);
         for step in 1..=3_000 {
-            // SplitMix64.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut word = state;
-            word = (word ^ (word >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            word = (word ^ (word >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            word ^= word >> 31;
+            let word = rng.next_u64();
             let kind = match word % 200 {
                 0..=119 => 24,
                 120..=139 => 0,

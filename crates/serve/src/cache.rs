@@ -26,6 +26,7 @@
 //! ballgame — and a transiently failing computation must not turn an
 //! amortized cost back into a per-request outage.
 
+use crate::lock;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
 use std::panic::AssertUnwindSafe;
@@ -116,6 +117,7 @@ impl ShardedCache {
     }
 
     /// Number of shards.
+    #[cfg(test)]
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -344,12 +346,6 @@ impl ShardedCache {
         }
         removed
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Mark a flight failed: remove the key (so later requests retry), then

@@ -26,8 +26,9 @@
 //! requests on the controller's schedule, exercising the server's
 //! framing and cleanup paths.
 
-use osarch_chaos::{ChaosController, ChaosRng, Failpoint};
+use osarch_chaos::{ChaosController, Failpoint};
 use osarch_core::json;
+use osarch_trace::{SplitMix64, GAMMA};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -246,7 +247,7 @@ pub struct ResilientClient {
     addr: String,
     config: ClientConfig,
     conn: Option<(BufReader<TcpStream>, TcpStream)>,
-    rng: ChaosRng,
+    rng: SplitMix64,
     breaker: Breaker,
     chaos: Option<Arc<ChaosController>>,
     /// Running tallies; read them with [`ResilientClient::counters`].
@@ -271,7 +272,8 @@ impl ResilientClient {
         let breaker = Breaker::new(config.breaker_threshold, config.breaker_cooldown);
         ResilientClient {
             addr: addr.to_string(),
-            rng: ChaosRng::new(config.seed),
+            // One step past the seed: the stream the soak transcripts replay.
+            rng: SplitMix64::new(config.seed.wrapping_add(GAMMA)),
             breaker,
             config,
             conn: None,
@@ -612,6 +614,7 @@ impl ClusterClient {
     }
 
     /// Where a key's owner lives, per this client's ring view.
+    #[cfg(test)]
     #[must_use]
     pub fn addr_for(&self, key: &str) -> Option<&str> {
         self.ring.owner(key)

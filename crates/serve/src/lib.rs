@@ -126,6 +126,16 @@ pub use protocol::{Frame, FrameBuf, Query, Request, MAX_REQUEST_BYTES};
 pub use registry::{SpecRegistry, SpecSnapshot};
 pub use server::{ClusterConfig, Server, ServerConfig, ServerHandle};
 
+/// Lock `mutex` even if a panic poisoned it. Every critical section in
+/// this crate is short and leaves its data coherent, so a panic
+/// elsewhere (a contained compute panic, an injected fault) must not
+/// stop the server from serving.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The `InvalidInput` error for a setting no run can use, naming the
 /// `osarch` flag that sets it: what [`Server::start`] and
 /// [`loadgen::run`] return before anything starts, and what their front

@@ -49,9 +49,7 @@ use osarch_core::stats::LatencySummary;
 use osarch_cpu::Arch;
 use osarch_kernel::Primitive;
 use osarch_telemetry::Histogram;
-use rand::distributions::{Distribution, WeightedIndex};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use osarch_trace::{SplitMix64, GAMMA};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -321,7 +319,7 @@ fn fan_out(
             .iter()
             .enumerate()
             .map(|(thread, target)| {
-                let seed = seed ^ (thread as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let seed = seed ^ (thread as u64 + 1).wrapping_mul(GAMMA);
                 let (dialed, clock) = (&dialed, &clock);
                 scope.spawn(move || {
                     let deadline = Instant::now() + DIAL_DEADLINE;
@@ -405,16 +403,20 @@ fn drive(
     // Harmonic (Zipf-like) weights by *global* rank, so the hot keys stay
     // hot whether a thread draws the full key space or one node's replica
     // slice: the hottest key draws ~25% of the traffic.
-    let weights = target
+    let cumulative: Vec<u64> = target
         .ranks
         .iter()
-        .map(|&rank| if skew { 720 / (rank as u64 + 1) } else { 1 });
+        .scan(0, |total, &rank| {
+            *total += if skew { 720 / (rank as u64 + 1) } else { 1 };
+            Some(*total)
+        })
+        .collect();
     // A ring node that replicates no key gets no traffic.
-    let Ok(dist) = WeightedIndex::new(weights) else {
+    if cumulative.last().is_none_or(|&total| total == 0) {
         return tally;
-    };
+    }
     let keys = key_space();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed ^ GAMMA);
     let mut line = String::new();
     let mut batch = String::new();
     let mut sent: Vec<(u64, Instant)> = Vec::with_capacity(target.conns);
@@ -441,7 +443,7 @@ fn drive(
             let first_id = conn.next_id + 1;
             for _ in 0..pipeline {
                 conn.next_id += 1;
-                let (arch, primitive) = keys[target.ranks[dist.sample(&mut rng)]];
+                let (arch, primitive) = keys[target.ranks[rng.pick(&cumulative)]];
                 batch.push_str(&format!(
                     "{{\"op\":\"measure\",\"arch\":\"{arch}\",\"primitive\":\"{}\",\"id\":{}}}\n",
                     primitive.tag(),

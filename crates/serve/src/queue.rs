@@ -10,6 +10,7 @@
 //! — bounded queues are the serving-layer version of the paper's point
 //! that unmanaged fixed overheads swamp a system under load.
 
+use crate::lock;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
@@ -43,10 +44,7 @@ impl<T> BoundedQueue<T> {
     /// Push without blocking. Returns the item back when the queue is
     /// full (backpressure) or closed, so the caller can reject it.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = lock(&self.inner);
         if inner.closed || inner.items.len() >= self.capacity {
             return Err(item);
         }
@@ -59,10 +57,7 @@ impl<T> BoundedQueue<T> {
     /// Pop the oldest item, blocking while the queue is empty. `None`
     /// means the queue closed and drained: the worker should exit.
     pub fn pop(&self) -> Option<T> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = lock(&self.inner);
         loop {
             if let Some(item) = inner.items.pop_front() {
                 return Some(item);
@@ -81,20 +76,13 @@ impl<T> BoundedQueue<T> {
     /// whether or not it is closed. Event loops drain their handoff
     /// with this after a waker nudge — they must never block here.
     pub fn try_pop(&self) -> Option<T> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .items
-            .pop_front()
+        lock(&self.inner).items.pop_front()
     }
 
     /// Close the queue: pending items still drain, new pushes fail, and
     /// every blocked `pop` wakes.
     pub fn close(&self) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = lock(&self.inner);
         inner.closed = true;
         drop(inner);
         self.ready.notify_all();
@@ -103,11 +91,7 @@ impl<T> BoundedQueue<T> {
     /// Items currently queued.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .items
-            .len()
+        lock(&self.inner).items.len()
     }
 
     /// Whether the queue is currently empty.

@@ -15,11 +15,13 @@
 //! not even when a cluster node adopts a remote snapshot whose epoch it
 //! has already used locally.
 
+use crate::lock;
 use osarch_core::json;
 use osarch_cpu::ArchSpec;
 use osarch_telemetry::Histogram;
+use osarch_trace::fnv1a;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// One loaded spec: its registry name, its canonical document, and the
 /// parsed form the kernel measures.
@@ -44,17 +46,15 @@ pub struct SpecSnapshot {
     key_prefix: String,
 }
 
-/// FNV-1a over the sorted canonical documents: equal content hashes
-/// equally on every node, independent of epoch and load order.
+/// FNV-1a over the sorted canonical documents, each ended by a NUL:
+/// equal content hashes equally on every node, independent of epoch and
+/// load order.
 fn content_hash(entries: &[SpecEntry]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for entry in entries {
-        for byte in entry.doc.bytes().chain([0]) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    fnv1a(
+        entries
+            .iter()
+            .flat_map(|entry| entry.doc.bytes().chain([0])),
+    )
 }
 
 impl SpecSnapshot {
@@ -205,6 +205,9 @@ pub fn parse_spec_fetch(payload: &json::Value<'_>) -> Result<(u64, Vec<String>),
 /// rollback restores, and the swap telemetry.
 #[derive(Debug)]
 pub struct SpecRegistry {
+    /// Held through one admin activation or explicit rollback
+    /// ([`SpecRegistry::try_admin`]).
+    admin: Mutex<()>,
     active: Mutex<Arc<SpecSnapshot>>,
     /// Validated-but-not-activated documents, by name.
     staged: Mutex<Vec<(String, String)>>,
@@ -231,6 +234,7 @@ impl SpecRegistry {
     pub fn new() -> SpecRegistry {
         let builtins = Arc::new(SpecSnapshot::builtins());
         SpecRegistry {
+            admin: Mutex::new(()),
             active: Mutex::new(Arc::clone(&builtins)),
             staged: Mutex::new(Vec::new()),
             last_good: Mutex::new(builtins),
@@ -241,11 +245,23 @@ impl SpecRegistry {
         }
     }
 
+    /// Claim the admin plane for one activation or explicit rollback,
+    /// so no two of them interleave. `None` while another holds it: the
+    /// caller answers "retry" rather than block its event loop.
+    #[must_use]
+    pub fn try_admin(&self) -> Option<MutexGuard<'_, ()>> {
+        match self.admin.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// The active snapshot. Cheap (one `Arc` clone under a short lock);
     /// callers keep the `Arc` for the lifetime of the work it covers.
     #[must_use]
     pub fn snapshot(&self) -> Arc<SpecSnapshot> {
-        Arc::clone(&lock_poisoned(&self.active))
+        Arc::clone(&lock(&self.active))
     }
 
     /// Stage a validated document. Returns the spec name.
@@ -256,7 +272,7 @@ impl SpecRegistry {
     pub fn stage(&self, doc: &str) -> Result<String, String> {
         let (name, spec) = ArchSpec::from_json(doc)?;
         let canonical = spec.to_json(&name);
-        let mut staged = lock_poisoned(&self.staged);
+        let mut staged = lock(&self.staged);
         staged.retain(|(n, _)| *n != name);
         staged.push((name.clone(), canonical));
         staged.sort_by(|a, b| a.0.cmp(&b.0));
@@ -266,16 +282,13 @@ impl SpecRegistry {
     /// Names currently staged, sorted.
     #[must_use]
     pub fn staged_names(&self) -> Vec<String> {
-        lock_poisoned(&self.staged)
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect()
+        lock(&self.staged).iter().map(|(n, _)| n.clone()).collect()
     }
 
     /// The staged canonical document for `name`, if any.
     #[must_use]
     pub fn staged_doc(&self, name: &str) -> Option<String> {
-        lock_poisoned(&self.staged)
+        lock(&self.staged)
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, doc)| doc.clone())
@@ -290,31 +303,52 @@ impl SpecRegistry {
     ///
     /// Returns the already-active epoch on a lost race.
     pub fn commit(&self, next: SpecSnapshot) -> Result<Arc<SpecSnapshot>, u64> {
-        let mut active = lock_poisoned(&self.active);
+        let mut active = lock(&self.active);
         if next.epoch() <= active.epoch() {
             return Err(active.epoch());
         }
         let next = Arc::new(next);
-        *lock_poisoned(&self.last_good) = Arc::clone(&active);
+        *lock(&self.last_good) = Arc::clone(&active);
         *active = Arc::clone(&next);
         self.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(next)
     }
 
     /// Roll back to the last-good content at a fresh epoch (the
-    /// `fault_crate_swap` analogue). Also drops the failed spec from
-    /// staging if `failed` names it, so it cannot be re-activated
-    /// verbatim by mistake.
-    pub fn rollback(&self, failed: Option<&str>) -> Arc<SpecSnapshot> {
-        let mut active = lock_poisoned(&self.active);
-        let good = Arc::clone(&lock_poisoned(&self.last_good));
+    /// `fault_crate_swap` analogue): the explicit `spec-rollback`.
+    pub fn rollback(&self) -> Arc<SpecSnapshot> {
+        let mut active = lock(&self.active);
+        self.restore_last_good(&mut active)
+    }
+
+    /// Undo a candidate whose probe failed: unstage `name`, so it cannot
+    /// be re-activated verbatim by mistake, and roll back as
+    /// [`SpecRegistry::rollback`] does, but only while the candidate's
+    /// `epoch` is still active. A snapshot committed or adopted on top of
+    /// it stays, and comes back as the error.
+    ///
+    /// # Errors
+    ///
+    /// Returns the active snapshot when it is no longer the candidate.
+    pub fn rollback_failed(
+        &self,
+        name: &str,
+        epoch: u64,
+    ) -> Result<Arc<SpecSnapshot>, Arc<SpecSnapshot>> {
+        lock(&self.staged).retain(|(n, _)| n != name);
+        let mut active = lock(&self.active);
+        if active.epoch() != epoch {
+            return Err(Arc::clone(&active));
+        }
+        Ok(self.restore_last_good(&mut active))
+    }
+
+    fn restore_last_good(&self, active: &mut Arc<SpecSnapshot>) -> Arc<SpecSnapshot> {
+        let good = Arc::clone(&lock(&self.last_good));
         let restored = Arc::new(good.at_epoch(active.epoch() + 1));
         *active = Arc::clone(&restored);
         self.swaps.fetch_add(1, Ordering::Relaxed);
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
-        if let Some(name) = failed {
-            lock_poisoned(&self.staged).retain(|(n, _)| n != name);
-        }
         restored
     }
 
@@ -323,12 +357,12 @@ impl SpecRegistry {
     /// so converged nodes share one digest. Last-good moves with it —
     /// an adopted spec set has already survived the admin node's probe.
     pub fn adopt(&self, remote: SpecSnapshot) -> bool {
-        let mut active = lock_poisoned(&self.active);
+        let mut active = lock(&self.active);
         if remote.epoch() <= active.epoch() {
             return false;
         }
         let remote = Arc::new(remote);
-        *lock_poisoned(&self.last_good) = Arc::clone(&remote);
+        *lock(&self.last_good) = Arc::clone(&remote);
         *active = remote;
         self.swaps.fetch_add(1, Ordering::Relaxed);
         true
@@ -348,23 +382,13 @@ impl SpecRegistry {
 
     /// Record one committed swap's end-to-end latency (commit + probe).
     pub fn record_swap_latency(&self, us: u64) {
-        lock_poisoned(&self.swap_latency).record(us);
+        lock(&self.swap_latency).record(us);
     }
 
     /// The swap-latency histogram, cloned for exposition.
     #[must_use]
     pub fn swap_latency(&self) -> Histogram {
-        lock_poisoned(&self.swap_latency).clone()
-    }
-}
-
-/// Registry state stays consistent under panics elsewhere: every mutation
-/// is a short critical section over already-built values, so a poisoned
-/// lock's data is still coherent — keep serving.
-fn lock_poisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
+        lock(&self.swap_latency).clone()
     }
 }
 
@@ -447,12 +471,53 @@ mod tests {
         assert_eq!(registry.commit(candidate).err(), Some(2));
 
         // Rollback restores last-good content at a strictly newer epoch.
-        let restored = registry.rollback(Some("hot"));
+        let restored = registry.rollback_failed("hot", 2).unwrap();
         assert_eq!(restored.epoch(), 3);
         assert!(restored.spec("hot").is_none(), "builtin content restored");
         assert_eq!(registry.rollbacks(), 1);
         assert_eq!(registry.swaps(), 2);
         assert!(registry.staged_names().is_empty(), "failed spec unstaged");
+    }
+
+    #[test]
+    fn a_failed_probe_never_rolls_back_a_newer_snapshot() {
+        // `hot` commits at epoch 2, a second activation commits `next` on
+        // top of it at epoch 3, and only then does `hot`'s probe fail.
+        // That commit made `hot` the last-good snapshot, so restoring
+        // last-good would reinstall the failed spec alone and drop `next`.
+        let registry = SpecRegistry::new();
+        registry.stage(&doc("hot", 25.0)).unwrap();
+        let base = registry.snapshot();
+        let hot = registry
+            .commit(base.with_spec(&doc("hot", 25.0), 2).unwrap())
+            .unwrap();
+        let next = registry
+            .commit(hot.with_spec(&doc("next", 30.0), 3).unwrap())
+            .unwrap();
+        let active = registry.rollback_failed("hot", hot.epoch()).unwrap_err();
+        assert_eq!(active.digest(), next.digest());
+        assert_eq!(registry.snapshot().digest(), next.digest());
+        assert!(registry.snapshot().spec("next").is_some());
+        assert_eq!((registry.rollbacks(), registry.swaps()), (0, 2));
+        assert!(registry.staged_names().is_empty(), "failed spec unstaged");
+
+        // A snapshot gossip adopts mid-probe stays as well.
+        let remote = SpecSnapshot::builtins()
+            .with_spec(&doc("remote", 40.0), 5)
+            .unwrap();
+        assert!(registry.adopt(remote.clone()));
+        let active = registry.rollback_failed("next", next.epoch()).unwrap_err();
+        assert_eq!(active.digest(), remote.digest());
+        assert_eq!(registry.rollbacks(), 0);
+    }
+
+    #[test]
+    fn admin_actions_take_turns() {
+        let registry = SpecRegistry::new();
+        let first = registry.try_admin().expect("the admin plane starts free");
+        assert!(registry.try_admin().is_none(), "a second claim must retry");
+        drop(first);
+        assert!(registry.try_admin().is_some());
     }
 
     #[test]

@@ -76,10 +76,10 @@
 //! [`osarch_core::names`] and maps `InvalidInput` to exit 2.
 
 use crate::cache::{Fetched, ShardedCache};
-use crate::invalid;
 use crate::protocol::{self, AdminAction, Frame, FrameBuf, Query};
 use crate::queue::BoundedQueue;
 use crate::registry::{parse_spec_fetch, SpecRegistry, SpecSnapshot};
+use crate::{invalid, lock};
 use osarch_chaos::{ChaosController, Failpoint};
 use osarch_cluster::{Membership, Ring};
 use osarch_core::json::{self, Value};
@@ -650,12 +650,6 @@ impl Shared {
         }
         snap
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The server factory. See [`Server::start`].
@@ -2256,8 +2250,11 @@ fn handle_admin(
         }
         AdminAction::SpecActivate => activate_spec(shared, loop_index, name.unwrap_or_default()),
         AdminAction::SpecRollback => {
+            let Some(_admin) = registry.try_admin() else {
+                return Err(admin_busy("spec-rollback"));
+            };
             let swap_started = Instant::now();
-            let restored = registry.rollback(None);
+            let restored = registry.rollback();
             shared.cache.retain_prefix(restored.key_prefix());
             registry.record_swap_latency(swap_started.elapsed().as_micros() as u64);
             Ok(format!(
@@ -2294,14 +2291,25 @@ fn handle_admin(
     }
 }
 
+/// The one-line refusal of an admin action while another activation or
+/// rollback holds the registry.
+fn admin_busy(action: &str) -> String {
+    format!("{action}: another activation or rollback is in progress; retry")
+}
+
 /// The activation pipeline: staged doc → parse → one program catalog →
 /// lint gate → absint proof gate (both over that catalog) → epoch commit
 /// → one `measure_with_spec` probe under panic containment. A probe
 /// failure (including an injected `CorruptSpec` fault) rolls the
-/// registry back to last-good automatically; the reply reports which way
-/// it went.
+/// registry back to last-good automatically, unless a snapshot adopted
+/// from a peer has replaced the candidate meanwhile; the reply reports
+/// which way it went. The whole pipeline holds the registry's admin
+/// claim, so no other activation or rollback interleaves with it.
 fn activate_spec(shared: &Shared, loop_index: usize, name: &str) -> Result<String, String> {
     let registry = &shared.registry;
+    let Some(_admin) = registry.try_admin() else {
+        return Err(admin_busy("spec-activate"));
+    };
     let swap_started = Instant::now();
     let doc = registry
         .staged_doc(name)
@@ -2376,16 +2384,24 @@ fn activate_spec(shared: &Shared, loop_index: usize, name: &str) -> Result<Strin
             // The candidate died mid-probe: automatic rollback to the
             // last-good content at a fresh epoch, candidate unstaged.
             shared.hub.tally(loop_index, Tally::ProbePanic);
-            let restored = registry.rollback(Some(name));
-            shared.cache.retain_prefix(restored.key_prefix());
+            let (rolled_back, active) = match registry.rollback_failed(name, committed.epoch()) {
+                Ok(restored) => {
+                    shared.cache.retain_prefix(restored.key_prefix());
+                    (true, restored)
+                }
+                // A snapshot adopted on top of the candidate stays
+                // active; adopting it already pruned the cache.
+                Err(active) => (false, active),
+            };
             Ok(format!(
                 concat!(
                     "{{\"action\":\"spec-activate\",\"name\":\"{}\",\"activated\":false,",
-                    "\"rolled_back\":true,\"epoch\":{},\"digest\":\"{}\",\"swap_us\":{}}}"
+                    "\"rolled_back\":{},\"epoch\":{},\"digest\":\"{}\",\"swap_us\":{}}}"
                 ),
                 osarch_core::metrics::json_escape(name),
-                restored.epoch(),
-                restored.digest(),
+                rolled_back,
+                active.epoch(),
+                active.digest(),
                 swap_us
             ))
         }

@@ -58,11 +58,12 @@ use crate::loadgen::key_space;
 use crate::protocol::{exchange_line, Query};
 use crate::registry::SpecSnapshot;
 use crate::server::{reserve_loopback_addrs, ClusterConfig, Server, ServerConfig, ServerHandle};
-use osarch_chaos::{ChaosConfig, ChaosController, ChaosRng, Failpoint};
+use osarch_chaos::{ChaosConfig, ChaosController, Failpoint};
 use osarch_core::json::{self, Value};
 use osarch_core::metrics::validate_metrics_snapshot;
 use osarch_core::names::{Args, Synopsis};
 use osarch_telemetry::TelemetryHub;
+use osarch_trace::{SplitMix64, GAMMA};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -423,8 +424,9 @@ pub fn run(scenario: &Scenario) -> std::io::Result<SoakReport> {
     // the fault schedule salts its draws. A scenario that swaps never
     // kills node 0, which drives the admin plane.
     let spare = usize::from(s.swaps() && s.nodes > 1);
-    let salt = (Failpoint::NodeKill.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    report.victim = spare + ChaosRng::new(s.seed ^ salt).range((s.nodes - spare) as u64) as usize;
+    let salt = (Failpoint::NodeKill.index() as u64).wrapping_mul(GAMMA);
+    let mut rng = SplitMix64::new((s.seed ^ salt).wrapping_add(GAMMA));
+    report.victim = spare + rng.range((s.nodes - spare) as u64) as usize;
 
     report.converged_before_kill = s.nodes == 1 || wait_until(SETTLE, || settled(&nodes.handles));
     if !report.converged_before_kill {
@@ -449,7 +451,7 @@ pub fn run(scenario: &Scenario) -> std::io::Result<SoakReport> {
     let (tx, rx) = mpsc::channel();
     let mut threads = Vec::new();
     for conn in 0..s.conns {
-        let seed = s.seed ^ (u64::from(conn) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let seed = s.seed ^ (u64::from(conn) + 1).wrapping_mul(GAMMA);
         let mut client = ClusterClient::new(&nodes.addrs, s.replicas, &s.client_config(seed));
         if !s.zero_drops {
             if let Some(chaos) = &nodes.chaos {

@@ -7,16 +7,14 @@
 //! still pass them. The values below were printed once and must not
 //! change: a mismatch here means some replayable output moved.
 
-use osarch_chaos::{ChaosConfig, ChaosController, ChaosRng, Failpoint};
+use osarch_chaos::{ChaosConfig, ChaosController, Failpoint};
 use osarch_cluster::{key_hash, Ring};
 use osarch_core::mach::simulate_events;
 use osarch_core::workloads::{find_workload, ServiceEvent, TraceGenerator};
 use osarch_core::Arch;
 use osarch_serve::SpecSnapshot;
 use osarch_telemetry::{mix64, TraceIdGen};
-use rand::distributions::{Distribution, WeightedIndex};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use osarch_trace::{SplitMix64, GAMMA};
 use std::time::Duration;
 
 fn bits(mut draw: impl FnMut() -> bool, n: usize) -> String {
@@ -31,8 +29,9 @@ fn first3(mut next: impl FnMut() -> u64) -> String {
 
 #[test]
 fn generator_streams_start_where_they_always_did() {
-    let std = |seed| {
-        let mut rng = StdRng::seed_from_u64(seed);
+    // The workload, Mach event and loadgen streams start at `seed ^ GAMMA`.
+    let std = |seed: u64| {
+        let mut rng = SplitMix64::new(seed ^ GAMMA);
         first3(|| rng.next_u64())
     };
     assert_eq!(std(1), "e99ff867dbf682c9 382ff84cb27281e9 6d1db36ccba982d2");
@@ -40,8 +39,9 @@ fn generator_streams_start_where_they_always_did() {
         std(0xC0FFEE),
         "2b8a1965fe6061f0 53c9d2dce0e6e709 91bd6c0416adacb1"
     );
-    let chaos = |seed| {
-        let mut rng = ChaosRng::new(seed);
+    // The client backoff and soak victim streams start at `seed + GAMMA`.
+    let chaos = |seed: u64| {
+        let mut rng = SplitMix64::new(seed.wrapping_add(GAMMA));
         first3(|| rng.next_u64())
     };
     assert_eq!(
@@ -52,7 +52,7 @@ fn generator_streams_start_where_they_always_did() {
         chaos(0xC0FFEE),
         "ece45babce870479 87be93a4a16a73cb 5a71c08957a50d44"
     );
-    let mut rng = ChaosRng::new(7);
+    let mut rng = SplitMix64::new(7u64.wrapping_add(GAMMA));
     let draws: Vec<u64> = (0..8).map(|_| rng.range(1000)).collect();
     assert_eq!(draws, [16, 900, 582, 452, 249, 467, 328, 134]);
     let ids = |seed, stream| {
@@ -71,15 +71,15 @@ fn generator_streams_start_where_they_always_did() {
 
 #[test]
 fn weighted_and_bernoulli_draws_replay() {
-    let dist = WeightedIndex::new([3u64, 0, 5, 1]).unwrap();
-    let mut rng = StdRng::seed_from_u64(9);
+    // Weights 3, 0, 5, 1.
+    let mut rng = SplitMix64::new(9 ^ GAMMA);
     let picks: String = (0..24)
-        .map(|_| char::from(b'0' + dist.sample(&mut rng) as u8))
+        .map(|_| char::from(b'0' + rng.pick(&[3, 3, 8, 9]) as u8))
         .collect();
     assert_eq!(picks, "202222232022202030220202");
-    let mut rng = StdRng::seed_from_u64(11);
+    let mut rng = SplitMix64::new(11 ^ GAMMA);
     assert_eq!(
-        bits(|| rng.gen_bool(0.3), 32),
+        bits(|| rng.chance(0.3), 32),
         "01011001001010001000100000100011"
     );
     // The same draws, as the workload and Mach event simulators make them.

@@ -44,7 +44,9 @@ pub mod trace;
 pub mod window;
 
 pub use hist::{bucket_lower, bucket_upper, Histogram, BUCKETS, MAX_EXP, SUB_BITS};
-pub use trace::{mix64, PendingTrace, SpanChain, SpanRec, TraceIdGen};
+// The benchmark's seeded workload generator reads the finalizer here.
+pub use osarch_trace::mix64;
+pub use trace::{PendingTrace, SpanChain, SpanRec, TraceIdGen};
 pub use window::{WindowedMetrics, RETENTION_S};
 
 use std::collections::VecDeque;

@@ -7,11 +7,12 @@
 //! timestamps are microseconds since the server started (the caller's
 //! monotonic clock); nothing here reads a clock.
 
-/// Seeded deterministic 64-bit id generator (SplitMix64).
+use osarch_trace::{mix64, SplitMix64, GAMMA};
+
+/// Seeded deterministic 64-bit id generator: one SplitMix64 stream per
+/// loop shard.
 #[derive(Debug, Clone)]
-pub struct TraceIdGen {
-    state: u64,
-}
+pub struct TraceIdGen(SplitMix64);
 
 impl TraceIdGen {
     /// A generator seeded for one loop shard: `seed` is the telemetry
@@ -19,30 +20,19 @@ impl TraceIdGen {
     /// stream).
     #[must_use]
     pub fn new(seed: u64, stream: u64) -> TraceIdGen {
-        TraceIdGen {
-            state: seed ^ mix64(stream.wrapping_add(0x9e37_79b9_7f4a_7c15)),
-        }
+        TraceIdGen(SplitMix64::new(seed ^ mix64(stream.wrapping_add(GAMMA))))
     }
 
     /// The next id in the stream. Never returns zero (zero is reserved
     /// as "untraced").
     pub fn next_id(&mut self) -> u64 {
         loop {
-            self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let id = mix64(self.state);
+            let id = self.0.next_u64();
             if id != 0 {
                 return id;
             }
         }
     }
-}
-
-/// The SplitMix64 finalizer: a bijective avalanche mix.
-#[must_use]
-pub fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// One recorded stage of a request's journey through the serve stack.

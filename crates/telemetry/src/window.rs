@@ -147,6 +147,7 @@ impl WindowedMetrics {
     }
 
     /// Number of closed windows currently retained (test hook).
+    #[cfg(test)]
     #[must_use]
     pub fn retained_windows(&self) -> usize {
         self.retained.len()

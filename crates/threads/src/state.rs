@@ -24,6 +24,7 @@ impl ThreadStateRow {
     }
 
     /// Total words for an integer-only thread.
+    #[cfg(test)]
     #[must_use]
     pub fn integer_total(&self) -> u32 {
         self.registers + self.misc_state

@@ -44,6 +44,7 @@ impl LockStrategy {
     }
 
     /// The cheapest strategy available on `arch`.
+    #[cfg(test)]
     #[must_use]
     pub fn best(arch: Arch) -> LockStrategy {
         *Self::available(arch)

@@ -7,9 +7,7 @@
 //! the demand.
 
 use crate::demand::ServiceDemand;
-use rand::distributions::{Distribution, WeightedIndex};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use osarch_trace::{SplitMix64, GAMMA};
 
 /// One operating-system-visible event in an application's execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,8 +55,9 @@ impl ServiceEvent {
 /// ```
 #[derive(Debug)]
 pub struct TraceGenerator {
-    rng: StdRng,
-    dist: WeightedIndex<u64>,
+    rng: SplitMix64,
+    /// Running totals of the event weights, in [`ServiceEvent::all`] order.
+    cumulative: [u64; 6],
 }
 
 impl TraceGenerator {
@@ -78,16 +77,21 @@ impl TraceGenerator {
             demand.kernel_tlb_misses,
             demand.other_exceptions,
         ];
-        let dist = WeightedIndex::new(weights).expect("demand must contain events");
+        let mut total = 0;
+        let cumulative = weights.map(|weight| {
+            total += weight;
+            total
+        });
+        assert!(total > 0, "demand must contain events");
         TraceGenerator {
-            rng: StdRng::seed_from_u64(seed),
-            dist,
+            rng: SplitMix64::new(seed ^ GAMMA),
+            cumulative,
         }
     }
 
     /// Draw one event.
     pub fn next_event(&mut self) -> ServiceEvent {
-        ServiceEvent::all()[self.dist.sample(&mut self.rng)]
+        ServiceEvent::all()[self.rng.pick(&self.cumulative)]
     }
 
     /// Count the event mix of the next `n` events (consuming them).

@@ -183,7 +183,17 @@ fn cluster_bench_validator_finds_keys_at_their_paths() {
         throughput_rps: 1200.0,
         baseline_rps: 400.0,
         speedup: 3.0,
-        latency: LatencySummary::from_unsorted(&[100, 200, 300]),
+        latency: LatencySummary {
+            count: 3,
+            samples: 3,
+            sampled: false,
+            p50: 200,
+            p90: 300,
+            p99: 300,
+            p999: 300,
+            max: 300,
+            mean: 200.0,
+        },
         per_node: vec![
             ("127.0.0.1:4101".to_string(), 1180),
             ("127.0.0.1:4102".to_string(), 2420),
