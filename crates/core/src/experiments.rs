@@ -3,7 +3,7 @@
 
 use crate::paper;
 use crate::report::{fmt_f, fmt_pct, Table};
-use crate::session::{parallel_ordered, shared as session, Task};
+use crate::session::shared as session;
 use osarch_cpu::{Arch, MicroOp, Program};
 use osarch_ipc::{
     cpu_scaling_forecast, lrpc_breakdown, lrpc_component, message_rpc_us, rpc_component,
@@ -494,19 +494,94 @@ pub fn vm_overloading() -> Table {
 /// versus the number of communicating address spaces.
 #[must_use]
 pub fn tlb_effectiveness() -> Table {
-    // Six independent reference streams, each through its own fresh TLB:
-    // Clark & Emer's, then the kernelized sweep's, in row order.
-    let mut experiments: Vec<Task<'_, Vec<[String; 3]>>> = vec![Box::new(clark_emer_rows)];
-    for spaces in [2u16, 4, 6, 8, 16] {
-        experiments.push(Box::new(move || vec![kernelized_row(spaces)]));
-    }
     let mut table = Table::new("TLB effectiveness (Section 3.2)");
     table.headers(["Experiment", "Config", "Result"]);
-    for row in parallel_ordered(experiments).into_iter().flatten() {
-        table.row(row);
+    let [user, system] = clark_emer_counts();
+    let system_ref_share = system.refs as f64 / (user.refs + system.refs) as f64;
+    let system_miss_share = system.misses as f64 / (user.misses + system.misses) as f64;
+    table.row([
+        "Clark & Emer reference share".to_string(),
+        "VAX-like, 64-entry TLB".to_string(),
+        format!("system = {} of references", fmt_pct(system_ref_share)),
+    ]);
+    table.row([
+        "Clark & Emer miss share".to_string(),
+        "paper: >2/3 of misses".to_string(),
+        format!("system = {} of misses", fmt_pct(system_miss_share)),
+    ]);
+    for spaces in KERNELIZED_SPACES {
+        let run = kernelized_counts(spaces);
+        table.row([
+            "kernelized TLB pressure".to_string(),
+            format!("{spaces} address spaces x 12 pages"),
+            format!("miss rate {}", fmt_pct(run.misses as f64 / run.refs as f64)),
+        ]);
     }
     table.note("past ~5 communicating spaces the 64-entry TLB no longer holds the union");
     table
+}
+
+/// References and misses of one class of a stream.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tally {
+    refs: u64,
+    misses: u64,
+}
+
+/// One reference of a stream: its page, its context and the class it is
+/// counted in.
+type Reference = (u32, u16, usize);
+
+/// Send `len` references through `tlb`, refilling each miss as a
+/// software-refilled TLB does, and count references and misses per class.
+/// Reference `step` is `stream(step % period)`, so the stream repeats
+/// every `period` steps by construction.
+///
+/// The counts are those of simulating every step, but only the steps up to
+/// the first repeat and a tail are simulated. The TLB is deterministic, so
+/// its contents at a period boundary fix everything after it. A clone is
+/// kept at each boundary; once the TLB holds what it held at an earlier
+/// boundary ([`Tlb::same_contents`]), the stretch between the two recurs
+/// whole until the end, so its counts are added once for each whole
+/// recurrence left, and only the remainder, which starts at phase 0 from
+/// the same contents, is simulated.
+fn run_periodic<const CLASSES: usize>(
+    mut tlb: Tlb,
+    len: u32,
+    period: u32,
+    stream: impl Fn(u32) -> Reference,
+) -> [Tally; CLASSES] {
+    let mut counts = [Tally::default(); CLASSES];
+    let simulate = |tlb: &mut Tlb, counts: &mut [Tally; CLASSES], steps| {
+        for step in steps {
+            let (vpn, asid, class) = stream(step % period);
+            counts[class].refs += 1;
+            counts[class].misses += u64::from(touch(tlb, vpn, asid));
+        }
+    };
+    let mut boundaries: Vec<(Tlb, [Tally; CLASSES])> = Vec::new();
+    let mut step = 0;
+    while step < len {
+        if let Some(first) = boundaries
+            .iter()
+            .position(|(then, _)| then.same_contents(&tlb))
+        {
+            let cycle = (boundaries.len() - first) as u32 * period;
+            let repeats = (len - step) / cycle;
+            for (now, then) in counts.iter_mut().zip(boundaries[first].1) {
+                now.refs += u64::from(repeats) * (now.refs - then.refs);
+                now.misses += u64::from(repeats) * (now.misses - then.misses);
+            }
+            step += repeats * cycle;
+            break;
+        }
+        boundaries.push((tlb.clone(), counts));
+        let end = len.min(step + period);
+        simulate(&mut tlb, &mut counts, step..end);
+        step = end;
+    }
+    simulate(&mut tlb, &mut counts, step..len);
+    counts
 }
 
 /// Look `vpn` up in context `asid`, refilling the entry on a miss as a
@@ -524,64 +599,69 @@ fn touch(tlb: &mut Tlb, vpn: u32, asid: u16) -> bool {
     missed
 }
 
-/// Clark & Emer: share of references vs share of misses.
-fn clark_emer_rows() -> Vec<[String; 3]> {
-    let mut tlb = Tlb::new(TlbConfig::tagged(64));
-    let (mut user_misses, mut system_misses) = (0u64, 0u64);
-    let (mut user_refs, mut system_refs) = (0u64, 0u64);
-    for step in 0..200_000u32 {
-        if step % 5 == 0 {
-            // System reference: a sparse, wide working set (buffers, PCBs,
-            // page tables of whichever process is running).
-            system_refs += 1;
-            let vpn = 0x80_000 + (step * 7919) % 300;
-            system_misses += u64::from(touch(&mut tlb, vpn, 0));
-        } else {
-            // User reference: tight locality within the current process.
-            user_refs += 1;
-            let process = (step / 4000) % 4; // occasional context switch
-            let vpn = process * 0x1000 + (step * 31) % 16;
-            user_misses += u64::from(touch(&mut tlb, vpn, process as u16 + 1));
-        }
+/// Clark & Emer's stream repeats every 48,000 steps: the least common
+/// multiple of the system share (5), the system working set (300), the
+/// context-switch cycle (4 × 4,000) and the user working set (16).
+const CLARK_EMER_PERIOD: u32 = 48_000;
+
+/// Clark & Emer's references, a little over four periods.
+const CLARK_EMER_LEN: u32 = 200_000;
+
+/// Clark & Emer's classes, in [`clark_emer_counts`] order.
+const USER: usize = 0;
+const SYSTEM: usize = 1;
+
+/// One reference of Clark & Emer's stream, at `phase` of its period.
+fn clark_emer_reference(phase: u32) -> Reference {
+    if phase.is_multiple_of(5) {
+        // System reference: a sparse, wide working set (buffers, PCBs,
+        // page tables of whichever process is running).
+        (0x80_000 + (phase * 7919) % 300, 0, SYSTEM)
+    } else {
+        // User reference: tight locality within the current process.
+        let process = (phase / 4000) % 4; // occasional context switch
+        let vpn = process * 0x1000 + (phase * 31) % 16;
+        (vpn, process as u16 + 1, USER)
     }
-    let total_misses = user_misses + system_misses;
-    let system_ref_share = system_refs as f64 / (user_refs + system_refs) as f64;
-    let system_miss_share = system_misses as f64 / total_misses as f64;
-    vec![
-        [
-            "Clark & Emer reference share".to_string(),
-            "VAX-like, 64-entry TLB".to_string(),
-            format!("system = {} of references", fmt_pct(system_ref_share)),
-        ],
-        [
-            "Clark & Emer miss share".to_string(),
-            "paper: >2/3 of misses".to_string(),
-            format!("system = {} of misses", fmt_pct(system_miss_share)),
-        ],
-    ]
 }
 
-/// Kernelized structure: miss rate with `spaces` address spaces.
-fn kernelized_row(spaces: u16) -> [String; 3] {
-    let mut tlb = Tlb::new(TlbConfig::tagged(64));
-    let mut misses = 0u64;
-    let mut refs = 0u64;
-    // Round-robin RPC among `spaces` servers; each visit touches its
-    // 12-page working set three times (dispatch, work, reply).
-    for round in 0..2_000u32 {
-        let space = (round % u32::from(spaces)) as u16;
-        for _pass in 0..3 {
-            for page in 0..12u32 {
-                refs += 1;
-                misses += u64::from(touch(&mut tlb, u32::from(space) * 0x100 + page, space));
-            }
-        }
-    }
-    [
-        "kernelized TLB pressure".to_string(),
-        format!("{spaces} address spaces x 12 pages"),
-        format!("miss rate {}", fmt_pct(misses as f64 / refs as f64)),
-    ]
+/// Clark & Emer: user and system references and misses through a
+/// 64-entry tagged TLB.
+fn clark_emer_counts() -> [Tally; 2] {
+    run_periodic(
+        Tlb::new(TlbConfig::tagged(64)),
+        CLARK_EMER_LEN,
+        CLARK_EMER_PERIOD,
+        clark_emer_reference,
+    )
+}
+
+/// The kernelized sweep's numbers of communicating address spaces.
+const KERNELIZED_SPACES: [u16; 5] = [2, 4, 6, 8, 16];
+
+/// The kernelized sweep's references: 2,000 rounds of 36.
+const KERNELIZED_LEN: u32 = 2_000 * 36;
+
+/// One reference of the kernelized sweep, at `phase` of its period: RPC
+/// among the servers, round-robin, each visit touching its 12-page
+/// working set three times (dispatch, work, reply). With `spaces` servers
+/// the stream repeats every 36 × `spaces` steps, and the phase names the
+/// server it is visiting.
+fn kernelized_reference(phase: u32) -> Reference {
+    let space = phase / 36;
+    (space * 0x100 + phase % 12, space as u16, 0)
+}
+
+/// Kernelized structure: references and misses with `spaces` address
+/// spaces.
+fn kernelized_counts(spaces: u16) -> Tally {
+    let [tally] = run_periodic(
+        Tlb::new(TlbConfig::tagged(64)),
+        KERNELIZED_LEN,
+        36 * u32::from(spaces),
+        kernelized_reference,
+    );
+    tally
 }
 
 /// Kernel threads vs user threads vs scheduler activations (Section 4).
@@ -697,6 +777,9 @@ pub fn decomposition_depth() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osarch_mem::Replacement;
+    use osarch_trace::SplitMix64;
+    use std::cell::Cell;
 
     #[test]
     fn table1_has_four_primitive_rows_plus_summary() {
@@ -802,12 +885,168 @@ mod tests {
         assert!(d.primitive_share() > s.primitive_share() * 1.5);
     }
 
+    /// Every step of `len`, simulated in order: the oracle for
+    /// [`run_periodic`].
+    fn every_step<const CLASSES: usize>(
+        mut tlb: Tlb,
+        len: u32,
+        period: u32,
+        stream: impl Fn(u32) -> Reference,
+    ) -> [Tally; CLASSES] {
+        let mut counts = [Tally::default(); CLASSES];
+        for step in 0..len {
+            let (vpn, asid, class) = stream(step % period);
+            counts[class].refs += 1;
+            counts[class].misses += u64::from(touch(&mut tlb, vpn, asid));
+        }
+        counts
+    }
+
+    /// Clark & Emer's stream as a plain loop over its steps: user, system.
+    fn clark_emer_every_step() -> [Tally; 2] {
+        let mut tlb = Tlb::new(TlbConfig::tagged(64));
+        let mut counts = [Tally::default(); 2];
+        for step in 0..200_000u32 {
+            let (vpn, asid, class) = if step.is_multiple_of(5) {
+                (0x80_000 + (step * 7919) % 300, 0, SYSTEM)
+            } else {
+                let process = (step / 4000) % 4;
+                let vpn = process * 0x1000 + (step * 31) % 16;
+                (vpn, process as u16 + 1, USER)
+            };
+            counts[class].refs += 1;
+            counts[class].misses += u64::from(touch(&mut tlb, vpn, asid));
+        }
+        counts
+    }
+
+    /// The kernelized sweep as a plain loop over its rounds.
+    fn kernelized_every_step(spaces: u16) -> Tally {
+        let mut tlb = Tlb::new(TlbConfig::tagged(64));
+        let mut tally = Tally::default();
+        for round in 0..2_000u32 {
+            let space = (round % u32::from(spaces)) as u16;
+            for _pass in 0..3 {
+                for page in 0..12u32 {
+                    tally.refs += 1;
+                    tally.misses +=
+                        u64::from(touch(&mut tlb, u32::from(space) * 0x100 + page, space));
+                }
+            }
+        }
+        tally
+    }
+
     #[test]
-    fn clark_emer_shape_reproduces() {
-        // System references are a small share of references but most misses.
-        let text = tlb_effectiveness().render();
-        assert!(text.contains("of references"));
-        assert!(text.contains("of misses"));
+    fn tlb_counts_equal_the_plain_loops_and_the_paper_shape() {
+        let tally = |refs, misses| Tally { refs, misses };
+        let clark_emer = clark_emer_counts();
+        assert_eq!(clark_emer, clark_emer_every_step());
+        assert_eq!(clark_emer, [tally(160_000, 12_800), tally(40_000, 40_000)]);
+        // Section 3.2: the system makes one fifth of the references but
+        // more than two thirds of the misses.
+        let [user, system] = clark_emer;
+        assert_eq!(5 * system.refs, user.refs + system.refs);
+        assert!(3 * system.misses > 2 * (user.misses + system.misses));
+        for (spaces, misses) in KERNELIZED_SPACES
+            .into_iter()
+            .zip([24, 48, 24_000, 24_000, 24_000])
+        {
+            let kernelized = kernelized_counts(spaces);
+            assert_eq!(kernelized, kernelized_every_step(spaces));
+            assert_eq!(kernelized, tally(72_000, misses));
+        }
+    }
+
+    /// How many references `run_periodic` simulates for a stream.
+    fn simulated<const CLASSES: usize>(len: u32, period: u32, stream: fn(u32) -> Reference) -> u32 {
+        let calls = Cell::new(0);
+        run_periodic::<CLASSES>(Tlb::new(TlbConfig::tagged(64)), len, period, |phase| {
+            calls.set(calls.get() + 1);
+            stream(phase)
+        });
+        calls.get()
+    }
+
+    #[test]
+    fn tlb_streams_are_simulated_only_until_they_repeat() {
+        // Clark & Emer's TLB at step 96,000 holds what it held at 48,000:
+        // two periods, then 2 whole cycles skipped and an 8,000-step tail.
+        assert_eq!(
+            simulated::<2>(CLARK_EMER_LEN, CLARK_EMER_PERIOD, clark_emer_reference),
+            104_000
+        );
+        let kernelized: Vec<u32> = KERNELIZED_SPACES
+            .into_iter()
+            .map(|spaces| {
+                simulated::<1>(KERNELIZED_LEN, 36 * u32::from(spaces), kernelized_reference)
+            })
+            .collect();
+        assert_eq!(kernelized, [144, 288, 2_880, 1_152, 1_152]);
+    }
+
+    #[test]
+    fn run_periodic_counts_what_every_step_counts_on_random_streams() {
+        let mut rng = SplitMix64::new(0x7157_ab1e);
+        let (mut fitting, mut overflowing) = (0, 0);
+        for case in 0..4_000 {
+            let entries = [2usize, 3, 4, 8, 64][rng.range(5) as usize];
+            let replacement = if rng.chance(0.25) {
+                Replacement::PseudoRandom
+            } else {
+                Replacement::Fifo
+            };
+            let config = TlbConfig {
+                replacement,
+                ..TlbConfig::tagged(entries)
+            };
+            // Page-and-context sets that fit the TLB, and sets that
+            // overflow it by up to twice its size.
+            let contexts = 1 + rng.range(3) as u32;
+            let keys = if rng.chance(0.5) {
+                1 + rng.range(entries as u64)
+            } else {
+                entries as u64 + 1 + rng.range(2 * entries as u64)
+            } as u32;
+            let pages = keys.div_ceil(contexts);
+            let period = 1 + rng.range(48) as u32;
+            let stream: Vec<Reference> = (0..period)
+                .map(|_| {
+                    (
+                        rng.range(u64::from(pages)) as u32,
+                        rng.range(u64::from(contexts)) as u16,
+                        rng.range(2) as usize,
+                    )
+                })
+                .collect();
+            // Mostly not a whole number of periods.
+            let len = period * rng.range(40) as u32 + rng.range(u64::from(period)) as u32;
+            let calls = Cell::new(0);
+            let driven = run_periodic::<2>(Tlb::new(config), len, period, |phase| {
+                calls.set(calls.get() + 1);
+                stream[phase as usize]
+            });
+            let plain = every_step::<2>(Tlb::new(config), len, period, |phase| {
+                stream[phase as usize]
+            });
+            assert_eq!(
+                driven, plain,
+                "case {case}: {config:?}, {pages} pages x {contexts} contexts, \
+                 period {period}, {len} steps"
+            );
+            if calls.get() < len {
+                if pages * contexts <= entries as u32 {
+                    fitting += 1;
+                } else {
+                    overflowing += 1;
+                }
+            }
+        }
+        // Both kinds of set reach the fast-forward often.
+        assert!(
+            fitting >= 1_000 && overflowing >= 1_000,
+            "{fitting} and {overflowing} cases skipped steps"
+        );
     }
 
     #[test]

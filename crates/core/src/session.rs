@@ -16,9 +16,9 @@
 //! Both run on one engine, [`parallel_ordered`]: one worker per available
 //! core (the calling thread among them), each pulling the next task
 //! index from a shared counter, each result landing in its task's slot.
-//! A task may call the engine again (the `tlb` and `ablations` tables
-//! split their own work this way); the nested call's caller works too, so
-//! it completes however busy the outer workers are.
+//! A task may call the engine again (the `ablations` table splits its own
+//! work this way); the nested call's caller works too, so it completes
+//! however busy the outer workers are.
 
 use crate::report::Table;
 use osarch_cpu::Arch;

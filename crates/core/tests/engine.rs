@@ -63,9 +63,9 @@ fn nested_calls_complete() {
     }
 }
 
-/// The `tlb` and `ablations` builders split their own work through the
-/// engine; run inside the table engine, twice each, they render exactly
-/// as when built on their own.
+/// The `ablations` table splits its own work through the engine, and the
+/// `tlb` table fast-forwards its periodic streams; run inside the table
+/// engine, twice each, both render exactly as when built on their own.
 #[test]
 fn tlb_and_ablations_nest_inside_the_table_engine() {
     let tlb = session::report_by_name("tlb")

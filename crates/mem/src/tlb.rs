@@ -482,6 +482,28 @@ impl Tlb {
         true
     }
 
+    /// Whether this TLB holds what `other` holds: the same configuration,
+    /// the same entry in every slot, the same FIFO pointer and the same
+    /// LCG state. Two such TLBs answer every later sequence of calls
+    /// alike, so a caller that finds a TLB back in an earlier state may
+    /// reuse what followed it.
+    ///
+    /// Nothing else is compared, because nothing else changes a later
+    /// answer. The index maps each valid entry's key to its slot, so what
+    /// it says is fixed by the slots; only its cell layout depends on the
+    /// order of past inserts and removals, and a lookup finds a key
+    /// wherever its run put it. The valid and global counts count the
+    /// slots. The remembered miss only lets a refill skip a same-page
+    /// probe that would find nothing. The statistics are written, never
+    /// read by an answer.
+    #[must_use]
+    pub fn same_contents(&self, other: &Tlb) -> bool {
+        self.config == other.config
+            && self.entries == other.entries
+            && self.next_victim == other.next_victim
+            && self.lcg_state == other.lcg_state
+    }
+
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> TlbStats {
@@ -629,6 +651,97 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Two pages of context 1 whose keys share a home cell in a 4-entry
+    /// TLB's index.
+    fn colliding_pages() -> (u32, u32) {
+        let tlb = Tlb::new(TlbConfig::tagged(4));
+        let home = |vpn| tlb.index.home(tlb.key(vpn, Some(Asid(1))));
+        (0..64)
+            .flat_map(|a| (a + 1..64).map(move |b| (a, b)))
+            .find(|&(a, b)| home(a) == home(b))
+            .expect("32 cells cannot hold 64 keys apart")
+    }
+
+    #[test]
+    fn same_contents_ignores_the_index_layout_stats_and_remembered_miss() {
+        let (a, b) = colliding_pages();
+        // Slot 0 holds `a` and slot 1 holds `b` in both, but `a` was
+        // indexed first in one and `b` in the other, so each sits in the
+        // shared home cell of one TLB and one cell on in the other's.
+        let mut direct = Tlb::new(TlbConfig::tagged(4));
+        direct.insert(entry(a, Some(1)));
+        direct.insert(entry(b, Some(1)));
+        let mut detour = Tlb::new(TlbConfig::tagged(4));
+        detour.insert(entry(99, Some(1)));
+        detour.insert(entry(b, Some(1)));
+        assert!(detour.flush_page(99, Asid(1)));
+        detour.insert(entry(a, Some(1)));
+        assert_ne!(direct.index.cells, detour.index.cells);
+        assert_ne!(direct.stats(), detour.stats());
+        assert!(detour.lookup(1000, Asid(1)).is_none());
+        assert_eq!(
+            (direct.missed, detour.missed),
+            (None, Some((1000, Asid(1))))
+        );
+        assert!(direct.same_contents(&detour) && detour.same_contents(&direct));
+        // Alike from here on: the same victims, whatever the layout.
+        for vpn in 100..110 {
+            assert_eq!(
+                direct.insert(entry(vpn, Some(1))),
+                detour.insert(entry(vpn, Some(1)))
+            );
+        }
+        assert!(direct.same_contents(&detour));
+    }
+
+    #[test]
+    fn same_contents_compares_the_fifo_pointer() {
+        // Both hold 3 in slot 0 and 2 in slot 1; one got there by an
+        // eviction, which moved its FIFO pointer to slot 1.
+        let mut evicted = Tlb::new(TlbConfig::tagged(2));
+        for vpn in [1, 2, 3] {
+            evicted.insert(entry(vpn, Some(1)));
+        }
+        let mut filled = Tlb::new(TlbConfig::tagged(2));
+        for vpn in [3, 2] {
+            filled.insert(entry(vpn, Some(1)));
+        }
+        assert_eq!(evicted.entries, filled.entries);
+        assert!(!evicted.same_contents(&filled));
+        // And the two evict different slots next.
+        assert_ne!(
+            evicted.insert(entry(4, Some(1))),
+            filled.insert(entry(4, Some(1)))
+        );
+    }
+
+    #[test]
+    fn same_contents_compares_the_lcg_state() {
+        let random = TlbConfig {
+            replacement: Replacement::PseudoRandom,
+            ..TlbConfig::tagged(2)
+        };
+        let mut evicted = Tlb::new(random);
+        for vpn in [1, 2, 3] {
+            evicted.insert(entry(vpn, Some(1)));
+        }
+        // The same slots, filled in slot order without an eviction.
+        let mut filled = Tlb::new(random);
+        for slot in evicted.entries.iter().flatten() {
+            filled.insert(*slot);
+        }
+        assert_eq!(evicted.entries, filled.entries);
+        assert_eq!(evicted.next_victim, filled.next_victim);
+        assert!(!evicted.same_contents(&filled));
+        // A FIFO TLB with the same slots differs by its configuration.
+        let mut fifo = Tlb::new(TlbConfig::tagged(2));
+        for slot in filled.entries.iter().flatten() {
+            fifo.insert(*slot);
+        }
+        assert!(!fifo.same_contents(&filled));
+        assert!(filled.clone().same_contents(&filled));
     }
 
     #[test]
